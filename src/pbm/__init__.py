@@ -29,17 +29,17 @@ from .accounting import (
     select_params_approx_dp,
     subsample_estimate,
 )
-from .benchmark import ExperimentConfig, TrialRecord, run_clipping, run_tradeoff
-from .kashin import KashinFrame, build_frame, reconstruct, represent
+from .benchmark import ExperimentConfig, TrialRecord, run_tradeoff
+from .kashin import KashinFrame, build_frame, represent_batch
 from .mechanism import (
     MechanismParams,
-    client_encode,
     communication_bits,
+    coordinate_probs,
     mse_bound,
     server_decode,
+    spread,
 )
-from .scalar import ScalarParams, decode_sum, encode, rescale, variance_bound
-from .secagg import GroupSpec, GroupVector, aggregate, clipped_spec, default_modulus
+from .secagg import GroupSpec, aggregate, clipped_spec, default_modulus
 from .sgd import SgdConfig, LossSpec, clip_l2, convergence_bound
 from .sgd import run as run_sgd
 

@@ -23,7 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from . import accounting, secagg
-from .kashin import KashinFrame, build_frame, represent_batch
+from .kashin import build_frame
+from .mechanism import (
+    MechanismParams,
+    communication_bits,
+    coordinate_probs,
+    mse_bound,
+    server_decode,
+    spread,
+)
 
 # cap on simultaneous binomial draws (entries), keeps peak memory ~128 MB
 _CHUNK_ENTRIES = 16_777_216
@@ -137,6 +145,10 @@ def _invert_eps(
             hi = mid
         if hi - lo < 1e-10:
             break
+    if lo == 0.0:
+        raise accounting.InfeasibleBudget(
+            f"no theta > 0 meets the epsilon target {eps_target} at m = {m}"
+        )
     return lo
 
 
@@ -144,16 +156,18 @@ def _point_records(
     config: ExperimentConfig,
     y: np.ndarray,
     mu_true: np.ndarray,
-    frame: KashinFrame | None,
-    c_prime: float,
-    m: int,
-    theta: float,
+    params: MechanismParams,
     seed: np.random.SeedSequence,
 ) -> list[TrialRecord]:
-    """All records for one (m, theta) point: pbm plain, optional clipped, gaussian."""
+    """All records for one (m, theta) point: pbm plain, optional clipped, gaussian.
+
+    y holds the spread client coefficients (n, coords); every trial draws
+    all n clients' shares at once.
+    """
     n, coords = y.shape
+    m, theta = params.m, params.theta
     rng = np.random.default_rng(seed)
-    probs = np.clip((theta / c_prime) * y + 0.5, 0.5 - theta, 0.5 + theta)
+    probs = coordinate_probs(y, params)
     sums = np.empty((config.trials, coords), dtype=np.int64)
     chunk = max(1, _CHUNK_ENTRIES // (n * coords))
     done = 0
@@ -163,37 +177,32 @@ def _point_records(
         sums[done : done + t] = draws.sum(axis=1, dtype=np.int64)
         done += t
 
-    def decode_mse(agg: np.ndarray) -> float:
-        est = c_prime / (n * m * theta) * (agg - n * m / 2.0)
-        if frame is not None:
-            est = est @ frame.u.T
-        err = est - mu_true[None, :]
+    def decode_mse(agg: np.ndarray, window: tuple[int, int] | None = None) -> float:
+        err = server_decode(agg, params, window) - mu_true[None, :]
         return float(np.mean(np.sum(err * err, axis=1)))
 
-    per_coord_eps = _per_coord_eps(config, m, theta)
-    eps_total = coords * per_coord_eps
-    plain_bits = coords * (secagg.default_modulus(n, m) - 1).bit_length()
+    eps_total = coords * _per_coord_eps(config, m, theta)
     records = [
         TrialRecord(
             m=m, theta=theta, alpha=config.alpha, epsilon=eps_total,
-            mse=decode_mse(sums), comm_bits=plain_bits, wraps=0,
+            mse=decode_mse(sums), comm_bits=communication_bits(params), wraps=0,
             mechanism="pbm", mode="plain",
         )
     ]
     if config.clipping:
         spec, offset = secagg.clipped_spec(n, m, theta, config.safety_c, coords)
-        wraps = int(np.sum((sums < offset) | (sums >= offset + spec.modulus)))
-        lifted = offset + (sums - offset) % spec.modulus
+        lifted = secagg.lift_sum(sums, spec, offset)
         records.append(
             TrialRecord(
                 m=m, theta=theta, alpha=config.alpha, epsilon=eps_total,
-                mse=decode_mse(lifted), comm_bits=coords * spec.bits_per_coord,
-                wraps=wraps, mechanism="pbm", mode="clipped",
+                mse=decode_mse(lifted, (offset, offset + spec.modulus)),
+                comm_bits=coords * spec.bits_per_coord,
+                wraps=secagg.count_wraps(sums, spec, offset),
+                mechanism="pbm", mode="clipped",
             )
         )
     # Gaussian baseline matched to this point's MSE bound
-    bound = coords * c_prime**2 / (4.0 * n * m * theta**2)
-    sigma = sqrt(bound / config.d)
+    sigma = sqrt(mse_bound(params) / config.d)
     records.append(
         TrialRecord(
             m=m, theta=theta, alpha=config.alpha,
@@ -215,20 +224,20 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     client_seed, frame_seed, point_root = root.spawn(3)
     clients = generate_clients(config, np.random.default_rng(client_seed))
     mu_true = clients.mean(axis=0)
-    if config.use_kashin:
-        frame = build_frame(
-            config.d, config.redundancy, np.random.default_rng(frame_seed)
-        )
-        y = represent_batch(clients.T, frame).T
-        c_prime = config.c * frame.level_k / sqrt(frame.big_d)
-    else:
-        frame = None
-        y = clients
-        c_prime = config.cinf
-    points = _resolve_points(config, y.shape[1])
+    frame = (
+        build_frame(config.d, config.redundancy, np.random.default_rng(frame_seed))
+        if config.use_kashin else None
+    )
+    # theta and m are set per sweep point; the spread depends on neither
+    base = MechanismParams(
+        n=config.n, d=config.d, c=config.c if config.use_kashin else config.cinf,
+        theta=0.0, m=1, use_kashin=config.use_kashin, frame=frame,
+    )
+    y = spread(clients, base)
+    points = _resolve_points(config, base.coords)
     seeds = point_root.spawn(len(points))
     tasks = [
-        (config, y, mu_true, frame, c_prime, m, theta, seed)
+        (config, y, mu_true, replace(base, theta=theta, m=m), seed)
         for (m, theta), seed in zip(points, seeds)
     ]
     if config.threads > 1 and len(tasks) > 1:
@@ -237,11 +246,6 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     else:
         per_point = [_point_task(t) for t in tasks]
     return [rec for recs in per_point for rec in recs]
-
-
-def run_clipping(config: ExperimentConfig) -> list[TrialRecord]:
-    """run_tradeoff with the reduced-modulus group enabled alongside plain."""
-    return run_tradeoff(replace(config, clipping=True))
 
 
 def write_records_csv(records: Sequence[TrialRecord], path) -> None:

@@ -31,13 +31,6 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PBM_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _cmd_dme(args) -> int:
     cfg = load_dme_config(args.config)
     if args.seed is not None:
@@ -161,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-k", action="store_true", help="exhaustive accountant search")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help="parameter-point parallelism (default: PBM_THREADS or cores)",
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="parameter-point parallelism (default: cores)",
     )
     p.set_defaults(func=_cmd_dme)
 

@@ -44,7 +44,7 @@ class KashinFrame:
     u: d x D matrix with u @ u.T = I_d.
     level_k: certified spread level; every vector this frame represents
         satisfies sqrt(D) * ||y||_inf / ||x||_2 <= level_k.
-    eta: truncation aggressiveness used by represent().
+    eta: truncation aggressiveness used by represent_batch().
     """
 
     u: np.ndarray
@@ -85,7 +85,7 @@ def build_frame(
     is tight for any D = ceil(redundancy * d).
 
     The certified level is the max spread over `probes` Gaussian probe
-    vectors times a 1.1 safety factor; represent() checks every output
+    vectors times a 1.1 safety factor; represent_batch() checks every output
     against it.
     """
     if d < 1:
@@ -126,42 +126,18 @@ def _represent_batch(x: np.ndarray, frame: KashinFrame, iters: int) -> np.ndarra
     return y
 
 
-def represent(
-    x: np.ndarray,
-    frame: KashinFrame,
-    iters: int = DEFAULT_ITERS,
-    tol: float = RECONSTRUCT_TOL,
-) -> np.ndarray:
-    """Spread coefficients y with U @ y = x (within tol * ||x||_2).
-
-    Raises ConvergenceError if the residual stalls above tolerance and
-    ValueError if the output spread exceeds the frame's certified level.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (frame.d,):
-        raise ValueError(f"expected shape ({frame.d},), got {x.shape}")
-    y = _represent_batch(x[:, None], frame, iters)[:, 0]
-    norm_x = np.linalg.norm(x)
-    if norm_x == 0.0:
-        return y
-    residual = float(np.linalg.norm(frame.u @ y - x))
-    if residual > tol * norm_x:
-        raise ConvergenceError(residual, tol * norm_x)
-    cap = frame.level_k * norm_x / sqrt(frame.big_d)
-    if np.abs(y).max() > cap * (1.0 + 1e-9):
-        raise ValueError(
-            f"spread {np.abs(y).max():.3e} exceeds certified cap {cap:.3e}"
-        )
-    return y
-
-
 def represent_batch(
     x: np.ndarray,
     frame: KashinFrame,
     iters: int = DEFAULT_ITERS,
     tol: float = RECONSTRUCT_TOL,
 ) -> np.ndarray:
-    """represent() for many vectors at once; x has shape (d, batch)."""
+    """Spread coefficients y (D, batch) with U @ y = x, column by column.
+
+    x has shape (d, batch). Raises ConvergenceError if a residual stalls
+    above tol * ||x||_2 and ValueError if a column's spread exceeds the
+    frame's certified level.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != frame.d:
         raise ValueError(f"expected shape ({frame.d}, batch), got {x.shape}")
@@ -176,14 +152,6 @@ def represent_batch(
     if np.any(np.abs(y[:, live]).max(axis=0) > caps[live] * (1.0 + 1e-9)):
         raise ValueError("spread exceeds the certified cap for some column")
     return y
-
-
-def reconstruct(y: np.ndarray, frame: KashinFrame) -> np.ndarray:
-    """Invert represent(): x = U @ y."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != frame.big_d and y.shape[0] != frame.big_d:
-        raise ValueError(f"coefficient length {y.shape} does not match D = {frame.big_d}")
-    return frame.u @ y
 
 
 def save_frame(frame: KashinFrame, path) -> None:

@@ -10,6 +10,10 @@ server decodes an unbiased mean from the aggregate alone. Two geometries:
   spreads each vector into coords = D coefficients with per-coordinate
   bound c' = c * level_k / sqrt(D), and the server maps the decoded
   coefficient mean back through the frame.
+
+Every function works on whole batches: clients are rows, and the binomial
+draw Binom(m, coordinate_probs) is left to the caller, which owns the
+random stream.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from . import secagg
-from .kashin import KashinFrame, represent
+from .kashin import KashinFrame, represent_batch
 
 
 @dataclass(frozen=True)
@@ -70,45 +74,63 @@ class MechanismParams:
         return self.c
 
 
+def spread(x: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """Client vectors (clients, d) as coefficients (clients, coords) bounded by c'.
+
+    Checks every row against the norm bound (L2 with the frame, L-infinity
+    without), then spreads all rows with one frame call. Depends on neither
+    theta nor m, so a sweep over (m, theta) spreads once.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.d:
+        raise ValueError(f"expected shape (clients, {params.d}), got {x.shape}")
+    if params.use_kashin:
+        norm = np.linalg.norm(x, axis=1).max(initial=0.0)
+        if norm > params.c * (1.0 + 1e-9):
+            raise ValueError(f"||x||_2 = {norm} exceeds c = {params.c}")
+        return represent_batch(x.T, params.frame).T
+    top = np.abs(x).max(initial=0.0)
+    if top > params.c * (1.0 + 1e-9):
+        raise ValueError(f"||x||_inf = {top} exceeds the coordinate bound {params.c}")
+    return x
+
+
 def coordinate_probs(y: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Re-scale spread coordinates to success probabilities, guarding fuzz."""
+    """Success probabilities for spread coefficients y (..., coords).
+
+    Re-scales y in [-c', c'] to (theta/c') * y + 1/2, clamped to
+    [1/2 - theta, 1/2 + theta] against float fuzz. Each client draws
+    Binom(m, p) per coordinate from these.
+    """
     p = (params.theta / params.c_prime) * y + 0.5
     return np.clip(p, 0.5 - params.theta, 0.5 + params.theta)
 
 
-def client_encode(
-    x: np.ndarray, params: MechanismParams, rng: np.random.Generator
+def server_decode(
+    agg_sum: np.ndarray,
+    params: MechanismParams,
+    window: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Encode one client vector into integer shares in {0, ..., m}^coords."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.d,):
-        raise ValueError(f"expected shape ({params.d},), got {x.shape}")
-    if params.use_kashin:
-        if np.linalg.norm(x) > params.c * (1.0 + 1e-9):
-            raise ValueError(f"||x||_2 = {np.linalg.norm(x)} exceeds c = {params.c}")
-        y = represent(x, params.frame)
-    else:
-        if np.abs(x).max(initial=0.0) > params.c * (1.0 + 1e-9):
-            raise ValueError(
-                f"||x||_inf = {np.abs(x).max()} exceeds the coordinate bound {params.c}"
-            )
-        y = x
-    return rng.binomial(params.m, coordinate_probs(y, params))
+    """Mean estimates (..., d) from coordinate-wise sums (..., coords) of n shares.
 
-
-def server_decode(agg_sum: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """Mean estimate from the coordinate-wise sum of all n clients' shares."""
+    Inverts the re-scaling, c'/(n*m*theta) * (sum - n*m/2), then maps the
+    coefficients back through the frame. Sums must lie in the half-open
+    window [lo, hi): by default [0, n*m], the range of a plain aggregate;
+    a sum lifted from a reduced-modulus group passes its own window
+    [offset, offset + M), which can reach past [0, n*m].
+    """
     agg_sum = np.asarray(agg_sum)
-    if agg_sum.shape != (params.coords,):
-        raise ValueError(f"expected shape ({params.coords},), got {agg_sum.shape}")
-    if agg_sum.min(initial=0) < 0 or agg_sum.max(initial=0) > params.n * params.m:
-        raise ValueError(f"aggregate outside [0, {params.n * params.m}]")
+    if agg_sum.ndim < 1 or agg_sum.shape[-1] != params.coords:
+        raise ValueError(f"expected shape (..., {params.coords}), got {agg_sum.shape}")
+    nm = params.n * params.m
+    lo, hi = (0, nm + 1) if window is None else window
+    if agg_sum.min(initial=lo) < lo or agg_sum.max(initial=lo) >= hi:
+        raise ValueError(f"aggregate outside [{lo}, {hi})")
     if params.theta == 0:
         raise ValueError("theta = 0 encodes no signal; the sum cannot be decoded")
-    nm = params.n * params.m
     mu = params.c_prime / (nm * params.theta) * (agg_sum - nm / 2.0)
     if params.use_kashin:
-        return params.frame.u @ mu
+        return mu @ params.frame.u.T
     return mu
 
 
@@ -131,9 +153,3 @@ def communication_bits(params: MechanismParams) -> int:
         modulus=secagg.default_modulus(params.n, params.m), coords=params.coords
     )
     return params.coords * spec.bits_per_coord
-
-
-def client_rngs(master_seed: int, n: int) -> list[np.random.Generator]:
-    """Independent per-client generators derived from one master seed."""
-    seq = np.random.SeedSequence(master_seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]

@@ -5,31 +5,18 @@ vectors of residues mod M and the server learns only their coordinate-wise
 sum mod M. No cryptography here; the point is the finite-group arithmetic,
 its communication cost, and the modular-clipping variant that shrinks M
 below the worst-case sum range at a controlled risk of wraparound.
-
-Share files: a binary format with a fixed header (n, coords, M, mode,
-offset, seed) followed by all residues packed as ceil(log2 M)-bit
-little-endian integers, so file size reflects the true communication cost.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from math import ceil, floor, sqrt
-from typing import Sequence
 
 import numpy as np
 
 # default headroom multiplier for the clipped field, sqrt(30) standard
 # deviations on each side of the sum's expected range
 DEFAULT_SAFETY = sqrt(30.0)
-
-MODE_PLAIN = 0
-MODE_CLIPPED = 1
-
-_MAGIC = b"PBMS"
-_VERSION = 1
-_HEADER = struct.Struct("<4sBBQQQqQ")  # magic, version, mode, n, coords, M, offset, seed
 
 
 @dataclass(frozen=True)
@@ -50,22 +37,6 @@ class GroupSpec:
         return (self.modulus - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class GroupVector:
-    """One group element: residues in [0, modulus) per coordinate."""
-
-    residues: np.ndarray
-    spec: GroupSpec
-
-    def __post_init__(self):
-        r = np.asarray(self.residues)
-        if r.shape != (self.spec.coords,):
-            raise ValueError(f"expected {self.spec.coords} residues, got {r.shape}")
-        if r.min(initial=0) < 0 or r.max(initial=0) >= self.spec.modulus:
-            raise ValueError("residues outside [0, modulus)")
-        object.__setattr__(self, "residues", r.astype(np.int64))
-
-
 def default_modulus(n: int, m: int) -> int:
     """Smallest power of two strictly greater than the max sum n*m."""
     if n < 1 or m < 1:
@@ -73,21 +44,18 @@ def default_modulus(n: int, m: int) -> int:
     return 1 << (n * m).bit_length()
 
 
-def encode_shares(shares: np.ndarray, spec: GroupSpec) -> GroupVector:
-    """Reduce one client's share vector into the group."""
-    return GroupVector(np.asarray(shares, dtype=np.int64) % spec.modulus, spec)
+def aggregate(shares: np.ndarray, spec: GroupSpec) -> np.ndarray:
+    """Coordinate-wise sum mod M of all clients' updates; returns the residues.
 
-
-def aggregate(updates: Sequence[GroupVector], spec: GroupSpec) -> GroupVector:
-    """Coordinate-wise sum mod M. The per-client inputs are not retained."""
-    if len(updates) == 0:
-        raise ValueError("nothing to aggregate")
-    total = np.zeros(spec.coords, dtype=np.int64)
-    for upd in updates:
-        if upd.spec != spec:
-            raise ValueError(f"update group {upd.spec} does not match {spec}")
-        total = (total + upd.residues) % spec.modulus
-    return GroupVector(total, spec)
+    shares has shape (clients, coords); each client's row is reduced into
+    the group before it is summed. The per-client inputs are not retained.
+    """
+    shares = np.asarray(shares, dtype=np.int64)
+    if shares.ndim != 2 or shares.shape[0] == 0 or shares.shape[1] != spec.coords:
+        raise ValueError(
+            f"expected shares of shape (clients, {spec.coords}), got {shares.shape}"
+        )
+    return (shares % spec.modulus).sum(axis=0) % spec.modulus
 
 
 def clipped_spec(
@@ -111,10 +79,10 @@ def clipped_spec(
     return GroupSpec(modulus=modulus, coords=coords), offset
 
 
-def lift_sum(agg: GroupVector, offset: int) -> np.ndarray:
-    """Map aggregate residues into the integer window [offset, offset + M)."""
-    m = agg.spec.modulus
-    return offset + (agg.residues - offset) % m
+def lift_sum(residues: np.ndarray, spec: GroupSpec, offset: int) -> np.ndarray:
+    """Map aggregate residues (any integer representatives) into the window
+    [offset, offset + M)."""
+    return offset + (np.asarray(residues) - offset) % spec.modulus
 
 
 def count_wraps(true_sums: np.ndarray, spec: GroupSpec, offset: int) -> int:
@@ -125,66 +93,3 @@ def count_wraps(true_sums: np.ndarray, spec: GroupSpec, offset: int) -> int:
     """
     s = np.asarray(true_sums)
     return int(np.sum((s < offset) | (s >= offset + spec.modulus)))
-
-
-def _pack_residues(residues: np.ndarray, width: int) -> bytes:
-    """Concatenate width-bit little-endian integers, padded to a whole byte."""
-    vals = residues.astype(np.uint64).reshape(-1)
-    bits = ((vals[:, None] >> np.arange(width, dtype=np.uint64)) & 1).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
-
-
-def _unpack_residues(payload: bytes, count: int, width: int) -> np.ndarray:
-    bits = np.unpackbits(
-        np.frombuffer(payload, dtype=np.uint8), bitorder="little", count=count * width
-    )
-    weights = (1 << np.arange(width, dtype=np.int64))
-    return (bits.reshape(count, width) * weights).sum(axis=1)
-
-
-def write_shares(
-    path,
-    updates: Sequence[GroupVector],
-    mode: int = MODE_PLAIN,
-    offset: int = 0,
-    seed: int = 0,
-) -> int:
-    """Write all client updates to a share file; returns payload bytes.
-
-    Payload size is exactly ceil(n * coords * bits_per_coord / 8), so the
-    file length is an honest per-round communication measurement.
-    """
-    if not updates:
-        raise ValueError("no updates to write")
-    spec = updates[0].spec
-    for upd in updates:
-        if upd.spec != spec:
-            raise ValueError("all updates must share one group spec")
-    stacked = np.stack([u.residues for u in updates])
-    payload = _pack_residues(stacked, spec.bits_per_coord)
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, mode, len(updates), spec.coords, spec.modulus, offset, seed
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    return len(payload)
-
-
-def read_shares(path) -> tuple[list[GroupVector], dict]:
-    """Read a share file back; returns the updates and the header fields."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, version, mode, n, coords, modulus, offset, seed = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError("not a share file (bad magic)")
-    if version != _VERSION:
-        raise ValueError(f"unsupported share-file version {version}")
-    spec = GroupSpec(modulus=modulus, coords=coords)
-    flat = _unpack_residues(raw[_HEADER.size :], n * coords, spec.bits_per_coord)
-    updates = [GroupVector(row, spec) for row in flat.reshape(n, coords)]
-    meta = {
-        "n": n, "coords": coords, "modulus": modulus,
-        "mode": mode, "offset": offset, "seed": seed,
-    }
-    return updates, meta

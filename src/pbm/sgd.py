@@ -23,7 +23,7 @@ import numpy as np
 from . import accounting, secagg
 from .accounting import DEFAULT_ALPHAS, RdpCurve
 from .kashin import build_frame
-from .mechanism import MechanismParams, client_encode, server_decode
+from .mechanism import MechanismParams, coordinate_probs, server_decode, spread
 
 
 @dataclass(frozen=True)
@@ -282,12 +282,14 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
         if disable_mechanism:
             mu_hat = grads.mean(axis=0)
         else:
-            updates = [
-                secagg.encode_shares(client_encode(g, params, np.random.default_rng(cs)), group)
-                for g, cs in zip(grads, mech_root.spawn(config.sampled))
-            ]
-            agg = secagg.aggregate(updates, group)
-            mu_hat = server_decode(agg.residues, params)
+            probs = coordinate_probs(spread(grads, params), params)
+            # each client draws its shares from its own generator, as a
+            # real client would on its own device
+            shares = np.stack([
+                np.random.default_rng(cs).binomial(config.m, p)
+                for p, cs in zip(probs, mech_root.spawn(config.sampled))
+            ])
+            mu_hat = server_decode(secagg.aggregate(shares, group), params)
         w = w - gamma * mu_hat
         losses[t] = loss.full_loss(w)
         grad_norms[t] = float(np.sum(loss.full_grad(w) ** 2))

@@ -27,8 +27,14 @@ from pbm.accounting import (
     subsample_estimate,
 )
 from pbm.kashin import build_frame, represent_batch
-from pbm.mechanism import MechanismParams, coordinate_probs, mse_bound, server_decode
-from pbm.secagg import clipped_spec, count_wraps, default_modulus
+from pbm.mechanism import (
+    MechanismParams,
+    coordinate_probs,
+    mse_bound,
+    server_decode,
+    spread,
+)
+from pbm.secagg import clipped_spec, count_wraps, default_modulus, lift_sum
 from pbm.sgd import LossSpec, SgdConfig, build_loss, convergence_bound, run
 
 GRID = [
@@ -125,9 +131,9 @@ def test_criterion_06_unbiased_within_variance_budget(acceptance):
     params = MechanismParams(n=n, d=d, c=c, theta=theta, m=m)
     rng = np.random.default_rng(606)
     x = rng.uniform(-c, c, size=(n, d))
-    probs = coordinate_probs(x, params)
+    probs = coordinate_probs(spread(x, params), params)
     sums = rng.binomial(m, probs[None, :, :], size=(trials, n, d)).sum(axis=1)
-    ests = np.stack([server_decode(s, params) for s in sums])
+    ests = server_decode(sums, params)
     mu = x.mean(axis=0)
     per_coord_var = c * c / (4.0 * n * m * theta * theta)
     bias_tol = 4.0 * sqrt(per_coord_var / trials)
@@ -149,19 +155,19 @@ def test_criterion_07_reduced_modulus_is_nearly_free(acceptance):
     params = MechanismParams(n=n, d=d, c=c, theta=theta, m=m)
     rng = np.random.default_rng(707)
     x = rng.uniform(-c, c, size=(n, d))
-    probs = coordinate_probs(x, params)
+    probs = coordinate_probs(spread(x, params), params)
     sums = rng.binomial(m, probs[None, :, :], size=(trials, n, d)).sum(axis=1)
     spec, offset = clipped_spec(n, m, theta, sqrt(30.0), coords=d)
     wraps = count_wraps(sums, spec, offset)
     wrap_rate = wraps / sums.size
-    lifted = offset + (sums - offset) % spec.modulus
+    lifted = lift_sum(sums % spec.modulus, spec, offset)
     mu = x.mean(axis=0)
 
-    def mse(agg):
-        est = c / (n * m * theta) * (agg - n * m / 2.0)
+    def mse(agg, window=None):
+        est = server_decode(agg, params, window)
         return float(np.mean(np.sum((est - mu[None, :]) ** 2, axis=1)))
 
-    ratio = mse(lifted) / mse(sums)
+    ratio = mse(lifted, (offset, offset + spec.modulus)) / mse(sums)
     full_bits = (default_modulus(n, m) - 1).bit_length()
     saved = full_bits - spec.bits_per_coord
     ok = wrap_rate <= 1e-3 and 0.95 <= ratio <= 1.05 and saved >= 1

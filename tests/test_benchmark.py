@@ -10,7 +10,6 @@ from pbm.benchmark import (
     ExperimentConfig,
     TrialRecord,
     generate_clients,
-    run_clipping,
     run_tradeoff,
     write_records_csv,
     write_series_json,
@@ -99,7 +98,7 @@ def test_pbm_mse_within_bound():
 
 
 def test_clipped_rows_match_plain_without_wraps():
-    records = run_clipping(_small_config())
+    records = run_tradeoff(_small_config(clipping=True))
     by_point = {}
     for r in records:
         if r.mechanism == "pbm":
@@ -114,7 +113,7 @@ def test_clipped_rows_match_plain_without_wraps():
 
 
 def test_tight_safety_margin_wraps():
-    records = run_clipping(_small_config(safety_c=0.0))
+    records = run_tradeoff(_small_config(clipping=True, safety_c=0.0))
     wrapped = [r for r in records if r.mode == "clipped"]
     assert sum(r.wraps for r in wrapped) > 0
 

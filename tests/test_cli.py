@@ -90,6 +90,21 @@ def test_dme_clipping_flag(tmp_path, dme_config):
     assert sum(",clipped" in ln for ln in lines) == 4
 
 
+def test_dme_unreachable_epsilon_target_is_infeasible(tmp_path):
+    cfg = tmp_path / "tiny_eps.ini"
+    cfg.write_text(
+        "[experiment]\nn = 20\nd = 4\nm_list = 2\neps_list = 1e-30\ntrials = 5\n"
+    )
+    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                 "--threads", "1"]) == 3
+
+
+def test_dme_ignores_pbm_threads_variable(tmp_path, dme_config, monkeypatch):
+    monkeypatch.setenv("PBM_THREADS", "abc")
+    assert main(["dme", "--config", str(dme_config), "--out", str(tmp_path / "x.csv"),
+                 "--threads", "1"]) == 0
+
+
 def test_sgd_happy_path(tmp_path, sgd_config, capsys):
     out = tmp_path / "traj.csv"
     code = main(["sgd", "--config", str(sgd_config), "--out", str(out)])

@@ -5,8 +5,6 @@ from pbm.kashin import (
     ConvergenceError,
     build_frame,
     load_frame,
-    reconstruct,
-    represent,
     represent_batch,
     save_frame,
 )
@@ -44,16 +42,21 @@ def test_roundtrip_and_spread(frame40):
 
 
 def test_single_vector_matches_batch(frame40):
-    x = np.random.default_rng(9).standard_normal(40)
-    y1 = represent(x, frame40)
-    y2 = represent_batch(x[:, None], frame40)[:, 0]
-    np.testing.assert_array_equal(y1, y2)
-    np.testing.assert_allclose(reconstruct(y1, frame40), x, atol=1e-8)
+    # each column gets the coefficients it would get in a batch of one
+    x = np.random.default_rng(9).standard_normal((40, 5))
+    batch = represent_batch(x, frame40)
+    for j in range(5):
+        alone = represent_batch(x[:, j : j + 1], frame40)[:, 0]
+        np.testing.assert_allclose(alone, batch[:, j], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(frame40.u @ batch, x, atol=1e-8)
 
 
 def test_zero_vector(frame40):
-    y = represent(np.zeros(40), frame40)
-    assert np.all(y == 0)
+    x = np.zeros((40, 2))
+    x[:, 1] = np.random.default_rng(10).standard_normal(40)
+    y = represent_batch(x, frame40)
+    assert np.all(y[:, 0] == 0)
+    np.testing.assert_allclose(frame40.u @ y[:, 1], x[:, 1], atol=1e-8)
 
 
 def test_reconstruct_non_expansive(frame40):
@@ -67,16 +70,16 @@ def test_reconstruct_non_expansive(frame40):
 def test_dimension_one_edge_case():
     frame = build_frame(1, 2.0, np.random.default_rng(2))
     assert frame.u.shape == (1, 2)
-    y = represent(np.array([1.5]), frame)
-    assert reconstruct(y, frame)[0] == pytest.approx(1.5, abs=1e-9)
+    y = represent_batch(np.array([[1.5]]), frame)
+    assert (frame.u @ y)[0, 0] == pytest.approx(1.5, abs=1e-9)
     assert frame.level_k <= 1.5
 
 
 def test_too_few_iterations_raises():
     frame = build_frame(80, 2.0, np.random.default_rng(4))
-    x = np.random.default_rng(5).standard_normal(80)
+    x = np.random.default_rng(5).standard_normal((80, 1))
     with pytest.raises(ConvergenceError):
-        represent(x, frame, iters=1)
+        represent_batch(x, frame, iters=1)
 
 
 def test_build_frame_validation():

@@ -3,17 +3,16 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from pbm.kashin import build_frame, represent
+from pbm.kashin import build_frame
 from pbm.mechanism import (
     MechanismParams,
-    client_encode,
-    client_rngs,
     communication_bits,
     coordinate_probs,
     mse_bound,
     server_decode,
+    spread,
 )
-from pbm.scalar import ScalarParams, decode_sum
+from pbm.secagg import clipped_spec, lift_sum
 
 
 @pytest.fixture(scope="module")
@@ -59,19 +58,23 @@ def test_coordinate_probs_endpoints():
 
 
 def test_decode_matches_scalar_decoder():
+    # one coordinate decodes as c/(n*m*theta) * (s - n*m/2), row by row
     n, c, theta, m = 12, 1.5, 0.2, 3
     params = _plain(n=n, d=1, c=c, theta=theta, m=m)
-    scalar = ScalarParams(c=c, theta=theta, m=m)
-    for total in (0, 7, 18, n * m):
-        vec = server_decode(np.array([total]), params)
-        assert vec.shape == (1,)
-        assert vec[0] == decode_sum(total, n, scalar)
+    totals = np.array([[0], [7], [18], [n * m]])
+    est = server_decode(totals, params)
+    assert est.shape == (4, 1)
+    np.testing.assert_array_equal(est, c / (n * m * theta) * (totals - n * m / 2.0))
+    assert est[2, 0] == 0.0
+    assert server_decode(totals[1], params)[0] == est[1, 0]
 
 
 def test_decode_validation():
     params = _plain(n=5, d=2, m=2)
     with pytest.raises(ValueError):
         server_decode(np.array([1, 2, 3]), params)
+    with pytest.raises(ValueError):
+        server_decode(np.array([[1, 2, 3]]), params)
     with pytest.raises(ValueError):
         server_decode(np.array([1, 11]), params)
     with pytest.raises(ValueError):
@@ -83,37 +86,65 @@ def test_decode_validation():
         mse_bound(frozen)
 
 
+def test_decode_window_for_lifted_sums():
+    # a reduced-modulus window can reach past the plain range [0, n*m]
+    n, m, theta = 20, 2, 0.25
+    params = _plain(n=n, d=2, theta=theta, m=m)
+    spec, offset = clipped_spec(n, m, theta, coords=2)
+    window = (offset, offset + spec.modulus)
+    assert window == (-3, 43)
+    # residues 43 and 42 mod 46 lift to both ends of the window
+    lifted = lift_sum(np.array([[43, 42]]), spec, offset)
+    np.testing.assert_array_equal(lifted, [[-3, 42]])
+    est = server_decode(lifted, params, window)
+    np.testing.assert_array_equal(est, 1.0 / (n * m * theta) * (lifted - n * m / 2.0))
+    # the same values are not a plain aggregate
+    with pytest.raises(ValueError):
+        server_decode(lifted, params)
+    with pytest.raises(ValueError):
+        server_decode(np.array([offset - 1, 0]), params, window)
+    with pytest.raises(ValueError):
+        server_decode(np.array([0, offset + spec.modulus]), params, window)
+
+
 def test_encode_shape_and_range():
     params = _plain(n=10, d=5, m=6)
     rng = np.random.default_rng(0)
-    shares = client_encode(rng.uniform(-1, 1, 5), params, rng)
-    assert shares.shape == (5,)
+    probs = coordinate_probs(spread(rng.uniform(-1, 1, (10, 5)), params), params)
+    assert probs.shape == (10, 5)
+    assert np.all((probs >= 0.25) & (probs <= 0.75))
+    shares = rng.binomial(params.m, probs)
     assert shares.dtype.kind == "i"
     assert np.all((shares >= 0) & (shares <= 6))
 
 
 def test_encode_norm_validation(frame8):
     params = _plain(d=3, c=1.0)
-    rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        client_encode(np.array([1.2, 0.0, 0.0]), params, rng)
+        spread(np.array([[0.5, 0.0, 0.0], [1.2, 0.0, 0.0]]), params)
     with pytest.raises(ValueError):
-        client_encode(np.zeros(4), params, rng)
-    spread = MechanismParams(n=5, d=8, c=1.0, theta=0.2, m=2, use_kashin=True, frame=frame8)
-    big = np.full(8, 0.5)  # L2 norm sqrt(2) > 1
+        spread(np.zeros((2, 4)), params)
     with pytest.raises(ValueError):
-        client_encode(big, spread, rng)
+        spread(np.zeros(3), params)
+    spread_params = MechanismParams(
+        n=5, d=8, c=1.0, theta=0.2, m=2, use_kashin=True, frame=frame8
+    )
+    big = np.full((1, 8), 0.5)  # L2 norm sqrt(2) > 1
+    with pytest.raises(ValueError):
+        spread(big, spread_params)
 
 
 def test_kashin_accepts_peaky_vectors(frame8):
     # a unit basis vector satisfies the L2 bound though its largest
     # coordinate far exceeds the spread per-coordinate budget c'
-    spread = MechanismParams(n=5, d=8, c=1.0, theta=0.2, m=2, use_kashin=True, frame=frame8)
-    assert spread.c_prime < 1.0
-    x = np.zeros(8)
-    x[0] = 1.0
-    shares = client_encode(x, spread, np.random.default_rng(2))
-    assert shares.shape == (16,)
+    params = MechanismParams(n=5, d=8, c=1.0, theta=0.2, m=2, use_kashin=True, frame=frame8)
+    assert params.c_prime < 1.0
+    x = np.zeros((2, 8))
+    x[0, 0] = 1.0
+    y = spread(x, params)
+    assert y.shape == (2, 16)
+    assert np.abs(y).max() <= params.c_prime
+    np.testing.assert_allclose(frame8.u @ y.T, x.T, atol=1e-9)
 
 
 def test_mse_bound_formula(frame8):
@@ -139,13 +170,9 @@ def test_roundtrip_unbiased_plain():
     rng = np.random.default_rng(33)
     x = rng.uniform(-1.0, 1.0, size=(n, d))
     mu = x.mean(axis=0)
-    rngs = client_rngs(99, n)
-    ests = np.empty((trials, d))
-    for t in range(trials):
-        total = np.zeros(d, dtype=np.int64)
-        for i in range(n):
-            total += client_encode(x[i], params, rngs[i])
-        ests[t] = server_decode(total, params)
+    probs = coordinate_probs(spread(x, params), params)
+    sums = rng.binomial(2, probs[None, :, :], size=(trials, n, d)).sum(axis=1)
+    ests = server_decode(sums, params)
     per_coord_var = mse_bound(params) / d
     tol = 4.0 * sqrt(per_coord_var / trials)
     assert np.all(np.abs(ests.mean(axis=0) - mu) <= tol)
@@ -154,8 +181,8 @@ def test_roundtrip_unbiased_plain():
 
 
 def test_roundtrip_unbiased_kashin(frame8):
-    # spread each client once, then draw the per-coordinate counts in bulk;
-    # the decode (including the frame back-map) still runs per trial
+    # spread all clients in one frame call, draw the counts in bulk and
+    # decode every trial at once, frame back-map included
     n, d, trials = 20, 8, 1200
     params = MechanismParams(
         n=n, d=d, c=1.0, theta=0.25, m=4, use_kashin=True, frame=frame8
@@ -164,9 +191,10 @@ def test_roundtrip_unbiased_kashin(frame8):
     x = rng.standard_normal((n, d))
     x /= np.maximum(1.0, np.linalg.norm(x, axis=1))[:, None]
     mu = x.mean(axis=0)
-    probs = np.stack([coordinate_probs(represent(xi, frame8), params) for xi in x])
+    probs = coordinate_probs(spread(x, params), params)
     sums = rng.binomial(4, probs[None, :, :], size=(trials, n, params.coords)).sum(axis=1)
-    ests = np.stack([server_decode(s, params) for s in sums])
+    ests = server_decode(sums, params)
+    assert ests.shape == (trials, d)
     per_coord_var = mse_bound(params) / d
     tol = 4.0 * sqrt(per_coord_var / trials)
     assert np.all(np.abs(ests.mean(axis=0) - mu) <= tol)
@@ -190,12 +218,3 @@ def test_variance_stable_at_fixed_m_theta_square():
         mses.append(float(np.mean((ests - mu) ** 2)))
     assert max(mses) / min(mses) < 1.25
     assert max(mses) <= 1.0 / (4 * n * 16 * (1 / 8) ** 2) * (1.0 + 5.0 / sqrt(trials))
-
-
-def test_client_rngs_deterministic():
-    a = client_rngs(4242, 5)
-    b = client_rngs(4242, 5)
-    draws_a = np.array([g.integers(0, 1 << 30) for g in a])
-    draws_b = np.array([g.integers(0, 1 << 30) for g in b])
-    np.testing.assert_array_equal(draws_a, draws_b)
-    assert len(set(draws_a.tolist())) == 5

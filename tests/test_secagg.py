@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from pbm.secagg import (
-    MODE_CLIPPED,
     GroupSpec,
-    GroupVector,
     aggregate,
     clipped_spec,
     count_wraps,
     default_modulus,
-    encode_shares,
     lift_sum,
-    read_shares,
-    write_shares,
 )
 
 
@@ -36,51 +31,34 @@ def test_bits_per_coord():
     assert GroupSpec(356, 1).bits_per_coord == 9
 
 
-def test_group_vector_validation():
-    spec = GroupSpec(16, 3)
-    GroupVector(np.array([0, 15, 7]), spec)
-    with pytest.raises(ValueError):
-        GroupVector(np.array([0, 16, 7]), spec)
-    with pytest.raises(ValueError):
-        GroupVector(np.array([-1, 0, 0]), spec)
-    with pytest.raises(ValueError):
-        GroupVector(np.array([1, 2]), spec)
-
-
-def test_encode_shares_reduces():
-    spec = GroupSpec(10, 4)
-    vec = encode_shares(np.array([12, -3, 7, 30]), spec)
-    np.testing.assert_array_equal(vec.residues, [2, 7, 7, 0])
-
-
 def test_aggregate_is_modular_sum():
     rng = np.random.default_rng(0)
     spec = GroupSpec(16, 5)
-    raw = rng.integers(0, 16, size=(7, 5))
-    updates = [GroupVector(row, spec) for row in raw]
-    agg = aggregate(updates, spec)
-    np.testing.assert_array_equal(agg.residues, raw.sum(axis=0) % 16)
+    # updates past the modulus are reduced into the group first
+    raw = rng.integers(0, 40, size=(7, 5))
+    np.testing.assert_array_equal(aggregate(raw, spec), raw.sum(axis=0) % 16)
+    np.testing.assert_array_equal(aggregate(raw % 16, spec), aggregate(raw, spec))
 
 
 def test_aggregate_order_invariant_and_associative():
     rng = np.random.default_rng(1)
     spec = GroupSpec(97, 8)
     raw = rng.integers(0, 97, size=(9, 8))
-    updates = [GroupVector(row, spec) for row in raw]
-    direct = aggregate(updates, spec)
-    shuffled = aggregate([updates[i] for i in rng.permutation(9)], spec)
-    nested = aggregate([aggregate(updates[:4], spec), aggregate(updates[4:], spec)], spec)
-    np.testing.assert_array_equal(direct.residues, shuffled.residues)
-    np.testing.assert_array_equal(direct.residues, nested.residues)
+    direct = aggregate(raw, spec)
+    shuffled = aggregate(raw[rng.permutation(9)], spec)
+    nested = aggregate(np.stack([aggregate(raw[:4], spec), aggregate(raw[4:], spec)]), spec)
+    np.testing.assert_array_equal(direct, shuffled)
+    np.testing.assert_array_equal(direct, nested)
 
 
 def test_aggregate_rejects_mixed_specs():
-    a = GroupVector(np.array([1]), GroupSpec(8, 1))
-    b = GroupVector(np.array([1]), GroupSpec(16, 1))
+    # updates must be (clients, coords) for the spec's coordinate count
     with pytest.raises(ValueError):
-        aggregate([a, b], GroupSpec(8, 1))
+        aggregate(np.ones((3, 2), dtype=np.int64), GroupSpec(8, 1))
     with pytest.raises(ValueError):
-        aggregate([], GroupSpec(8, 1))
+        aggregate(np.ones(1, dtype=np.int64), GroupSpec(8, 1))
+    with pytest.raises(ValueError):
+        aggregate(np.zeros((0, 1), dtype=np.int64), GroupSpec(8, 1))
 
 
 def test_clipped_spec_reference_point():
@@ -112,8 +90,7 @@ def test_lift_recovers_sums_inside_window():
     spec, offset = clipped_spec(10, 2, 0.25, 2.0)
     assert (spec.modulus, offset) == (15, 3)
     for true_sum in range(offset, offset + spec.modulus):
-        agg = GroupVector(np.array([true_sum % spec.modulus]), spec)
-        assert lift_sum(agg, offset)[0] == true_sum
+        assert lift_sum(np.array([true_sum % spec.modulus]), spec, offset)[0] == true_sum
         assert count_wraps(np.array([true_sum]), spec, offset) == 0
 
 
@@ -121,47 +98,7 @@ def test_wraps_detected_outside_window():
     spec, offset = clipped_spec(10, 2, 0.25, 2.0)
     outside = np.array([offset - 1, offset + spec.modulus, 0])
     assert count_wraps(outside, spec, offset) == 3
-    agg = GroupVector(outside % spec.modulus, GroupSpec(spec.modulus, 3))
-    lifted = lift_sum(agg, offset)
+    lifted = lift_sum(outside % spec.modulus, spec, offset)
     assert np.all(lifted != outside)
     # wrapped values still land in the window, just at the wrong point
     assert np.all((lifted >= offset) & (lifted < offset + spec.modulus))
-
-
-def test_share_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    spec = GroupSpec(356, 13)
-    raw = rng.integers(0, 356, size=(11, 13))
-    updates = [GroupVector(row, spec) for row in raw]
-    path = tmp_path / "round.shares"
-    payload = write_shares(path, updates, mode=MODE_CLIPPED, offset=-5, seed=42)
-    assert payload == ceil(11 * 13 * 9 / 8)
-    assert path.stat().st_size == payload + 46  # fixed header size
-
-    loaded, meta = read_shares(path)
-    assert meta == {
-        "n": 11, "coords": 13, "modulus": 356,
-        "mode": MODE_CLIPPED, "offset": -5, "seed": 42,
-    }
-    for orig, back in zip(updates, loaded):
-        np.testing.assert_array_equal(orig.residues, back.residues)
-
-
-def test_share_file_bad_magic(tmp_path):
-    spec = GroupSpec(8, 2)
-    path = tmp_path / "x.shares"
-    write_shares(path, [GroupVector(np.array([1, 2]), spec)])
-    blob = bytearray(path.read_bytes())
-    blob[:4] = b"XXXX"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="magic"):
-        read_shares(path)
-
-
-def test_write_shares_rejects_mixed_specs(tmp_path):
-    a = GroupVector(np.array([1]), GroupSpec(8, 1))
-    b = GroupVector(np.array([1]), GroupSpec(16, 1))
-    with pytest.raises(ValueError):
-        write_shares(tmp_path / "bad.shares", [a, b])
-    with pytest.raises(ValueError):
-        write_shares(tmp_path / "empty.shares", [])
