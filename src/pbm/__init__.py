@@ -9,7 +9,6 @@ simulation.
 """
 
 from .accounting import (
-    ALL_K,
     DEFAULT_ALPHAS,
     InfeasibleBudget,
     RdpCurve,

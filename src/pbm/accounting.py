@@ -4,12 +4,17 @@ The per-round privacy loss of the mechanism is a Renyi divergence between
 two convolutions of binomials whose success probabilities sit at the ends
 of the re-scaling range [1/2 - theta, 1/2 + theta]. Quasi-convexity of the
 divergence in each client's probability means the worst case over all
-inputs is attained at an extreme assignment, so the exact curve is a
-finite maximization: over which side the k "other" clients sit on, and
-over both orderings of the pair.
+inputs is attained at an extreme assignment: k of the n - 1 unchanged
+clients at 1/2 - theta, the rest at 1/2 + theta, with both orderings of
+the pair. Mirror symmetry maps k to n - 1 - k, and the endpoint k = 0
+attains the maximum; the test suite checks that against an exhaustive
+search over every k and every assignment. At the endpoint the likelihood
+ratio is a hypergeometric mean, so one curve costs O(n*m^2).
 
-Everything runs in log space. log-pmfs are plain float arrays indexed by
-outcome, with -inf for zero mass; a valid log-pmf has logsumexp == 0.
+log-pmfs are plain float arrays indexed by outcome, with -inf for zero
+mass; a valid log-pmf has logsumexp == 0. The exact curve sums its
+divergence on the log-likelihood ratio with log1p/expm1, which keeps its
+relative precision as epsilon shrinks.
 
 Also here: the calibrated closed-form upper bound on the exact curve, the
 Gaussian baseline, composition and subsampling on curves, conversion to
@@ -21,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from math import ceil, floor, inf, log, sqrt
+from math import atanh, ceil, expm1, floor, inf, log, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,9 +34,6 @@ from scipy.special import gammaln, logsumexp
 
 # default Renyi orders for curves and ledgers
 DEFAULT_ALPHAS = (1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0)
-
-# sentinel for exhaustive extreme-point search; quadratic in n
-ALL_K = "all"
 
 # smallest constant making the closed-form bound dominate the exact curve
 # on the calibration grid of calibrate_c0(); recomputed by the test suite
@@ -103,38 +105,62 @@ def renyi_divergence(logp: np.ndarray, logq: np.ndarray, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact curve via extreme points
+# exact curve at the endpoint pair
+
+# largest m for the hypergeometric sums of _endpoint_llr: their terms stay
+# below about 5.4^m, which float64 holds up to m = 400; past it the
+# log-space ratio is used throughout
+_HYPERGEOM_MAX_M = 400
+
+# expm1 overflows past 709; where the tilt |b * log(p/q)| reaches this,
+# the divergence is summed with logsumexp instead
+_EXPM1_LIMIT = 700.0
 
 
-def _resolve_k_set(n: int, k_set) -> list[int]:
-    if k_set is None:
-        ks = {0, ceil((n - 1) / 2), n - 1}
-    elif isinstance(k_set, str):
-        if k_set != ALL_K:
-            raise ValueError(f"unknown k_set {k_set!r}")
-        ks = set(range(n))
-    else:
-        ks = set(int(k) for k in k_set)
-    if not ks or min(ks) < 0 or max(ks) > n - 1:
-        raise ValueError(f"k values must lie in [0, {n - 1}]")
-    return sorted(ks)
+def _endpoint_llr(n: int, m: int, theta: float, log_ratio: np.ndarray) -> np.ndarray:
+    """log(P/Q) on {0, ..., n*m} for the endpoint pair of pbm_exact_curve.
 
-
-def _extreme_pair(n: int, m: int, theta: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """log-pmfs of the two neighboring sums for extreme configuration k.
-
-    k of the n-1 unchanged clients sit at 1/2 - theta and the rest at
-    1/2 + theta; the differing client contributes 1/2 - theta on one side
-    and 1/2 + theta on the other. Both supports are {0, ..., n*m}.
+    log_ratio is log P - log Q from the two log-pmfs, which is precise
+    where P/Q is far from 1 but not near it. Given the total j under Q,
+    the differing client's count I is Hypergeom(n*m, m, j), so
+    P/Q(j) - 1 = E[expm1((m - 2I) * log(rho))] with
+    rho = (1/2 + theta)/(1/2 - theta), which keeps its precision at small
+    theta. The weights of I come from the product-of-ratios recurrence in
+    i, normalised per j, over the columns j <= n*m/2; column n*m - j is
+    column j with I -> m - I. log_ratio is kept where P/Q < 1/2.
     """
-    lo, hi = 0.5 - theta, 0.5 + theta
-    pa = convolve_logpmf(
-        binomial_logpmf(m * (k + 1), lo), binomial_logpmf(m * (n - k - 1), hi)
-    )
-    pb = convolve_logpmf(
-        binomial_logpmf(m * k, lo), binomial_logpmf(m * (n - k), hi)
-    )
-    return pa, pb
+    log_rho = 2.0 * atanh(2.0 * theta)
+    if n == 1:
+        return (m - 2.0 * np.arange(m + 1)) * log_rho
+    if m > _HYPERGEOM_MAX_M:
+        return log_ratio
+    big_n = n * m
+    half = big_n // 2
+    j = np.arange(half + 1, dtype=float)
+    w = np.ones(half + 1)
+    # weight totals, and expm1 sums of rho^(m-2i) (column j) and of
+    # rho^(2i-m) (column n*m - j)
+    total, d_lo, d_hi = np.zeros((3, half + 1))
+    for i in range(m + 1):
+        x = (m - 2 * i) * log_rho
+        total += w
+        d_lo += expm1(x) * w
+        d_hi += expm1(-x) * w
+        if i < m:
+            w *= (m - i) / (i + 1) * (j - i) / (big_n - m + 1 + i - j)
+
+    def columns(lower, upper):
+        return np.concatenate([lower, upper[: big_n - half][::-1]])
+
+    delta = columns(d_lo, d_hi) / columns(total, total)
+    return np.where(delta > -0.5, np.log1p(np.maximum(delta, -0.5)), log_ratio)
+
+
+def _log_mean_exp(q: np.ndarray, logq: np.ndarray, t: np.ndarray) -> float:
+    """log E_Q[exp(t)], as log1p of an expm1 sum unless t nears overflow."""
+    if np.max(np.abs(t)) < _EXPM1_LIMIT:
+        return float(np.log1p(np.dot(q, np.expm1(t))))
+    return float(logsumexp(logq + t))
 
 
 def pbm_exact_curve(
@@ -142,40 +168,39 @@ def pbm_exact_curve(
     m: int,
     theta: float,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    k_set=None,
 ) -> "RdpCurve":
-    """Exact per-coordinate Renyi curve, maximized over extreme configurations.
+    """Exact per-coordinate Renyi curve of the endpoint pair, both orders.
 
-    k_set=None uses the reduced set {0, ceil((n-1)/2), n-1}; pass ALL_K for
-    the exhaustive search (cost grows quadratically with n). Both orderings
-    of each pair are always taken, so asymmetry of the divergence is covered.
+    Q = Binom(n*m, 1/2 + theta): every client at the top of the range.
+    P = Binom(m, 1/2 - theta) * Binom(m*(n-1), 1/2 + theta): the differing
+    client at the bottom. Mirror symmetry (j -> n*m - j) covers the pair
+    with every client at the bottom. The curve is the larger of
+    D_alpha(P || Q) and D_alpha(Q || P), each computed as
+    log1p(sum q * expm1(b * log(p/q))) / (alpha - 1) with b = alpha and
+    b = 1 - alpha. Cost O(n*m^2) time and O(n*m) memory.
     """
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if not 0.0 <= theta <= 0.25:
         raise ValueError(f"theta must lie in [0, 1/4], got {theta}")
     alphas = np.asarray(sorted(alphas), dtype=float)
-    ks = _resolve_k_set(n, k_set)
     eps = np.zeros(len(alphas))
     if theta > 0.0:
-        for k in ks:
-            pa, pb = _extreme_pair(n, m, theta, k)
-            for i, alpha in enumerate(alphas):
-                d = max(
-                    renyi_divergence(pa, pb, alpha), renyi_divergence(pb, pa, alpha)
-                )
-                if d > eps[i]:
-                    eps[i] = d
-    meta = {
-        "mechanism": "pbm-exact", "n": n, "m": m, "theta": theta,
-        "k_set": "all" if len(ks) == n else ",".join(map(str, ks)),
-    }
+        lo, hi = 0.5 - theta, 0.5 + theta
+        logq = binomial_logpmf(n * m, hi)
+        logp = convolve_logpmf(binomial_logpmf(m, lo), binomial_logpmf(m * (n - 1), hi))
+        llr = _endpoint_llr(n, m, theta, logp - logq)
+        q = np.exp(logq)
+        for i, alpha in enumerate(alphas):
+            d = max(_log_mean_exp(q, logq, b * llr) for b in (alpha, 1.0 - alpha))
+            eps[i] = max(d / (alpha - 1.0), 0.0)
+    meta = {"mechanism": "pbm-exact", "n": n, "m": m, "theta": theta}
     return RdpCurve(alphas=alphas, epsilons=eps, kind="exact", meta=meta)
 
 
-def pbm_exact_rdp(n: int, m: int, theta: float, alpha: float, k_set=None) -> float:
+def pbm_exact_rdp(n: int, m: int, theta: float, alpha: float) -> float:
     """Exact epsilon at a single order; see pbm_exact_curve."""
-    return float(pbm_exact_curve(n, m, theta, [alpha], k_set).epsilons[0])
+    return float(pbm_exact_curve(n, m, theta, [alpha]).epsilons[0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +249,6 @@ def calibrate_c0(
     ms: Iterable[int] = (1, 4),
     thetas: Iterable[float] = (0.05, 0.25),
     alphas: Iterable[float] = (1.5, 2.0, 8.0),
-    k_set=ALL_K,
 ) -> float:
     """Smallest c0 making the closed-form bound dominate the exact curve.
 
@@ -235,7 +259,7 @@ def calibrate_c0(
     for n in ns:
         for m in ms:
             for theta in thetas:
-                curve = pbm_exact_curve(n, m, theta, sorted(alphas), k_set)
+                curve = pbm_exact_curve(n, m, theta, sorted(alphas))
                 for alpha, eps in zip(curve.alphas, curve.epsilons):
                     unit = pbm_asymptotic_rdp(n, m, theta, float(alpha), c0=1.0)
                     worst = max(worst, eps / unit)
@@ -420,10 +444,9 @@ def achieved_approx_dp(
     m: int,
     delta: float,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    k_set=None,
 ) -> float:
     """Exact-accountant verification of a (theta, m) choice across d coordinates."""
-    per_coord = pbm_exact_curve(n, m, theta, alphas, k_set)
+    per_coord = pbm_exact_curve(n, m, theta, alphas)
     return rdp_to_dp(scale(per_coord, d), delta)
 
 

@@ -54,7 +54,6 @@ class ExperimentConfig:
     use_kashin: bool = False
     redundancy: float = 2.0
     accountant: str = "exact"         # exact | bound
-    k_mode: str = "reduced"           # reduced | all
     clipping: bool = False
     safety_c: float = secagg.DEFAULT_SAFETY
     threads: int = 1
@@ -66,8 +65,6 @@ class ExperimentConfig:
             raise ValueError("exactly one of theta_list / eps_list must be set")
         if self.accountant not in ("exact", "bound"):
             raise ValueError(f"unknown accountant {self.accountant!r}")
-        if self.k_mode not in ("reduced", "all"):
-            raise ValueError(f"unknown k_mode {self.k_mode!r}")
         if self.cinf is None:
             object.__setattr__(self, "cinf", self.c / sqrt(self.d))
 
@@ -111,8 +108,7 @@ def _per_coord_eps(config: ExperimentConfig, m: int, theta: float) -> float:
         return 0.0
     if config.accountant == "bound":
         return accounting.pbm_asymptotic_rdp(config.n, m, theta, config.alpha)
-    k_set = accounting.ALL_K if config.k_mode == "all" else None
-    return accounting.pbm_exact_rdp(config.n, m, theta, config.alpha, k_set)
+    return accounting.pbm_exact_rdp(config.n, m, theta, config.alpha)
 
 
 def _resolve_points(config: ExperimentConfig, coords: int) -> list[tuple[int, float]]:

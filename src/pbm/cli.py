@@ -37,8 +37,6 @@ def _cmd_dme(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.clipping:
         cfg = replace(cfg, clipping=True)
-    if args.all_k:
-        cfg = replace(cfg, k_mode="all")
     cfg = replace(cfg, threads=args.threads)
     records = run_tradeoff(cfg)
     write_records_csv(records, args.out)
@@ -76,8 +74,7 @@ def _parse_alphas(raw: str | None) -> tuple[float, ...]:
 def _cmd_rdp_curve(args) -> int:
     alphas = _parse_alphas(args.alphas)
     if args.mode == "exact":
-        k_set = accounting.ALL_K if args.k_mode == "all" else None
-        curve = accounting.pbm_exact_curve(args.n, args.m, args.theta, alphas, k_set)
+        curve = accounting.pbm_exact_curve(args.n, args.m, args.theta, alphas)
     elif args.mode == "bound":
         curve = accounting.pbm_asymptotic_curve(
             args.n, args.m, args.theta, alphas, args.c0
@@ -138,6 +135,13 @@ def _cmd_select_params(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbm",
@@ -151,10 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--json", help="also write a plotting JSON series file")
     p.add_argument("--clipping", action="store_true", help="add reduced-modulus rows")
-    p.add_argument("--all-k", action="store_true", help="exhaustive accountant search")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
+        "--threads", type=_positive_int, default=os.cpu_count() or 1,
         help="parameter-point parallelism (default: cores)",
     )
     p.set_defaults(func=_cmd_dme)
@@ -171,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.25)
     p.add_argument("--mode", choices=("exact", "bound", "gaussian"), default="exact")
     p.add_argument("--alphas", help="comma-separated orders (default grid)")
-    p.add_argument("--k-mode", choices=("reduced", "all"), default="reduced")
     p.add_argument("--c", type=float, default=1.0, help="gaussian sensitivity")
     p.add_argument("--sigma", type=float, help="gaussian noise scale")
     p.add_argument("--c0", type=float, default=accounting.DEFAULT_C0)

@@ -77,7 +77,7 @@ def _num_list(cast):
 
 _DME_KEYS = {
     "n", "d", "c", "cinf", "m_list", "theta_list", "eps_list", "alpha",
-    "trials", "seed", "use_kashin", "redundancy", "accountant", "k_mode",
+    "trials", "seed", "use_kashin", "redundancy", "accountant",
 }
 _CLIP_KEYS = {"enabled", "safety_c"}
 
@@ -103,7 +103,6 @@ def load_dme_config(path) -> ExperimentConfig:
         use_kashin=_get(parser, sec, "use_kashin", bool, False),
         redundancy=_get(parser, sec, "redundancy", float, 2.0),
         accountant=_get(parser, sec, "accountant", str, "exact"),
-        k_mode=_get(parser, sec, "k_mode", str, "reduced"),
     )
     if parser.has_section("clipping"):
         kwargs["clipping"] = _get(parser, "clipping", "enabled", bool, False)

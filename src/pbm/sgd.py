@@ -149,6 +149,8 @@ class SgdConfig:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
         if self.clip <= 0:
             raise ValueError(f"clip must be positive, got {self.clip}")
+        if not 0.0 < self.theta <= 0.25:
+            raise ValueError(f"theta must lie in (0, 1/4], got {self.theta}")
         if self.accountant not in ("exact", "bound"):
             raise ValueError(f"unknown accountant {self.accountant!r}")
         if isinstance(self.learning_rate, str) and self.learning_rate != "auto":

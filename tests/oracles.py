@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here works in plain probability space with scipy.stats and
-np.convolve, deliberately sharing no code with the log-space accountant.
+np.convolve, or in mpmath at 40 digits, deliberately sharing no code with
+the accountant.
 """
 
 from __future__ import annotations
@@ -40,6 +41,66 @@ def brute_force_extreme_rdp(n: int, m: int, theta: float, alpha: float) -> float
         q_pmf = poisson_binomial_pmf((alt,) + ps[1:], m)
         best = max(best, renyi_from_probs(p_pmf, q_pmf, alpha))
     return best
+
+
+def exhaustive_k_curve(n: int, m: int, theta: float, alphas) -> np.ndarray:
+    """Max divergence over every extreme configuration k in 0..n-1.
+
+    k of the n-1 unchanged clients sit at 1/2 - theta and the rest at
+    1/2 + theta; the differing client is at either end, both orderings.
+    Each term is q * (p/q)^alpha, so no power of a tiny probability is
+    formed on its own.
+    """
+    lo, hi = 0.5 - theta, 0.5 + theta
+
+    def pmf(trials, p):
+        return binom.pmf(np.arange(trials + 1), trials, p)
+
+    eps = np.zeros(len(alphas))
+    for k in range(n):
+        pa = np.convolve(pmf(m * (k + 1), lo), pmf(m * (n - k - 1), hi))
+        pb = np.convolve(pmf(m * k, lo), pmf(m * (n - k), hi))
+        for i, alpha in enumerate(alphas):
+            for p, q in ((pa, pb), (pb, pa)):
+                d = np.log(np.sum(q * (p / q) ** alpha)) / (alpha - 1.0)
+                eps[i] = max(eps[i], d)
+    return eps
+
+
+def mpmath_endpoint_curve(n: int, m: int, theta: float, alphas, dps: int = 40):
+    """The endpoint pair's curve (k = 0, both orders) in dps-digit mpmath.
+
+    Q = Binom(n*m, hi), P = Binom(m, lo) * Binom(m*(n-1), hi), both built
+    from one shared Binom(m*(n-1), hi) pmf by exact ratio recurrences.
+    """
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    lo = ctx.mpf(1) / 2 - ctx.mpf(theta)
+    hi = ctx.mpf(1) / 2 + ctx.mpf(theta)
+    rest = m * (n - 1)
+    base = [lo**rest]
+    for k in range(rest):
+        base.append(base[-1] * (rest - k) / (k + 1) * hi / lo)
+    kern_p = [ctx.binomial(m, i) * lo**i * hi ** (m - i) for i in range(m + 1)]
+    kern_q = [ctx.binomial(m, i) * hi**i * lo ** (m - i) for i in range(m + 1)]
+    qs, llrs = [], []
+    for j in range(n * m + 1):
+        span = range(max(0, j - rest), min(m, j) + 1)
+        p = ctx.fsum(kern_p[i] * base[j - i] for i in span)
+        q = ctx.fsum(kern_q[i] * base[j - i] for i in span)
+        qs.append(q)
+        llrs.append(ctx.log(p / q))
+    out = []
+    for alpha in alphas:
+        a = ctx.mpf(alpha)
+        d = max(
+            ctx.log(ctx.fsum(q * ctx.exp(b * r) for q, r in zip(qs, llrs)))
+            for b in (a, 1 - a)
+        )
+        out.append(float(d / (a - 1)))
+    return np.array(out)
 
 
 def interior_grid_max_rdp(theta: float, alpha: float, step: float) -> float:

@@ -17,7 +17,6 @@ from oracles import (
 )
 from pbm import cli
 from pbm.accounting import (
-    ALL_K,
     RdpCurve,
     gaussian_rdp,
     pbm_exact_rdp,
@@ -50,14 +49,14 @@ def test_criterion_01_exact_accountant_matches_brute_force(acceptance):
     t0 = time.perf_counter()
     worst = 0.0
     for n, m, theta, alpha in GRID:
-        got = pbm_exact_rdp(n, m, theta, alpha, k_set=ALL_K)
+        got = pbm_exact_rdp(n, m, theta, alpha)
         want = brute_force_extreme_rdp(n, m, theta, alpha)
         worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
     acceptance(
         1, ok,
-        f"exhaustive accountant vs independent oracle on {len(GRID)} points: "
+        f"endpoint accountant vs independent oracle on {len(GRID)} points: "
         f"max rel err {worst:.2e} (tol 1e-9), {elapsed:.1f}s (limit 10s)",
     )
     assert ok
@@ -66,7 +65,7 @@ def test_criterion_01_exact_accountant_matches_brute_force(acceptance):
 def test_criterion_02_interior_assignments_never_beat_extremes(acceptance):
     t0 = time.perf_counter()
     grid_max = interior_grid_max_rdp(0.25, 2.0, 0.05)
-    extreme = pbm_exact_rdp(3, 1, 0.25, 2.0, k_set=ALL_K)
+    extreme = pbm_exact_rdp(3, 1, 0.25, 2.0)
     elapsed = time.perf_counter() - t0
     ok = grid_max <= extreme + 1e-10 and elapsed < 5.0
     acceptance(
@@ -80,8 +79,8 @@ def test_criterion_02_interior_assignments_never_beat_extremes(acceptance):
 def test_criterion_03_per_trial_subadditivity(acceptance):
     worst_violation = -np.inf
     for n, m, theta, alpha in GRID:
-        whole = pbm_exact_rdp(n, m, theta, alpha, k_set=ALL_K)
-        split = m * pbm_exact_rdp(n, 1, theta, alpha, k_set=ALL_K)
+        whole = pbm_exact_rdp(n, m, theta, alpha)
+        split = m * pbm_exact_rdp(n, 1, theta, alpha)
         worst_violation = max(worst_violation, whole - split)
     ok = worst_violation <= 1e-12
     acceptance(

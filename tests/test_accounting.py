@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import binom as scipy_binom
 
-from oracles import brute_force_extreme_rdp, renyi_from_probs
+from oracles import (
+    brute_force_extreme_rdp,
+    exhaustive_k_curve,
+    mpmath_endpoint_curve,
+    renyi_from_probs,
+)
+from pbm import accounting
 from pbm.accounting import (
-    ALL_K,
     DEFAULT_ALPHAS,
     DEFAULT_C0,
     InfeasibleBudget,
@@ -157,26 +162,39 @@ def test_exact_rdp_closed_form_anchors():
 
 def test_exact_rdp_matches_brute_force():
     for n, m, theta, alpha in [(3, 1, 0.2, 2.5), (2, 2, 0.25, 1.5), (4, 1, 0.1, 4.0)]:
-        got = pbm_exact_rdp(n, m, theta, alpha, k_set=ALL_K)
+        got = pbm_exact_rdp(n, m, theta, alpha)
         want = brute_force_extreme_rdp(n, m, theta, alpha)
         assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_reduced_k_set_never_exceeds_exhaustive():
-    for n, m, theta in [(6, 2, 0.15), (9, 1, 0.25)]:
-        red = pbm_exact_curve(n, m, theta, DEFAULT_ALPHAS)
-        full = pbm_exact_curve(n, m, theta, DEFAULT_ALPHAS, k_set=ALL_K)
-        assert np.all(red.epsilons <= full.epsilons + 1e-12)
-    # at n <= 3 the reduced set covers every k
-    red3 = pbm_exact_curve(3, 2, 0.2, DEFAULT_ALPHAS)
-    full3 = pbm_exact_curve(3, 2, 0.2, DEFAULT_ALPHAS, k_set=ALL_K)
-    np.testing.assert_array_equal(red3.epsilons, full3.epsilons)
+def test_endpoint_matches_exhaustive_k_search():
+    alphas = [a for a in DEFAULT_ALPHAS if a <= 16.0]
+    for n in (5, 12, 40):
+        for m in (1, 2, 8):
+            for theta in (0.01, 0.1, 0.25):
+                got = pbm_exact_curve(n, m, theta, alphas).epsilons
+                want = exhaustive_k_curve(n, m, theta, alphas)
+                np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
-def test_explicit_k_set():
-    partial = pbm_exact_curve(8, 1, 0.2, [2.0], k_set=[0, 7])
-    full = pbm_exact_curve(8, 1, 0.2, [2.0], k_set=ALL_K)
-    assert partial.epsilons[0] <= full.epsilons[0] + 1e-15
+def test_exact_curve_matches_mpmath_at_small_theta():
+    pytest.importorskip("mpmath")
+    alphas = (1.25, 2.0, 8.0)
+    for n, theta in [(2000, 1e-2), (2000, 1e-4), (2000, 1e-5), (7, 1e-5)]:
+        got = pbm_exact_curve(n, 4, theta, alphas).epsilons
+        want = mpmath_endpoint_curve(n, 4, theta, alphas)
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+        assert np.all(np.diff(got) >= 0.0)
+
+
+def test_exact_curve_beyond_hypergeometric_range(monkeypatch):
+    # past the largest m of the hypergeometric sums the log ratio comes
+    # from the log-space convolution of the same pair
+    alphas = (1.5, 2.0, 16.0, 64.0)
+    hypergeom = [pbm_exact_curve(n, 8, 0.25, alphas).epsilons for n in (2, 12)]
+    monkeypatch.setattr(accounting, "_HYPERGEOM_MAX_M", 0)
+    log_space = [pbm_exact_curve(n, 8, 0.25, alphas).epsilons for n in (2, 12)]
+    np.testing.assert_allclose(hypergeom, log_space, rtol=1e-12)
 
 
 def test_exact_curve_monotone_in_alpha():
@@ -215,12 +233,9 @@ def test_exact_theta_zero_is_private():
 
 
 def test_exact_curve_metadata():
-    red = pbm_exact_curve(10, 2, 0.1, [2.0])
-    assert red.kind == "exact"
-    assert red.meta["mechanism"] == "pbm-exact"
-    assert red.meta["k_set"] == "0,5,9"
-    full = pbm_exact_curve(4, 1, 0.1, [2.0], k_set=ALL_K)
-    assert full.meta["k_set"] == "all"
+    curve = pbm_exact_curve(10, 2, 0.1, [2.0])
+    assert curve.kind == "exact"
+    assert curve.meta == {"mechanism": "pbm-exact", "n": 10, "m": 2, "theta": 0.1}
 
 
 def test_exact_validation():
@@ -229,11 +244,7 @@ def test_exact_validation():
     with pytest.raises(ValueError):
         pbm_exact_curve(4, 1, 0.3)
     with pytest.raises(ValueError):
-        pbm_exact_curve(4, 1, 0.1, k_set="some")
-    with pytest.raises(ValueError):
-        pbm_exact_curve(4, 1, 0.1, k_set=[4])
-    with pytest.raises(ValueError):
-        pbm_exact_curve(4, 1, 0.1, k_set=[])
+        pbm_exact_curve(4, 0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +273,8 @@ def test_asymptotic_scales_linearly_in_m_over_n():
 
 
 def test_bound_dominates_exact_at_quarter():
-    for n, m, k_set in [(10, 1, ALL_K), (50, 4, None), (200, 2, None)]:
-        exact = pbm_exact_curve(n, m, 0.25, DEFAULT_ALPHAS, k_set)
+    for n, m in [(10, 1), (50, 4), (200, 2)]:
+        exact = pbm_exact_curve(n, m, 0.25, DEFAULT_ALPHAS)
         bound = pbm_asymptotic_curve(n, m, 0.25, DEFAULT_ALPHAS)
         assert np.all(exact.epsilons <= bound.epsilons)
 

@@ -34,8 +34,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(accountant="sharp")
     with pytest.raises(ValueError):
-        _small_config(k_mode="half")
-    with pytest.raises(ValueError):
         _small_config(trials=0)
     assert ExperimentConfig(n=10, d=16, c=2.0).cinf == pytest.approx(0.5)
 

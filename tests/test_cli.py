@@ -105,6 +105,23 @@ def test_dme_ignores_pbm_threads_variable(tmp_path, dme_config, monkeypatch):
                  "--threads", "1"]) == 0
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_dme_rejects_threads_below_one(tmp_path, dme_config, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["dme", "--config", str(dme_config), "--out", str(tmp_path / "x.csv"),
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_dme_rejects_k_mode_key(tmp_path):
+    cfg = tmp_path / "k_mode.ini"
+    cfg.write_text(DME_INI + "k_mode = reduced\n")
+    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                 "--threads", "1"]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sgd_happy_path(tmp_path, sgd_config, capsys):
     out = tmp_path / "traj.csv"
     code = main(["sgd", "--config", str(sgd_config), "--out", str(out)])
@@ -233,6 +250,16 @@ def test_conflicting_sweep_lists(tmp_path):
         "theta_list = 0.1\neps_list = 1.0\n"
     )
     assert main(["dme", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("theta", ["0", "0.0", "-0.1", "0.3"])
+def test_sgd_rejects_theta_outside_range(tmp_path, theta, capsys):
+    cfg = tmp_path / "sgd.ini"
+    # the automatic learning rate divides by theta
+    ini = SGD_INI.replace("learning_rate = 0.3", "learning_rate = auto")
+    cfg.write_text(ini.replace("theta = 0.25", f"theta = {theta}"))
+    assert main(["sgd", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "theta" in capsys.readouterr().err
 
 
 def test_sgd_missing_section(tmp_path):
