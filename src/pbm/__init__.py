@@ -23,7 +23,6 @@ from .accounting import (
     pbm_exact_rdp,
     rdp_to_dp,
     rdp_to_dp_simple,
-    renyi_divergence,
     select_params,
     select_params_approx_dp,
     subsample_estimate,
@@ -32,6 +31,7 @@ from .benchmark import ExperimentConfig, TrialRecord, run_tradeoff
 from .kashin import KashinFrame, build_frame, represent_batch
 from .mechanism import (
     MechanismParams,
+    clip_rows,
     communication_bits,
     coordinate_probs,
     mse_bound,
@@ -39,7 +39,7 @@ from .mechanism import (
     spread,
 )
 from .secagg import GroupSpec, aggregate, clipped_spec, default_modulus
-from .sgd import SgdConfig, LossSpec, clip_l2, convergence_bound
+from .sgd import SgdConfig, LossSpec, convergence_bound
 from .sgd import run as run_sgd
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from math import atanh, ceil, expm1, floor, inf, log, sqrt
+from math import atanh, ceil, expm1, floor, log, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,27 +85,17 @@ def convolve_logpmf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def renyi_divergence(logp: np.ndarray, logq: np.ndarray, alpha: float) -> float:
-    """D_alpha(P || Q) = log(sum p^alpha q^(1-alpha)) / (alpha - 1).
-
-    Outcomes with p = 0 contribute nothing regardless of q; any outcome
-    with p > 0 and q = 0 makes the divergence infinite.
-    """
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    logp = np.asarray(logp, dtype=float)
-    logq = np.asarray(logq, dtype=float)
-    if logp.shape != logq.shape:
-        raise ValueError(f"support mismatch: {logp.shape} vs {logq.shape}")
-    mask = logp > -np.inf
-    if np.any(logq[mask] == -np.inf):
-        return inf
-    terms = alpha * logp[mask] - (alpha - 1.0) * logq[mask]
-    return float(logsumexp(terms)) / (alpha - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # exact curve at the endpoint pair
+
+
+def _orders(alphas: Iterable[float]) -> np.ndarray:
+    """The orders of a curve, sorted; each must be finite and exceed 1."""
+    a = np.asarray(sorted(alphas), dtype=float)
+    if not np.all(np.isfinite(a) & (a > 1.0)):
+        raise ValueError(f"orders must be finite and exceed 1, got {a.tolist()}")
+    return a
+
 
 # largest m for the hypergeometric sums of _endpoint_llr: their terms stay
 # below about 5.4^m, which float64 holds up to m = 400; past it the
@@ -183,7 +173,7 @@ def pbm_exact_curve(
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if not 0.0 <= theta <= 0.25:
         raise ValueError(f"theta must lie in [0, 1/4], got {theta}")
-    alphas = np.asarray(sorted(alphas), dtype=float)
+    alphas = _orders(alphas)
     eps = np.zeros(len(alphas))
     if theta > 0.0:
         lo, hi = 0.5 - theta, 0.5 + theta
@@ -210,7 +200,7 @@ def pbm_exact_rdp(n: int, m: int, theta: float, alpha: float) -> float:
 def _order_factor(alpha: float) -> float:
     # alpha^2/(alpha-1) is valid at every order but loosest near 2, where
     # monotonicity gives the constant 4; the two branches meet at alpha = 2
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     return 4.0 if alpha <= 2.0 else alpha * alpha / (alpha - 1.0)
 
@@ -236,11 +226,12 @@ def pbm_asymptotic_curve(
     m: int,
     theta: float,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    c0: float = DEFAULT_C0,
 ) -> "RdpCurve":
-    alphas = np.asarray(sorted(alphas), dtype=float)
-    eps = np.array([pbm_asymptotic_rdp(n, m, theta, a, c0) for a in alphas])
-    meta = {"mechanism": "pbm-bound", "n": n, "m": m, "theta": theta, "c0": c0}
+    alphas = _orders(alphas)
+    eps = np.array([pbm_asymptotic_rdp(n, m, theta, a) for a in alphas])
+    meta = {
+        "mechanism": "pbm-bound", "n": n, "m": m, "theta": theta, "c0": DEFAULT_C0,
+    }
     return RdpCurve(alphas=alphas, epsilons=eps, kind="asymptotic", meta=meta)
 
 
@@ -270,7 +261,7 @@ def gaussian_rdp(c: float, n: int, sigma: float, alpha: float) -> float:
     """Renyi curve of the Gaussian baseline: c^2 * alpha / (2 * n^2 * sigma^2)."""
     if c <= 0 or n < 1 or sigma <= 0:
         raise ValueError(f"need c > 0, n >= 1, sigma > 0; got {c}, {n}, {sigma}")
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     return c * c * alpha / (2.0 * n * n * sigma * sigma)
 
@@ -285,7 +276,7 @@ def gaussian_mse(d: int, sigma: float) -> float:
 def gaussian_curve(
     c: float, n: int, sigma: float, alphas: Sequence[float] = DEFAULT_ALPHAS
 ) -> "RdpCurve":
-    alphas = np.asarray(sorted(alphas), dtype=float)
+    alphas = _orders(alphas)
     eps = np.array([gaussian_rdp(c, n, sigma, a) for a in alphas])
     meta = {"mechanism": "gaussian", "c": c, "n": n, "sigma": sigma}
     return RdpCurve(alphas=alphas, epsilons=eps, kind="gaussian", meta=meta)
@@ -309,12 +300,12 @@ class RdpCurve:
         e = np.asarray(self.epsilons, dtype=float)
         if a.ndim != 1 or a.shape != e.shape or len(a) == 0:
             raise ValueError("alphas and epsilons must be equal-length 1-d arrays")
-        if np.any(a <= 1.0):
-            raise ValueError("all orders must exceed 1")
+        if not np.all(np.isfinite(a) & (a > 1.0)):
+            raise ValueError("all orders must be finite and exceed 1")
         if np.any(np.diff(a) <= 0):
             raise ValueError("orders must be strictly increasing")
-        if np.any(e < 0):
-            raise ValueError("epsilons must be nonnegative")
+        if not np.all(e >= 0):
+            raise ValueError("epsilons must be nonnegative, not nan")
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "epsilons", e)
 
@@ -389,9 +380,7 @@ def rdp_to_dp_simple(curve: RdpCurve, delta: float) -> float:
 # parameter selection
 
 
-def select_params(
-    n: int, d: int, alpha: float, eps_budget: float, c0: float = DEFAULT_C0
-) -> tuple[float, int]:
+def select_params(n: int, d: int, alpha: float, eps_budget: float) -> tuple[float, int]:
     """Pick (theta, m) so the d-coordinate closed-form bound meets eps_budget.
 
     Splits the budget evenly over coordinates and inverts the bound at
@@ -403,7 +392,7 @@ def select_params(
         raise ValueError(f"n and d must be positive, got n={n}, d={d}")
     if eps_budget <= 0:
         raise InfeasibleBudget(f"budget must be positive, got {eps_budget}")
-    unit = c0 * _order_factor(alpha) / n
+    unit = DEFAULT_C0 * _order_factor(alpha) / n
     t = eps_budget / d / unit  # required theta^2/(1-2theta)^4 * m
     if t == 0.0:
         raise InfeasibleBudget(f"budget {eps_budget} underflows at d = {d}")

@@ -2,10 +2,9 @@
 
 Sweeps (m, theta) points for a fixed client population, measures empirical
 MSE of the decoded mean under simulated secure aggregation, prices the
-uplink in bits, and attaches the privacy epsilon of each point (exact
-accountant or closed-form bound) plus a matched Gaussian baseline at equal
-MSE. Records land in a versioned CSV and an optional plotting-friendly
-JSON series file.
+uplink in bits, and attaches the privacy epsilon of each point (the exact
+accountant) plus a matched Gaussian baseline at equal MSE. Records land in
+a versioned CSV and an optional plotting-friendly JSON series file.
 
 Trials are vectorized per parameter point and seeded per point, so results
 are byte-reproducible for a fixed seed regardless of the parallelism
@@ -17,7 +16,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from math import sqrt
+from math import inf, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from . import accounting, secagg
 from .kashin import build_frame
 from .mechanism import (
     MechanismParams,
+    clip_rows,
     communication_bits,
     coordinate_probs,
     mse_bound,
@@ -39,7 +39,7 @@ _CHUNK_ENTRIES = 16_777_216
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark run: population, geometry, sweep grid, accounting mode."""
+    """One benchmark run: population, geometry, sweep grid, Renyi order."""
 
     n: int = 50
     d: int = 16
@@ -53,7 +53,6 @@ class ExperimentConfig:
     seed: int = 1234
     use_kashin: bool = False
     redundancy: float = 2.0
-    accountant: str = "exact"         # exact | bound
     clipping: bool = False
     safety_c: float = secagg.DEFAULT_SAFETY
     threads: int = 1
@@ -63,8 +62,8 @@ class ExperimentConfig:
             raise ValueError("n, d, trials must all be positive")
         if (self.theta_list is None) == (self.eps_list is None):
             raise ValueError("exactly one of theta_list / eps_list must be set")
-        if self.accountant not in ("exact", "bound"):
-            raise ValueError(f"unknown accountant {self.accountant!r}")
+        if not 1.0 < self.alpha < inf:
+            raise ValueError(f"alpha must be a finite order above 1, got {self.alpha}")
         if self.cinf is None:
             object.__setattr__(self, "cinf", self.c / sqrt(self.d))
 
@@ -96,19 +95,7 @@ CSV_HEADER = "# pbm-csv v1 dme\nm,theta,alpha,epsilon,mse,comm_bits,wraps,mechan
 def generate_clients(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """n client vectors, i.i.d. uniform on the cinf cube, then L2-clipped to c."""
     x = rng.uniform(-config.cinf, config.cinf, size=(config.n, config.d))
-    norms = np.linalg.norm(x, axis=1)
-    over = norms > config.c
-    if np.any(over):
-        x[over] *= (config.c / norms[over])[:, None]
-    return x
-
-
-def _per_coord_eps(config: ExperimentConfig, m: int, theta: float) -> float:
-    if theta == 0.0:
-        return 0.0
-    if config.accountant == "bound":
-        return accounting.pbm_asymptotic_rdp(config.n, m, theta, config.alpha)
-    return accounting.pbm_exact_rdp(config.n, m, theta, config.alpha)
+    return clip_rows(x, config.c)
 
 
 def _resolve_points(config: ExperimentConfig, coords: int) -> list[tuple[int, float]]:
@@ -129,7 +116,7 @@ def _invert_eps(
     if eps_target <= 0:
         raise ValueError(f"epsilon targets must be positive, got {eps_target}")
     def total(theta):
-        return coords * _per_coord_eps(config, m, theta)
+        return coords * accounting.pbm_exact_rdp(config.n, m, theta, config.alpha)
     if total(0.25) <= eps_target:
         return 0.25
     lo, hi = 0.0, 0.25
@@ -177,7 +164,7 @@ def _point_records(
         err = server_decode(agg, params, window) - mu_true[None, :]
         return float(np.mean(np.sum(err * err, axis=1)))
 
-    eps_total = coords * _per_coord_eps(config, m, theta)
+    eps_total = coords * accounting.pbm_exact_rdp(n, m, theta, config.alpha)
     records = [
         TrialRecord(
             m=m, theta=theta, alpha=config.alpha, epsilon=eps_total,

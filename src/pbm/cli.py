@@ -4,8 +4,8 @@ Subcommands: dme (mean-estimation benchmark), sgd (federated training
 simulation), rdp-curve (privacy curves to CSV), kashin-check (frame
 certification), select-params (budget to (theta, m)).
 
-Exit codes: 0 success, 2 bad usage or config, 3 infeasible parameters,
-4 numerical failure. Outputs are byte-deterministic for a fixed seed.
+Exit codes: 0 success, 2 bad usage, config or output path, 3 infeasible
+parameters, 4 numerical failure. Outputs are byte-deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -76,9 +76,7 @@ def _cmd_rdp_curve(args) -> int:
     if args.mode == "exact":
         curve = accounting.pbm_exact_curve(args.n, args.m, args.theta, alphas)
     elif args.mode == "bound":
-        curve = accounting.pbm_asymptotic_curve(
-            args.n, args.m, args.theta, alphas, args.c0
-        )
+        curve = accounting.pbm_asymptotic_curve(args.n, args.m, args.theta, alphas)
     else:
         if args.sigma is None:
             raise ValueError("--sigma is required for gaussian mode")
@@ -112,12 +110,8 @@ def _cmd_select_params(args) -> int:
     if rdp_mode == approx_mode:
         raise ValueError("pass exactly one of --eps-budget/--alpha or --eps-dp/--delta")
     if rdp_mode:
-        theta, m = accounting.select_params(
-            args.n, args.d, args.alpha, args.eps_budget, args.c0
-        )
-        bound = args.d * accounting.pbm_asymptotic_rdp(
-            args.n, m, theta, args.alpha, args.c0
-        )
+        theta, m = accounting.select_params(args.n, args.d, args.alpha, args.eps_budget)
+        bound = args.d * accounting.pbm_asymptotic_rdp(args.n, m, theta, args.alpha)
         print(f"theta={theta!r}")
         print(f"m={m}")
         print(f"bound_total={bound!r}")
@@ -176,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", help="comma-separated orders (default grid)")
     p.add_argument("--c", type=float, default=1.0, help="gaussian sensitivity")
     p.add_argument("--sigma", type=float, help="gaussian noise scale")
-    p.add_argument("--c0", type=float, default=accounting.DEFAULT_C0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rdp_curve)
 
@@ -196,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-budget", type=float, help="Renyi budget at --alpha")
     p.add_argument("--eps-dp", type=float, help="approximate-DP epsilon target")
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--c0", type=float, default=accounting.DEFAULT_C0)
     p.add_argument(
         "--verify", action="store_true",
         help="report the epsilon the exact accountant certifies (approx mode)",
@@ -223,6 +215,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

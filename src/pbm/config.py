@@ -77,7 +77,7 @@ def _num_list(cast):
 
 _DME_KEYS = {
     "n", "d", "c", "cinf", "m_list", "theta_list", "eps_list", "alpha",
-    "trials", "seed", "use_kashin", "redundancy", "accountant",
+    "trials", "seed", "use_kashin", "redundancy",
 }
 _CLIP_KEYS = {"enabled", "safety_c"}
 
@@ -102,7 +102,6 @@ def load_dme_config(path) -> ExperimentConfig:
         seed=_get(parser, sec, "seed", int, 1234),
         use_kashin=_get(parser, sec, "use_kashin", bool, False),
         redundancy=_get(parser, sec, "redundancy", float, 2.0),
-        accountant=_get(parser, sec, "accountant", str, "exact"),
     )
     if parser.has_section("clipping"):
         kwargs["clipping"] = _get(parser, "clipping", "enabled", bool, False)
@@ -117,7 +116,7 @@ def load_dme_config(path) -> ExperimentConfig:
 
 _SGD_KEYS = {
     "total_clients", "sampled", "rounds", "clip", "learning_rate", "theta",
-    "m", "seed", "use_kashin", "redundancy", "accountant",
+    "m", "seed", "use_kashin", "redundancy",
 }
 _LOSS_KEYS = {"kind", "dimension", "smoothness", "radius", "shift", "data_seed"}
 
@@ -158,7 +157,6 @@ def load_sgd_config(path) -> SgdConfig:
             seed=_get(parser, sec, "seed", int, 7),
             use_kashin=_get(parser, sec, "use_kashin", bool, True),
             redundancy=_get(parser, sec, "redundancy", float, 2.0),
-            accountant=_get(parser, sec, "accountant", str, "bound"),
             loss=loss,
         )
     except ValueError as exc:

@@ -74,6 +74,17 @@ class MechanismParams:
         return self.c
 
 
+def clip_rows(x: np.ndarray, c: float) -> np.ndarray:
+    """Copy of x (clients, d) with every row of L2 norm above c scaled to c."""
+    if not c > 0:
+        raise ValueError(f"clip bound must be positive, got {c}")
+    x = np.array(x, dtype=float)
+    norms = np.linalg.norm(x, axis=1)
+    over = norms > c
+    x[over] *= (c / norms[over])[:, None]
+    return x
+
+
 def spread(x: np.ndarray, params: MechanismParams) -> np.ndarray:
     """Client vectors (clients, d) as coefficients (clients, coords) bounded by c'.
 

@@ -3,8 +3,9 @@
 Each round samples n of N clients; every sampled client clips its gradient
 to L2 norm c, encodes it with the vector mechanism (tight-frame spreading
 plus per-coordinate binomial counts), and the server takes one descent
-step from the decoded mean. The privacy ledger composes the per-round
-curve across rounds after a kappa^2 subsampling estimate (kappa = n/N).
+step from the decoded mean. The privacy ledger composes the exact
+per-round curve of the sampled cohort across rounds after a kappa^2
+subsampling estimate (kappa = n/N).
 
 Two synthetic objectives with known smoothness: a quadratic consensus
 problem (per-client anchors) and one-sample-per-client logistic
@@ -23,7 +24,13 @@ import numpy as np
 from . import accounting, secagg
 from .accounting import DEFAULT_ALPHAS, RdpCurve
 from .kashin import build_frame
-from .mechanism import MechanismParams, coordinate_probs, server_decode, spread
+from .mechanism import (
+    MechanismParams,
+    clip_rows,
+    coordinate_probs,
+    server_decode,
+    spread,
+)
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,6 @@ class SgdConfig:
     seed: int = 7
     use_kashin: bool = True
     redundancy: float = 2.0
-    accountant: str = "bound"         # exact | bound
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     loss: LossSpec = field(default_factory=LossSpec)
 
@@ -151,8 +157,6 @@ class SgdConfig:
             raise ValueError(f"clip must be positive, got {self.clip}")
         if not 0.0 < self.theta <= 0.25:
             raise ValueError(f"theta must lie in (0, 1/4], got {self.theta}")
-        if self.accountant not in ("exact", "bound"):
-            raise ValueError(f"unknown accountant {self.accountant!r}")
         if isinstance(self.learning_rate, str) and self.learning_rate != "auto":
             raise ValueError("learning_rate must be a number or 'auto'")
 
@@ -170,16 +174,6 @@ class SgdResult:
     learning_rate: float
     final_w: np.ndarray
     selection_counts: np.ndarray      # shape (N,): rounds each client was sampled
-
-
-def clip_l2(g: np.ndarray, c: float) -> np.ndarray:
-    """Scale g down to L2 norm c if it exceeds c; identity otherwise."""
-    if c <= 0:
-        raise ValueError(f"clip bound must be positive, got {c}")
-    norm = float(np.linalg.norm(g))
-    if norm <= c:
-        return np.asarray(g, dtype=float)
-    return np.asarray(g, dtype=float) * (c / norm)
 
 
 def mechanism_sigma2(c: float, n: int, m: int, theta: float) -> float:
@@ -214,19 +208,6 @@ def convergence_bound(
     ) * sqrt(1.0 + 1.0 / (4.0 * n * m * theta * theta))
 
 
-def _round_curve(config: SgdConfig, coords: int) -> RdpCurve:
-    """Privacy of one full round (all coordinates) for the sampled cohort."""
-    if config.accountant == "bound":
-        per = accounting.pbm_asymptotic_curve(
-            config.sampled, config.m, config.theta, config.alphas
-        )
-    else:
-        per = accounting.pbm_exact_curve(
-            config.sampled, config.m, config.theta, config.alphas
-        )
-    return accounting.scale(per, coords)
-
-
 def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     """Simulate the full training loop and assemble the privacy ledger.
 
@@ -259,7 +240,11 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
         gamma = float(config.learning_rate)
 
     kappa = config.sampled / config.total_clients
-    per_round = _round_curve(config, params.coords)
+    # one full round, all coordinates, for the sampled cohort
+    per_round = accounting.scale(
+        accounting.pbm_exact_curve(config.sampled, config.m, config.theta, config.alphas),
+        params.coords,
+    )
     amplified = accounting.subsample_estimate(per_round, kappa)
     ledger = accounting.scale(amplified, config.rounds)
 
@@ -275,12 +260,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
             config.total_clients, size=config.sampled, replace=False
         )
         selection_counts[idx] += 1
-        grads = loss.client_grads(w, idx)
-        norms = np.linalg.norm(grads, axis=1)
-        over = norms > config.clip
-        if np.any(over):
-            grads = grads.copy()
-            grads[over] *= (config.clip / norms[over])[:, None]
+        grads = clip_rows(loss.client_grads(w, idx), config.clip)
         if disable_mechanism:
             mu_hat = grads.mean(axis=0)
         else:

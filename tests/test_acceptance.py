@@ -219,7 +219,6 @@ def test_criterion_10_training_loop_sanity(acceptance):
     config = SgdConfig(
         total_clients=500, sampled=50, rounds=200, clip=4.0,
         learning_rate="auto", theta=0.25, m=256, seed=10, use_kashin=True,
-        accountant="bound",
         loss=LossSpec(kind="quadratic", dimension=8, smoothness=1.0,
                       radius=1.0, shift=2.0, data_seed=3),
     )
@@ -251,7 +250,7 @@ def test_criterion_11_cli_output_is_byte_deterministic(acceptance, tmp_path):
     dme_ini = tmp_path / "dme.ini"
     dme_ini.write_text(
         "[experiment]\nn = 20\nd = 4\nm_list = 2 4\ntheta_list = 0.1 0.25\n"
-        "trials = 30\nseed = 7\naccountant = exact\n"
+        "trials = 30\nseed = 7\n"
     )
     sgd_ini = tmp_path / "sgd.ini"
     sgd_ini.write_text(

@@ -8,7 +8,6 @@ from oracles import (
     brute_force_extreme_rdp,
     exhaustive_k_curve,
     mpmath_endpoint_curve,
-    renyi_from_probs,
 )
 from pbm import accounting
 from pbm.accounting import (
@@ -30,7 +29,6 @@ from pbm.accounting import (
     pbm_exact_rdp,
     rdp_to_dp,
     rdp_to_dp_simple,
-    renyi_divergence,
     scale,
     select_params,
     select_params_approx_dp,
@@ -93,60 +91,6 @@ def test_convolve_matches_probability_space():
 def test_convolve_merges_same_probability():
     merged = convolve_logpmf(binomial_logpmf(3, 0.35), binomial_logpmf(5, 0.35))
     np.testing.assert_allclose(merged, binomial_logpmf(8, 0.35), rtol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# Renyi divergence
-
-
-def test_renyi_two_point_value():
-    logp = np.log([0.7, 0.3])
-    logq = np.log([0.4, 0.6])
-    # alpha = 2: log(0.49/0.4 + 0.09/0.6) = log(1.375)
-    assert renyi_divergence(logp, logq, 2.0) == pytest.approx(log(1.375), rel=1e-14)
-    got = renyi_divergence(logp, logq, 3.5)
-    want = renyi_from_probs(np.array([0.7, 0.3]), np.array([0.4, 0.6]), 3.5)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_renyi_self_is_zero():
-    logp = binomial_logpmf(9, 0.42)
-    assert renyi_divergence(logp, logp, 2.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_renyi_support_rules():
-    point_mass = np.array([0.0, -np.inf])
-    # q missing mass where p has some: infinite
-    assert renyi_divergence(np.log([0.5, 0.5]), point_mass, 2.0) == np.inf
-    # p missing mass where q has some: that outcome is simply dropped
-    got = renyi_divergence(point_mass, np.log([0.25, 0.75]), 2.0)
-    assert got == pytest.approx(log(1.0 / 0.25), rel=1e-14)
-
-
-def test_renyi_monotone_in_alpha():
-    logp = binomial_logpmf(12, 0.3)
-    logq = binomial_logpmf(12, 0.5)
-    vals = [renyi_divergence(logp, logq, a) for a in (1.1, 1.5, 2.0, 4.0, 16.0)]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_renyi_additive_over_products():
-    lp1, lq1 = binomial_logpmf(3, 0.3), binomial_logpmf(3, 0.5)
-    lp2, lq2 = binomial_logpmf(2, 0.7), binomial_logpmf(2, 0.4)
-    lp = (lp1[:, None] + lp2[None, :]).ravel()
-    lq = (lq1[:, None] + lq2[None, :]).ravel()
-    for alpha in (1.5, 2.0, 6.0):
-        joint = renyi_divergence(lp, lq, alpha)
-        parts = renyi_divergence(lp1, lq1, alpha) + renyi_divergence(lp2, lq2, alpha)
-        assert joint == pytest.approx(parts, rel=1e-12)
-
-
-def test_renyi_validation():
-    logp = binomial_logpmf(2, 0.5)
-    with pytest.raises(ValueError):
-        renyi_divergence(logp, logp, 1.0)
-    with pytest.raises(ValueError):
-        renyi_divergence(logp, binomial_logpmf(3, 0.5), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +285,11 @@ def test_rdp_curve_validation():
         RdpCurve(np.array([1.0, 2.0]), np.array([0.1, 0.2]), "x")
     with pytest.raises(ValueError):
         RdpCurve(np.array([2.0, 3.0]), np.array([-0.1, 0.2]), "x")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            RdpCurve(np.array([2.0, bad]), np.array([0.1, 0.2]), "x")
+    with pytest.raises(ValueError):
+        RdpCurve(np.array([2.0, 3.0]), np.array([0.1, np.nan]), "x")
 
 
 def test_params_hash_depends_on_meta():

@@ -20,7 +20,7 @@ from pbm.secagg import default_modulus
 def _small_config(**overrides) -> ExperimentConfig:
     base = dict(
         n=20, d=4, c=1.0, m_list=(2, 4), theta_list=(0.1, 0.25),
-        alpha=2.0, trials=50, seed=1234, accountant="exact",
+        alpha=2.0, trials=50, seed=1234,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -31,8 +31,9 @@ def test_config_validation():
         _small_config(theta_list=None)
     with pytest.raises(ValueError):
         _small_config(eps_list=(1.0,))
-    with pytest.raises(ValueError):
-        _small_config(accountant="sharp")
+    for alpha in (1.0, 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _small_config(alpha=alpha)
     with pytest.raises(ValueError):
         _small_config(trials=0)
     assert ExperimentConfig(n=10, d=16, c=2.0).cinf == pytest.approx(0.5)

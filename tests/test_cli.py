@@ -14,7 +14,6 @@ theta_list = 0.1 0.25
 alpha = 2.0
 trials = 30
 seed = 7
-accountant = exact
 """
 
 SGD_INI = """\
@@ -28,7 +27,6 @@ theta = 0.25
 m = 4
 seed = 2
 use_kashin = false
-accountant = bound
 
 [loss]
 kind = quadratic
@@ -266,3 +264,50 @@ def test_sgd_missing_section(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[loss]\nkind = quadratic\n")
     assert main(["sgd", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_dme_rejects_accountant_key(tmp_path):
+    cfg = tmp_path / "accountant.ini"
+    cfg.write_text(DME_INI + "accountant = bound\n")
+    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                 "--threads", "1"]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sgd_rejects_accountant_key(tmp_path):
+    cfg = tmp_path / "accountant.ini"
+    cfg.write_text(SGD_INI.replace("[loss]", "accountant = exact\n\n[loss]"))
+    assert main(["sgd", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("alphas", ["nan", "2,inf"])
+def test_rdp_curve_rejects_non_finite_orders(tmp_path, alphas):
+    out = tmp_path / "curve.csv"
+    assert main(["rdp-curve", "--n", "10", "--theta", "0.1", "--alphas", alphas,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_dme_rejects_nan_order(tmp_path):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(DME_INI.replace("alpha = 2.0", "alpha = nan"))
+    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                 "--threads", "1"]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["dme", "sgd", "rdp-curve", "kashin-check"])
+def test_unwritable_output_path_is_a_usage_error(
+    tmp_path, dme_config, sgd_config, command, capsys
+):
+    target = str(tmp_path / "missing_dir" / "x.csv")
+    argv = {
+        "dme": ["dme", "--config", str(dme_config), "--out", target, "--threads", "1"],
+        "sgd": ["sgd", "--config", str(sgd_config), "--out", target],
+        "rdp-curve": ["rdp-curve", "--n", "10", "--out", target],
+        "kashin-check": ["kashin-check", "--d", "8", "--save", target],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "missing_dir" in err and "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 from pbm.kashin import build_frame
 from pbm.mechanism import (
     MechanismParams,
+    clip_rows,
     communication_bits,
     coordinate_probs,
     mse_bound,
@@ -105,6 +106,20 @@ def test_decode_window_for_lifted_sums():
         server_decode(np.array([offset - 1, 0]), params, window)
     with pytest.raises(ValueError):
         server_decode(np.array([0, offset + spec.modulus]), params, window)
+
+
+def test_clip_rows():
+    g = np.array([[3.0, 4.0], [0.0, 0.0], [0.6, 0.8]])
+    clipped = clip_rows(g, 2.5)
+    np.testing.assert_allclose(clipped[0], [1.5, 2.0], rtol=1e-12)
+    assert np.linalg.norm(clipped[0]) == pytest.approx(2.5)
+    # rows within the bound, and the input itself, are left as they are
+    np.testing.assert_array_equal(clipped[1:], g[1:])
+    np.testing.assert_array_equal(g[0], [3.0, 4.0])
+    np.testing.assert_array_equal(clip_rows(g, 6.0), g)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            clip_rows(g, bad)
 
 
 def test_encode_shape_and_range():

@@ -10,7 +10,6 @@ from pbm.sgd import (
     SgdConfig,
     auto_learning_rate,
     build_loss,
-    clip_l2,
     convergence_bound,
     mechanism_sigma2,
     run,
@@ -21,7 +20,7 @@ from pbm.sgd import (
 def _quad_config(**overrides) -> SgdConfig:
     base = dict(
         total_clients=40, sampled=40, rounds=20, clip=10.0, learning_rate=1.0,
-        theta=0.25, m=4, seed=5, use_kashin=False, accountant="bound",
+        theta=0.25, m=4, seed=5, use_kashin=False,
         loss=LossSpec(kind="quadratic", dimension=6, smoothness=1.0,
                       radius=1.0, shift=2.0, data_seed=3),
     )
@@ -31,17 +30,6 @@ def _quad_config(**overrides) -> SgdConfig:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def test_clip_l2():
-    g = np.array([3.0, 4.0])
-    np.testing.assert_array_equal(clip_l2(g, 6.0), g)
-    clipped = clip_l2(g, 2.5)
-    assert np.linalg.norm(clipped) == pytest.approx(2.5)
-    np.testing.assert_allclose(clipped, [1.5, 2.0], rtol=1e-12)
-    np.testing.assert_array_equal(clip_l2(np.zeros(3), 1.0), np.zeros(3))
-    with pytest.raises(ValueError):
-        clip_l2(g, 0.0)
 
 
 def test_mechanism_sigma2():
@@ -185,13 +173,10 @@ def test_ledger_structure():
     kappa = 20 / 80
     assert result.kappa == pytest.approx(kappa)
     d = config.loss.dimension
-    per_coord = np.array(
-        [
-            accounting.pbm_asymptotic_rdp(20, config.m, config.theta, a)
-            for a in result.alphas
-        ]
+    per_coord = accounting.pbm_exact_curve(20, config.m, config.theta, result.alphas)
+    np.testing.assert_allclose(
+        result.per_round.epsilons, d * per_coord.epsilons, rtol=1e-15
     )
-    np.testing.assert_allclose(result.per_round.epsilons, d * per_coord, rtol=1e-15)
     np.testing.assert_allclose(
         result.ledger.epsilons, 12 * kappa**2 * result.per_round.epsilons, rtol=1e-15
     )
@@ -203,12 +188,19 @@ def test_ledger_structure():
 
 
 def test_exact_accountant_ledger_smaller_at_quarter():
-    bound_cfg = _quad_config(rounds=2, accountant="bound")
-    exact_cfg = _quad_config(rounds=2, accountant="exact")
-    eb = run(bound_cfg, disable_mechanism=True).ledger.epsilons
-    ee = run(exact_cfg, disable_mechanism=True).ledger.epsilons
-    assert np.all(ee <= eb)
-    assert np.all(ee > 0)
+    # the ledger composes the exact curve, which the closed-form bound
+    # dominates at theta = 1/4
+    config = _quad_config(rounds=2, total_clients=80)
+    result = run(config, disable_mechanism=True)
+    bound = accounting.pbm_asymptotic_curve(
+        config.sampled, config.m, config.theta, config.alphas
+    )
+    per_round = accounting.scale(bound, config.loss.dimension)
+    bound_ledger = accounting.scale(
+        accounting.subsample_estimate(per_round, result.kappa), config.rounds
+    )
+    assert np.all(result.ledger.epsilons < bound_ledger.epsilons)
+    assert np.all(result.ledger.epsilons > 0)
 
 
 def test_mechanism_noise_scales_inversely_with_m():
@@ -216,7 +208,7 @@ def test_mechanism_noise_scales_inversely_with_m():
     # observable from final_w; theta fixed, so variance should go as 1/m
     base = dict(
         total_clients=20, sampled=20, rounds=1, clip=5.0, learning_rate=1.0,
-        theta=0.125, use_kashin=False, accountant="bound",
+        theta=0.125, use_kashin=False,
         loss=LossSpec(kind="quadratic", dimension=6, smoothness=1.0,
                       radius=1.0, shift=1.0, data_seed=11),
     )
@@ -244,8 +236,6 @@ def test_config_validation():
         _quad_config(clip=0.0)
     with pytest.raises(ValueError):
         _quad_config(learning_rate="fast")
-    with pytest.raises(ValueError):
-        _quad_config(accountant="laplace")
 
 
 def test_trajectory_csv(tmp_path):
