@@ -3,22 +3,20 @@
 Clients encode bounded vectors as small binomial counts, a simulated
 secure-aggregation layer sums them in a finite group, and the server
 decodes an unbiased mean whose aggregate noise provides differential
-privacy. Includes an exact Renyi accountant, a calibrated closed-form
-bound, a Gaussian baseline, a benchmark harness, and a federated SGD
-simulation.
+privacy. Includes an exact Renyi accountant, parameter selection that
+meets a budget on it, a Gaussian baseline, a benchmark harness, and a
+federated SGD simulation.
 """
 
 from .accounting import (
     DEFAULT_ALPHAS,
     InfeasibleBudget,
     RdpCurve,
-    achieved_approx_dp,
     binomial_logpmf,
     compose,
     convolve_logpmf,
     gaussian_mse,
     gaussian_rdp,
-    pbm_asymptotic_rdp,
     pbm_exact_curve,
     pbm_exact_rdp,
     rdp_to_dp,

@@ -16,9 +16,11 @@ mass; a valid log-pmf has logsumexp == 0. The exact curve sums its
 divergence on the log-likelihood ratio with log1p/expm1, which keeps its
 relative precision as epsilon shrinks.
 
-Also here: the calibrated closed-form upper bound on the exact curve, the
-Gaussian baseline, composition and subsampling on curves, conversion to
-(eps, delta), and parameter selection for a target budget.
+Also here: the Gaussian baseline, composition and subsampling on curves,
+conversion to (eps, delta), and parameter selection for a target budget.
+Selection charges m trials as m composed copies of the one-trial exact
+curve, so every (theta, m) it returns meets its budget on that
+certificate, and no budget reaches the O(n*m^2) curve at large m.
 """
 
 from __future__ import annotations
@@ -26,18 +28,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from math import atanh, ceil, expm1, floor, log, sqrt
-from typing import Iterable, Sequence
+from math import atanh, expm1, isfinite, log, sqrt
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 # default Renyi orders for curves and ledgers
 DEFAULT_ALPHAS = (1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0)
-
-# smallest constant making the closed-form bound dominate the exact curve
-# on the calibration grid of calibrate_c0(); recomputed by the test suite
-DEFAULT_C0 = 4.7152
 
 
 class InfeasibleBudget(ValueError):
@@ -194,67 +192,7 @@ def pbm_exact_rdp(n: int, m: int, theta: float, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form bound and Gaussian baseline
-
-
-def _order_factor(alpha: float) -> float:
-    # alpha^2/(alpha-1) is valid at every order but loosest near 2, where
-    # monotonicity gives the constant 4; the two branches meet at alpha = 2
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    return 4.0 if alpha <= 2.0 else alpha * alpha / (alpha - 1.0)
-
-
-def pbm_asymptotic_rdp(
-    n: int, m: int, theta: float, alpha: float, c0: float = DEFAULT_C0
-) -> float:
-    """Closed-form upper bound c0 * theta^2/(1-2theta)^4 * factor(alpha) * m/n.
-
-    c0 is an empirically calibrated universal constant (see calibrate_c0);
-    the bound is loose at small theta but captures the m*theta^2/n scaling.
-    """
-    if n < 1 or m < 1:
-        raise ValueError(f"n and m must be positive, got n={n}, m={m}")
-    if not 0.0 <= theta < 0.5:
-        raise ValueError(f"theta must lie in [0, 1/2), got {theta}")
-    h = theta * theta / (1.0 - 2.0 * theta) ** 4
-    return c0 * h * _order_factor(alpha) * m / n
-
-
-def pbm_asymptotic_curve(
-    n: int,
-    m: int,
-    theta: float,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> "RdpCurve":
-    alphas = _orders(alphas)
-    eps = np.array([pbm_asymptotic_rdp(n, m, theta, a) for a in alphas])
-    meta = {
-        "mechanism": "pbm-bound", "n": n, "m": m, "theta": theta, "c0": DEFAULT_C0,
-    }
-    return RdpCurve(alphas=alphas, epsilons=eps, kind="asymptotic", meta=meta)
-
-
-def calibrate_c0(
-    ns: Iterable[int] = (10, 20, 50, 100, 200),
-    ms: Iterable[int] = (1, 4),
-    thetas: Iterable[float] = (0.05, 0.25),
-    alphas: Iterable[float] = (1.5, 2.0, 8.0),
-) -> float:
-    """Smallest c0 making the closed-form bound dominate the exact curve.
-
-    Returns max over the grid of exact / (bound with c0 = 1). The shipped
-    DEFAULT_C0 froze the result of this function on its default grid.
-    """
-    worst = 0.0
-    for n in ns:
-        for m in ms:
-            for theta in thetas:
-                curve = pbm_exact_curve(n, m, theta, sorted(alphas))
-                for alpha, eps in zip(curve.alphas, curve.epsilons):
-                    unit = pbm_asymptotic_rdp(n, m, theta, float(alpha), c0=1.0)
-                    worst = max(worst, eps / unit)
-    return worst
+# Gaussian baseline
 
 
 def gaussian_rdp(c: float, n: int, sigma: float, alpha: float) -> float:
@@ -380,63 +318,108 @@ def rdp_to_dp_simple(curve: RdpCurve, delta: float) -> float:
 # parameter selection
 
 
-def select_params(n: int, d: int, alpha: float, eps_budget: float) -> tuple[float, int]:
-    """Pick (theta, m) so the d-coordinate closed-form bound meets eps_budget.
+def largest_theta(fits: Callable[[float], bool], what: str) -> float:
+    """Largest theta <= 1/4 with fits(theta), for fits true up to a threshold.
 
-    Splits the budget evenly over coordinates and inverts the bound at
-    m = 1; if even theta = 1/4 leaves slack, theta is clipped there and m
-    grows to the largest count still inside the budget. The returned pair
-    always satisfies d * pbm_asymptotic_rdp(...) <= eps_budget.
+    Returns 1/4 if it fits; otherwise bisects [0, 1/4] with at most 50
+    halvings, stopping at width 1e-10, and returns the end that fits.
+    Raises InfeasibleBudget if no theta > 0 was found to fit; `what` names
+    the budget in the message.
+    """
+    if fits(0.25):
+        return 0.25
+    lo, hi = 0.0, 0.25
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-10:
+            break
+    if lo == 0.0:
+        raise InfeasibleBudget(f"no theta > 0 meets {what}")
+    return lo
+
+
+def _check_target(name: str, value: float) -> None:
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise InfeasibleBudget(f"{name} must be positive, got {value}")
+
+
+def _select(
+    n: int,
+    d: int,
+    alphas: Sequence[float],
+    fits: Callable[[RdpCurve], bool],
+    what: str,
+) -> tuple[float, int]:
+    """(theta, m) whose d*m copies of the one-trial curve pass fits.
+
+    The m trials of a client are m independent one-trial releases, so RDP
+    composition gives eps(n, m, theta) <= m * eps(n, 1, theta) at every
+    order, and only the O(n) curve at m = 1 is evaluated. If theta = 1/4
+    fits at m = 1, theta stays there and m is the largest count that fits,
+    by doubling and then bisection; otherwise m = 1 and theta is the
+    largest that fits.
     """
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be positive, got n={n}, d={d}")
-    if eps_budget <= 0:
-        raise InfeasibleBudget(f"budget must be positive, got {eps_budget}")
-    unit = DEFAULT_C0 * _order_factor(alpha) / n
-    t = eps_budget / d / unit  # required theta^2/(1-2theta)^4 * m
-    if t == 0.0:
-        raise InfeasibleBudget(f"budget {eps_budget} underflows at d = {d}")
-    if t >= 1.0:
-        return 0.25, max(1, floor(t + 1e-12))
-    s = sqrt(t)
-    theta = 2.0 * s / (4.0 * s + 1.0 + sqrt(8.0 * s + 1.0))
-    if theta < 1e-150:
-        raise InfeasibleBudget(f"budget {eps_budget} drives theta below float range")
-    return theta, 1
+    quarter = pbm_exact_curve(n, 1, 0.25, alphas)
+
+    def fits_quarter(m):
+        try:
+            return fits(scale(quarter, d * m))
+        except OverflowError:  # d * m copies past the float range cannot be charged
+            return False
+
+    if not fits_quarter(1):
+        theta = largest_theta(
+            lambda t: fits(scale(pbm_exact_curve(n, 1, t, alphas), d)), what
+        )
+        return theta, 1
+    lo, hi = 1, 2
+    while fits_quarter(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits_quarter(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.25, lo
+
+
+def select_params(n: int, d: int, alpha: float, eps_budget: float) -> tuple[float, int]:
+    """Pick (theta, m) with d * m * pbm_exact_rdp(n, 1, theta, alpha) <= eps_budget.
+
+    The left side bounds the exact loss of d coordinates with m trials each;
+    see _select for the search.
+    """
+    _check_target("eps_budget", eps_budget)
+    return _select(
+        n, d, [alpha], lambda curve: curve.epsilons[0] <= eps_budget,
+        f"the budget {eps_budget} at d = {d}",
+    )
 
 
 def select_params_approx_dp(
     n: int, d: int, eps_dp: float, delta: float
 ) -> tuple[float, int]:
-    """(theta, m) for an approximate-DP target, constant-1 recipe.
+    """Pick (theta, m) whose certified (eps, delta) is at most (eps_dp, delta).
 
-    theta = min(1/4, sqrt(n*eps^2 / (d*log(1/delta)))) and
-    m = ceil(n*eps^2 / (d*log(1/delta))). Pair with achieved_approx_dp to
-    report the epsilon the exact accountant actually certifies.
+    The certificate is rdp_to_dp of d * m copies of the one-trial exact
+    curve on DEFAULT_ALPHAS; see _select for the search.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"n and d must be positive, got n={n}, d={d}")
-    if eps_dp <= 0:
-        raise InfeasibleBudget(f"eps_dp must be positive, got {eps_dp}")
+    _check_target("eps_dp", eps_dp)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    ratio = n * eps_dp * eps_dp / (d * log(1.0 / delta))
-    if ratio == 0.0:
-        raise InfeasibleBudget(f"target ({eps_dp}, {delta}) underflows at d = {d}")
-    return min(0.25, sqrt(ratio)), ceil(ratio)
-
-
-def achieved_approx_dp(
-    n: int,
-    d: int,
-    theta: float,
-    m: int,
-    delta: float,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> float:
-    """Exact-accountant verification of a (theta, m) choice across d coordinates."""
-    per_coord = pbm_exact_curve(n, m, theta, alphas)
-    return rdp_to_dp(scale(per_coord, d), delta)
+    return _select(
+        n, d, DEFAULT_ALPHAS, lambda curve: rdp_to_dp(curve, delta) <= eps_dp,
+        f"the target ({eps_dp}, {delta}) at d = {d}",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -115,24 +115,12 @@ def _invert_eps(
     """Largest theta <= 1/4 whose total epsilon stays within eps_target."""
     if eps_target <= 0:
         raise ValueError(f"epsilon targets must be positive, got {eps_target}")
-    def total(theta):
-        return coords * accounting.pbm_exact_rdp(config.n, m, theta, config.alpha)
-    if total(0.25) <= eps_target:
-        return 0.25
-    lo, hi = 0.0, 0.25
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if total(mid) <= eps_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    if lo == 0.0:
-        raise accounting.InfeasibleBudget(
-            f"no theta > 0 meets the epsilon target {eps_target} at m = {m}"
-        )
-    return lo
+
+    def fits(theta):
+        eps = coords * accounting.pbm_exact_rdp(config.n, m, theta, config.alpha)
+        return eps <= eps_target
+
+    return accounting.largest_theta(fits, f"the epsilon target {eps_target} at m = {m}")
 
 
 def _point_records(

@@ -11,6 +11,7 @@ parameters, 4 numerical failure. Outputs are byte-deterministic for a fixed seed
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -31,8 +32,23 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 
+def _check_writable(path) -> None:
+    """Raise OSError now if path cannot be written later; creates nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", parent)
+    target = path if os.path.exists(path) else parent
+    if not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, "not writable", target)
+
+
 def _cmd_dme(args) -> int:
     cfg = load_dme_config(args.config)
+    _check_writable(args.out)
+    if args.json:
+        _check_writable(args.json)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.clipping:
@@ -48,6 +64,7 @@ def _cmd_dme(args) -> int:
 
 def _cmd_sgd(args) -> int:
     cfg = load_sgd_config(args.config)
+    _check_writable(args.out)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     result = run_sgd(cfg)
@@ -75,8 +92,6 @@ def _cmd_rdp_curve(args) -> int:
     alphas = _parse_alphas(args.alphas)
     if args.mode == "exact":
         curve = accounting.pbm_exact_curve(args.n, args.m, args.theta, alphas)
-    elif args.mode == "bound":
-        curve = accounting.pbm_asymptotic_curve(args.n, args.m, args.theta, alphas)
     else:
         if args.sigma is None:
             raise ValueError("--sigma is required for gaussian mode")
@@ -109,23 +124,21 @@ def _cmd_select_params(args) -> int:
     approx_mode = args.eps_dp is not None
     if rdp_mode == approx_mode:
         raise ValueError("pass exactly one of --eps-budget/--alpha or --eps-dp/--delta")
+    # both forms certify d * m composed copies of the one-trial exact curve
     if rdp_mode:
         theta, m = accounting.select_params(args.n, args.d, args.alpha, args.eps_budget)
-        bound = args.d * accounting.pbm_asymptotic_rdp(args.n, m, theta, args.alpha)
-        print(f"theta={theta!r}")
-        print(f"m={m}")
-        print(f"bound_total={bound!r}")
+        eps_one = accounting.pbm_exact_rdp(args.n, 1, theta, args.alpha)
+        label, value = "bound_total", args.d * m * eps_one
     else:
         theta, m = accounting.select_params_approx_dp(
             args.n, args.d, args.eps_dp, args.delta
         )
-        print(f"theta={theta!r}")
-        print(f"m={m}")
-        if args.verify:
-            achieved = accounting.achieved_approx_dp(
-                args.n, args.d, theta, m, args.delta
-            )
-            print(f"achieved_eps_dp={achieved!r}")
+        one_trial = accounting.pbm_exact_curve(args.n, 1, theta)
+        composed = accounting.scale(one_trial, args.d * m)
+        label, value = "achieved_eps_dp", accounting.rdp_to_dp(composed, args.delta)
+    print(f"theta={theta!r}")
+    print(f"m={m}")
+    print(f"{label}={value!r}")
     return EXIT_OK
 
 
@@ -166,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--theta", type=float, default=0.25)
-    p.add_argument("--mode", choices=("exact", "bound", "gaussian"), default="exact")
+    p.add_argument("--mode", choices=("exact", "gaussian"), default="exact")
     p.add_argument("--alphas", help="comma-separated orders (default grid)")
     p.add_argument("--c", type=float, default=1.0, help="gaussian sensitivity")
     p.add_argument("--sigma", type=float, help="gaussian noise scale")
@@ -189,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-budget", type=float, help="Renyi budget at --alpha")
     p.add_argument("--eps-dp", type=float, help="approximate-DP epsilon target")
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument(
-        "--verify", action="store_true",
-        help="report the epsilon the exact accountant certifies (approx mode)",
-    )
     p.set_defaults(func=_cmd_select_params)
     return parser
 

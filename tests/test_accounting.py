@@ -12,19 +12,14 @@ from oracles import (
 from pbm import accounting
 from pbm.accounting import (
     DEFAULT_ALPHAS,
-    DEFAULT_C0,
     InfeasibleBudget,
     RdpCurve,
-    achieved_approx_dp,
     binomial_logpmf,
-    calibrate_c0,
     compose,
     convolve_logpmf,
     gaussian_curve,
     gaussian_mse,
     gaussian_rdp,
-    pbm_asymptotic_curve,
-    pbm_asymptotic_rdp,
     pbm_exact_curve,
     pbm_exact_rdp,
     rdp_to_dp,
@@ -192,53 +187,6 @@ def test_exact_validation():
 
 
 # ---------------------------------------------------------------------------
-# closed-form bound
-
-
-def test_asymptotic_value():
-    # theta = 1/4 makes theta^2/(1-2theta)^4 exactly 1
-    assert pbm_asymptotic_rdp(100, 2, 0.25, 2.0, c0=5.0) == pytest.approx(0.4)
-
-
-def test_asymptotic_order_factor():
-    probe = lambda a: pbm_asymptotic_rdp(1, 1, 0.25, a, c0=1.0)
-    assert probe(1.5) == pytest.approx(4.0)
-    assert probe(2.0) == pytest.approx(4.0)
-    assert probe(4.0) == pytest.approx(16.0 / 3.0)
-    assert probe(8.0) == pytest.approx(64.0 / 7.0)
-    # the two branches join continuously at alpha = 2
-    assert probe(2.0 + 1e-12) == pytest.approx(4.0, rel=1e-9)
-
-
-def test_asymptotic_scales_linearly_in_m_over_n():
-    base = pbm_asymptotic_rdp(50, 2, 0.1, 3.0)
-    assert pbm_asymptotic_rdp(50, 4, 0.1, 3.0) == pytest.approx(2.0 * base)
-    assert pbm_asymptotic_rdp(100, 2, 0.1, 3.0) == pytest.approx(base / 2.0)
-
-
-def test_bound_dominates_exact_at_quarter():
-    for n, m in [(10, 1), (50, 4), (200, 2)]:
-        exact = pbm_exact_curve(n, m, 0.25, DEFAULT_ALPHAS)
-        bound = pbm_asymptotic_curve(n, m, 0.25, DEFAULT_ALPHAS)
-        assert np.all(exact.epsilons <= bound.epsilons)
-
-
-def test_calibration_constant_frozen():
-    got = calibrate_c0()
-    assert got == pytest.approx(4.715124795, rel=1e-6)
-    assert got <= DEFAULT_C0 <= got * 1.001
-
-
-def test_asymptotic_validation():
-    with pytest.raises(ValueError):
-        pbm_asymptotic_rdp(0, 1, 0.1, 2.0)
-    with pytest.raises(ValueError):
-        pbm_asymptotic_rdp(4, 1, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        pbm_asymptotic_rdp(4, 1, 0.1, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Gaussian baseline
 
 
@@ -371,16 +319,30 @@ def test_conversion_validation():
 
 # ---------------------------------------------------------------------------
 # parameter selection
+#
+# Every selected (theta, m) is checked on its own: the exact curve at the
+# returned m meets the budget. At theta = 1/4 one more trial overshoots
+# under composition, and at m = 1 theta + 1e-10 overshoots.
+
+
+def _assert_rdp_selection(n, d, alpha, budget, theta, m):
+    assert d * pbm_exact_rdp(n, m, theta, alpha) <= budget
+    if theta == 0.25:
+        assert d * (m + 1) * pbm_exact_rdp(n, 1, theta, alpha) > budget
+    else:
+        assert m == 1
+        assert d * pbm_exact_rdp(n, 1, theta + 1e-10, alpha) > budget
+
+
+def _approx_dp(n, d, theta, m, delta):
+    return rdp_to_dp(scale(pbm_exact_curve(n, m, theta), d), delta)
 
 
 def test_select_params_large_budget_branch():
     n, d, alpha, budget = 100, 1, 2.0, 0.4
     theta, m = select_params(n, d, alpha, budget)
-    assert theta == 0.25
-    assert m == 2
-    assert d * pbm_asymptotic_rdp(n, m, theta, alpha) <= budget * (1.0 + 1e-9)
-    # one more sampling bit would blow the budget
-    assert d * pbm_asymptotic_rdp(n, m + 1, theta, alpha) > budget
+    assert (theta, m) == (0.25, 29)
+    _assert_rdp_selection(n, d, alpha, budget, theta, m)
 
 
 def test_select_params_small_budget_branch():
@@ -388,20 +350,19 @@ def test_select_params_small_budget_branch():
     theta, m = select_params(n, d, alpha, budget)
     assert m == 1
     assert 0.0 < theta < 0.25
-    bound = d * pbm_asymptotic_rdp(n, m, theta, alpha)
-    assert bound <= budget * (1.0 + 1e-9)
-    # the inversion is tight, not merely feasible
-    assert bound >= budget * (1.0 - 1e-9)
+    _assert_rdp_selection(n, d, alpha, budget, theta, m)
 
 
 def test_select_params_branch_boundary():
     n, alpha = 100, 2.0
-    unit = pbm_asymptotic_rdp(n, 1, 0.25, alpha)
+    unit = pbm_exact_rdp(n, 1, 0.25, alpha)
     just_over = select_params(n, 1, alpha, unit * 1.0001)
     just_under = select_params(n, 1, alpha, unit * 0.9999)
     assert just_over == (0.25, 1)
+    _assert_rdp_selection(n, 1, alpha, unit * 1.0001, *just_over)
     assert just_under[1] == 1 and just_under[0] < 0.25
     assert just_under[0] == pytest.approx(0.25, rel=1e-3)
+    _assert_rdp_selection(n, 1, alpha, unit * 0.9999, *just_under)
 
 
 def test_select_params_infeasible():
@@ -413,21 +374,36 @@ def test_select_params_infeasible():
     assert issubclass(InfeasibleBudget, ValueError)
 
 
+def test_select_params_huge_budget_stays_in_float_range():
+    # the trial count stops where d * m copies would pass the float range
+    n, d, alpha, budget = 100, 4, 2.0, 1e308
+    theta, m = select_params(n, d, alpha, budget)
+    assert theta == 0.25
+    assert d * m * pbm_exact_rdp(n, 1, theta, alpha) <= budget
+
+
 def test_select_params_approx_dp_frozen():
-    theta, m = select_params_approx_dp(1000, 250, 1.0, 1e-5)
-    assert (theta, m) == (0.25, 1)
+    n, d, delta = 1000, 250, 1e-5
+    theta, m = select_params_approx_dp(n, d, 1.0, delta)
+    assert m == 1
+    assert theta == pytest.approx(0.119028, rel=1e-5)
+    assert _approx_dp(n, d, theta, m, delta) <= 1.0
+    assert _approx_dp(n, d, theta + 1e-10, m, delta) > 1.0
 
 
 def test_select_params_approx_dp_monotone():
-    ms = [select_params_approx_dp(100, 50, e, 1e-6)[1] for e in (0.5, 1.0, 2.0, 4.0)]
+    targets = (0.5, 1.0, 2.0, 4.0, 16.0)
+    ms = [select_params_approx_dp(100, 50, e, 1e-6)[1] for e in targets]
     assert all(b >= a for a, b in zip(ms, ms[1:]))
+    # the last target leaves theta = 1/4 with room for more trials
+    assert ms[-1] > 1
     thetas = [select_params_approx_dp(100, 50, e, 1e-6)[0] for e in (0.5, 4.0)]
     assert all(t <= 0.25 for t in thetas)
 
 
 def test_achieved_approx_dp_orders_with_theta():
-    tight = achieved_approx_dp(60, 4, 0.1, 1, 1e-6)
-    loose = achieved_approx_dp(60, 4, 0.25, 1, 1e-6)
+    tight = _approx_dp(60, 4, 0.1, 1, 1e-6)
+    loose = _approx_dp(60, 4, 0.25, 1, 1e-6)
     assert 0.0 < tight < loose < np.inf
 
 

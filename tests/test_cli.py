@@ -1,6 +1,10 @@
-import numpy as np
+import shlex
+from pathlib import Path
+
 import pytest
 
+from pbm import accounting, cli
+from pbm.accounting import pbm_exact_curve, pbm_exact_rdp, rdp_to_dp, scale
 from pbm.cli import main
 
 
@@ -142,20 +146,6 @@ def test_sgd_seed_override_changes_output(tmp_path, sgd_config):
     assert out1.read_bytes() == out3.read_bytes()
 
 
-def test_rdp_curve_exact_below_bound(tmp_path):
-    exact_csv = tmp_path / "exact.csv"
-    bound_csv = tmp_path / "bound.csv"
-    args = ["--n", "50", "--m", "4", "--theta", "0.25"]
-    assert main(["rdp-curve", *args, "--mode", "exact", "--out", str(exact_csv)]) == 0
-    assert main(["rdp-curve", *args, "--mode", "bound", "--out", str(bound_csv)]) == 0
-
-    def read_eps(path):
-        rows = [ln.split(",") for ln in path.read_text().splitlines()[2:]]
-        return np.array([float(r[1]) for r in rows])
-
-    assert np.all(read_eps(exact_csv) <= read_eps(bound_csv))
-
-
 def test_rdp_curve_gaussian_mode(tmp_path):
     out = tmp_path / "gauss.csv"
     code = main(["rdp-curve", "--n", "100", "--mode", "gaussian",
@@ -184,31 +174,103 @@ def test_kashin_check_too_few_iters_is_numerical_failure():
     assert main(["kashin-check", "--d", "64", "--seed", "1", "--iters", "1"]) == 4
 
 
+def _select_params_output(capsys, argv):
+    assert main(["select-params", *argv]) == 0
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    return float(out["theta"]), int(out["m"]), out
+
+
 def test_select_params_rdp_mode(capsys):
-    code = main(["select-params", "--n", "100", "--d", "4",
-                 "--alpha", "2", "--eps-budget", "1.0"])
-    assert code == 0
-    out = dict(
-        line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+    n, d, alpha, budget = 100, 4, 2.0, 1.0
+    theta, m, out = _select_params_output(
+        capsys, ["--n", "100", "--d", "4", "--alpha", "2", "--eps-budget", "1.0"]
     )
-    theta = float(out["theta"])
-    m = int(out["m"])
-    bound = float(out["bound_total"])
-    assert 0.0 < theta <= 0.25
-    assert m >= 1
-    assert bound <= 1.0 * (1.0 + 1e-9)
+    assert (theta, m) == (0.25, 18)
+    eps_one = pbm_exact_rdp(n, 1, theta, alpha)
+    assert float(out["bound_total"]) == d * m * eps_one <= budget
+    assert d * pbm_exact_rdp(n, m, theta, alpha) <= budget
+    assert d * (m + 1) * eps_one > budget
 
 
 def test_select_params_approx_mode(capsys):
-    code = main(["select-params", "--n", "200", "--d", "8",
-                 "--eps-dp", "1.0", "--delta", "1e-5", "--verify"])
-    assert code == 0
-    out = dict(
-        line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+    n, d, delta = 200, 8, 1e-5
+    theta, m, out = _select_params_output(
+        capsys, ["--n", "200", "--d", "8", "--eps-dp", "1.0", "--delta", "1e-5"]
     )
-    assert 0.0 < float(out["theta"]) <= 0.25
-    assert int(out["m"]) >= 1
-    assert float(out["achieved_eps_dp"]) > 0.0
+    assert (theta, m) == (0.25, 1)
+    one_trial = pbm_exact_curve(n, 1, theta)
+    achieved = float(out["achieved_eps_dp"])
+    assert 0.0 < achieved <= 1.0
+    assert achieved == rdp_to_dp(scale(one_trial, d * m), delta)
+    assert rdp_to_dp(scale(pbm_exact_curve(n, m, theta), d), delta) <= 1.0
+    assert rdp_to_dp(scale(one_trial, d * (m + 1)), delta) > 1.0
+
+
+# the three selections that the closed-form bound and the approximate-DP
+# recipe got wrong: over budget, far under budget, and over target
+
+
+def test_select_params_large_order_meets_budget(capsys):
+    theta, m, out = _select_params_output(
+        capsys, ["--n", "1000", "--d", "250", "--alpha", "64", "--eps-budget", "0.01"]
+    )
+    assert m == 1
+    assert theta == pytest.approx(0.0088372, rel=1e-4)
+    assert 250 * pbm_exact_rdp(1000, 1, theta, 64.0) <= 0.01
+    assert 250 * pbm_exact_rdp(1000, 1, theta + 1e-10, 64.0) > 0.01
+    assert float(out["bound_total"]) <= 0.01
+
+
+def test_select_params_large_budget_spends_it(capsys):
+    theta, m, out = _select_params_output(
+        capsys, ["--n", "1000", "--d", "1", "--eps-budget", "1"]
+    )
+    assert (theta, m) == (0.25, 748)
+    eps_one = pbm_exact_rdp(1000, 1, 0.25, 2.0)
+    assert m * eps_one <= 1.0 < (m + 1) * eps_one
+    assert float(out["bound_total"]) == m * eps_one
+
+
+def test_select_params_approx_dp_meets_target(capsys):
+    theta, m, out = _select_params_output(
+        capsys, ["--n", "1000", "--d", "250", "--eps-dp", "1", "--delta", "1e-5"]
+    )
+    assert m == 1
+    assert theta == pytest.approx(0.119028, rel=1e-5)
+
+    def certified(t):
+        return rdp_to_dp(scale(pbm_exact_curve(1000, 1, t), 250), 1e-5)
+
+    assert certified(theta) <= 1.0 < certified(theta + 1e-10)
+    assert float(out["achieved_eps_dp"]) <= 1.0
+
+
+@pytest.mark.parametrize("flag", ["--eps-budget", "--eps-dp"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_select_params_rejects_non_finite_budget(flag, value, capsys):
+    assert main(["select-params", "--n", "100", "--d", "4", flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rdp-curve", "--n", "10", "--mode", "bound", "--out", "x.csv"],
+    ["select-params", "--n", "10", "--d", "1", "--eps-dp", "1.0", "--verify"],
+])
+def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [ln for ln in block.splitlines() if ln.startswith("pbm ")]
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_select_params_mode_flags_are_exclusive():
@@ -311,3 +373,41 @@ def test_unwritable_output_path_is_a_usage_error(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "missing_dir" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["dme", "dme-json", "dme-dir", "sgd"])
+def test_unwritable_output_fails_before_the_run(
+    tmp_path, dme_config, sgd_config, case, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_tradeoff", never)
+    monkeypatch.setattr(cli, "run_sgd", never)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    missing = str(tmp_path / "missing_dir" / "x.csv")
+    dme = ["dme", "--config", str(dme_config), "--threads", "1"]
+    argv = {
+        "dme": [*dme, "--out", missing, "--json", str(kept)],
+        "dme-json": [*dme, "--out", str(kept), "--json", missing],
+        "dme-dir": [*dme, "--out", str(tmp_path)],
+        "sgd": ["sgd", "--config", str(sgd_config), "--out", missing],
+    }[case]
+    assert main(argv) == 2
+    assert kept.read_text() == "earlier output\n"
+
+
+def test_select_params_evaluates_only_the_one_trial_curve(monkeypatch, capsys):
+    trials = []
+    exact_curve = accounting.pbm_exact_curve
+
+    def spy(n, m, theta, alphas=accounting.DEFAULT_ALPHAS):
+        trials.append(m)
+        return exact_curve(n, m, theta, alphas)
+
+    monkeypatch.setattr(accounting, "pbm_exact_curve", spy)
+    for budget in (["--eps-budget", "1.0"], ["--eps-budget", "1e-4"],
+                   ["--eps-dp", "1.0"], ["--eps-dp", "50.0"]):
+        assert main(["select-params", "--n", "1000", "--d", "4", *budget]) == 0
+    assert trials and set(trials) == {1}

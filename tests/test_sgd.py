@@ -187,22 +187,6 @@ def test_ledger_structure():
     assert result.eps_matrix.shape == (12, len(result.alphas))
 
 
-def test_exact_accountant_ledger_smaller_at_quarter():
-    # the ledger composes the exact curve, which the closed-form bound
-    # dominates at theta = 1/4
-    config = _quad_config(rounds=2, total_clients=80)
-    result = run(config, disable_mechanism=True)
-    bound = accounting.pbm_asymptotic_curve(
-        config.sampled, config.m, config.theta, config.alphas
-    )
-    per_round = accounting.scale(bound, config.loss.dimension)
-    bound_ledger = accounting.scale(
-        accounting.subsample_estimate(per_round, result.kappa), config.rounds
-    )
-    assert np.all(result.ledger.epsilons < bound_ledger.epsilons)
-    assert np.all(result.ledger.epsilons > 0)
-
-
 def test_mechanism_noise_scales_inversely_with_m():
     # gamma = 1 and one full-batch round make the round estimate directly
     # observable from final_w; theta fixed, so variance should go as 1/m
