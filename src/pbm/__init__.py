@@ -13,14 +13,12 @@ from .accounting import (
     InfeasibleBudget,
     RdpCurve,
     binomial_logpmf,
-    compose,
     convolve_logpmf,
     gaussian_mse,
     gaussian_rdp,
     pbm_exact_curve,
     pbm_exact_rdp,
     rdp_to_dp,
-    rdp_to_dp_simple,
     select_params,
     select_params_approx_dp,
     subsample_estimate,

@@ -16,8 +16,9 @@ mass; a valid log-pmf has logsumexp == 0. The exact curve sums its
 divergence on the log-likelihood ratio with log1p/expm1, which keeps its
 relative precision as epsilon shrinks.
 
-Also here: the Gaussian baseline, composition and subsampling on curves,
-conversion to (eps, delta), and parameter selection for a target budget.
+Also here: the Gaussian baseline, composition of identical copies and
+subsampling on curves, conversion to (eps, delta), and parameter selection
+for a target budget.
 Selection charges m trials as m composed copies of the one-trial exact
 curve, so every (theta, m) it returns meets its budget on that
 certificate, and no budget reaches the O(n*m^2) curve at large m.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from math import atanh, expm1, isfinite, log, sqrt
+from math import atanh, expm1, isfinite, log
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -196,12 +197,17 @@ def pbm_exact_rdp(n: int, m: int, theta: float, alpha: float) -> float:
 
 
 def gaussian_rdp(c: float, n: int, sigma: float, alpha: float) -> float:
-    """Renyi curve of the Gaussian baseline: c^2 * alpha / (2 * n^2 * sigma^2)."""
+    """Renyi curve of the Gaussian baseline: 2 * c^2 * alpha / (n^2 * sigma^2).
+
+    c is the L2 bound on a client's vector. Neighbours replace one client,
+    as in the PBM accountant, so the mean moves by up to 2c/n and the order
+    alpha divergence is (2c/n)^2 * alpha / (2 * sigma^2).
+    """
     if c <= 0 or n < 1 or sigma <= 0:
         raise ValueError(f"need c > 0, n >= 1, sigma > 0; got {c}, {n}, {sigma}")
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    return c * c * alpha / (2.0 * n * n * sigma * sigma)
+    return 2.0 * c * c * alpha / (n * n * sigma * sigma)
 
 
 def gaussian_mse(d: int, sigma: float) -> float:
@@ -252,20 +258,6 @@ class RdpCurve:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def compose(curves: Sequence[RdpCurve]) -> RdpCurve:
-    """Pointwise sum over a shared order grid (adaptive composition)."""
-    if len(curves) == 0:
-        raise ValueError("nothing to compose")
-    base = curves[0].alphas
-    total = np.zeros_like(base)
-    for c in curves:
-        if c.alphas.shape != base.shape or not np.allclose(c.alphas, base):
-            raise ValueError("curves must share one order grid")
-        total = total + c.epsilons
-    meta = {"terms": len(curves), "kinds": sorted({c.kind for c in curves})}
-    return RdpCurve(alphas=base, epsilons=total, kind="composed", meta=meta)
-
-
 def scale(curve: RdpCurve, times: int) -> RdpCurve:
     """Compose `times` identical copies (e.g. independent coordinates)."""
     if times < 1:
@@ -304,14 +296,6 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
     a = curve.alphas
     vals = curve.epsilons + np.log(1.0 / (a * delta)) / (a - 1.0) + np.log1p(-1.0 / a)
     return float(vals.min())
-
-
-def rdp_to_dp_simple(curve: RdpCurve, delta: float) -> float:
-    """Looser closed form: sup(eps/alpha) + 2*sqrt(sup(eps/alpha)*log(1/delta))."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    rho = float((curve.epsilons / curve.alphas).max())
-    return rho + 2.0 * sqrt(rho * log(1.0 / delta))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class ExperimentConfig:
     theta_list: tuple[float, ...] | None = (0.05, 0.1, 0.15, 0.2, 0.25)
     eps_list: tuple[float, ...] | None = None
     alpha: float = 2.0
-    trials: int = 200
+    trials: int = 50
     seed: int = 1234
     use_kashin: bool = False
     redundancy: float = 2.0
@@ -202,7 +202,7 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     # theta and m are set per sweep point; the spread depends on neither
     base = MechanismParams(
         n=config.n, d=config.d, c=config.c if config.use_kashin else config.cinf,
-        theta=0.0, m=1, use_kashin=config.use_kashin, frame=frame,
+        theta=0.0, m=1, frame=frame,
     )
     y = spread(clients, base)
     points = _resolve_points(config, base.coords)

@@ -113,9 +113,6 @@ def _cmd_kashin_check(args) -> int:
     err = np.linalg.norm(frame.u @ y - probe, axis=0) / np.linalg.norm(probe, axis=0)
     print(f"d={frame.d} D={frame.big_d} level_k={frame.level_k:.6g}")
     print(f"parseval_residual={parseval:.3e} max_roundtrip_rel={err.max():.3e}")
-    if args.save:
-        kashin.save_frame(frame, args.save)
-        print(f"saved frame to {args.save}")
     return EXIT_OK
 
 
@@ -181,7 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.25)
     p.add_argument("--mode", choices=("exact", "gaussian"), default="exact")
     p.add_argument("--alphas", help="comma-separated orders (default grid)")
-    p.add_argument("--c", type=float, default=1.0, help="gaussian sensitivity")
+    p.add_argument(
+        "--c", type=float, default=1.0,
+        help="gaussian: L2 bound on a client's vector; neighbours replace one "
+        "client, so the mean's sensitivity is 2c/n",
+    )
     p.add_argument("--sigma", type=float, help="gaussian noise scale")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rdp_curve)
@@ -192,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probes", type=int, default=kashin.DEFAULT_PROBES)
     p.add_argument("--iters", type=int, default=kashin.DEFAULT_ITERS)
-    p.add_argument("--save", help="serialize the frame to this .npz path")
     p.set_defaults(func=_cmd_kashin_check)
 
     p = sub.add_parser("select-params", help="pick (theta, m) for a privacy budget")

@@ -20,11 +20,13 @@ from math import ceil, sqrt
 import numpy as np
 
 DEFAULT_REDUNDANCY = 2.0
-DEFAULT_ETA = 1.0
 DEFAULT_ITERS = 60
 DEFAULT_PROBES = 1000
 LEVEL_SAFETY = 1.1
 RECONSTRUCT_TOL = 1e-6
+# truncation aggressiveness of the greedy coefficient search: each pass
+# clips its correction to ETA * ||residual||_2 / sqrt(D) per coefficient
+ETA = 1.0
 
 
 class ConvergenceError(RuntimeError):
@@ -44,12 +46,10 @@ class KashinFrame:
     u: d x D matrix with u @ u.T = I_d.
     level_k: certified spread level; every vector this frame represents
         satisfies sqrt(D) * ||y||_inf / ||x||_2 <= level_k.
-    eta: truncation aggressiveness used by represent_batch().
     """
 
     u: np.ndarray
     level_k: float
-    eta: float = DEFAULT_ETA
 
     @property
     def d(self) -> int:
@@ -70,9 +70,8 @@ def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def build_frame(
     d: int,
-    redundancy: float = DEFAULT_REDUNDANCY,
-    rng: np.random.Generator | None = None,
-    eta: float = DEFAULT_ETA,
+    redundancy: float,
+    rng: np.random.Generator,
     iters: int = DEFAULT_ITERS,
     probes: int = DEFAULT_PROBES,
 ) -> KashinFrame:
@@ -92,8 +91,6 @@ def build_frame(
         raise ValueError(f"d must be a positive integer, got {d}")
     if redundancy < 2:
         raise ValueError(f"redundancy must be >= 2, got {redundancy}")
-    if rng is None:
-        rng = np.random.default_rng()
     big_d = ceil(redundancy * d)
     if abs(redundancy - round(redundancy)) < 1e-9:
         blocks = int(round(redundancy))
@@ -101,13 +98,13 @@ def build_frame(
         u /= sqrt(blocks)
     else:
         u = _haar_orthogonal(big_d, rng)[:d, :]
-    frame = KashinFrame(u=u, level_k=np.inf, eta=eta)
+    frame = KashinFrame(u=u, level_k=np.inf)
     x = rng.standard_normal((d, probes))
     y = _represent_batch(x, frame, iters)
     with np.errstate(invalid="ignore"):
         spread = sqrt(big_d) * np.abs(y).max(axis=0) / np.linalg.norm(x, axis=0)
     level = float(spread.max()) * LEVEL_SAFETY
-    return KashinFrame(u=u, level_k=level, eta=eta)
+    return KashinFrame(u=u, level_k=level)
 
 
 def _represent_batch(x: np.ndarray, frame: KashinFrame, iters: int) -> np.ndarray:
@@ -119,7 +116,7 @@ def _represent_batch(x: np.ndarray, frame: KashinFrame, iters: int) -> np.ndarra
     for _ in range(iters):
         a = u.T @ r
         # cap shrinks with the residual, so the caps sum geometrically
-        cap = frame.eta * np.linalg.norm(r, axis=0) / sqrt(big_d)
+        cap = ETA * np.linalg.norm(r, axis=0) / sqrt(big_d)
         np.clip(a, -cap, cap, out=a)
         y += a
         r -= u @ a
@@ -127,16 +124,13 @@ def _represent_batch(x: np.ndarray, frame: KashinFrame, iters: int) -> np.ndarra
 
 
 def represent_batch(
-    x: np.ndarray,
-    frame: KashinFrame,
-    iters: int = DEFAULT_ITERS,
-    tol: float = RECONSTRUCT_TOL,
+    x: np.ndarray, frame: KashinFrame, iters: int = DEFAULT_ITERS
 ) -> np.ndarray:
     """Spread coefficients y (D, batch) with U @ y = x, column by column.
 
     x has shape (d, batch). Raises ConvergenceError if a residual stalls
-    above tol * ||x||_2 and ValueError if a column's spread exceeds the
-    frame's certified level.
+    above RECONSTRUCT_TOL * ||x||_2 and ValueError if a column's spread
+    exceeds the frame's certified level.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != frame.d:
@@ -145,22 +139,11 @@ def represent_batch(
     norms = np.linalg.norm(x, axis=0)
     live = norms > 0
     residual = np.linalg.norm(frame.u @ y - x, axis=0)
-    if np.any(residual[live] > tol * norms[live]):
+    if np.any(residual[live] > RECONSTRUCT_TOL * norms[live]):
         worst = float((residual[live] / norms[live]).max())
-        raise ConvergenceError(worst, tol)
+        raise ConvergenceError(worst, RECONSTRUCT_TOL)
     caps = frame.level_k * norms / sqrt(frame.big_d)
     if np.any(np.abs(y[:, live]).max(axis=0) > caps[live] * (1.0 + 1e-9)):
         raise ValueError("spread exceeds the certified cap for some column")
     return y
 
-
-def save_frame(frame: KashinFrame, path) -> None:
-    """Serialize the frame matrix plus its certification metadata."""
-    np.savez(path, u=frame.u, level_k=frame.level_k, eta=frame.eta)
-
-
-def load_frame(path) -> KashinFrame:
-    with np.load(path) as data:
-        return KashinFrame(
-            u=data["u"], level_k=float(data["level_k"]), eta=float(data["eta"])
-        )

@@ -1,14 +1,15 @@
 """Vector mechanism: per-coordinate binomial encoding of client vectors.
 
-Each client encodes its vector coordinate-by-coordinate with the scalar
-binomial encoder and ships the counts through secure aggregation; the
-server decodes an unbiased mean from the aggregate alone. Two geometries:
+Each client re-scales every coordinate of its vector to a success
+probability and reports Binom(m, p) counts, which secure aggregation sums;
+the server decodes an unbiased mean from the aggregate alone. Two
+geometries, selected by whether MechanismParams carries a frame:
 
-* use_kashin=False: inputs are L-infinity bounded and c is the
-  per-coordinate bound; coordinates are encoded directly.
-* use_kashin=True: inputs are L2 bounded by c; a shared tight frame
-  spreads each vector into coords = D coefficients with per-coordinate
-  bound c' = c * level_k / sqrt(D), and the server maps the decoded
+* no frame: inputs are L-infinity bounded and c is the per-coordinate
+  bound; coordinates are encoded directly.
+* a frame: inputs are L2 bounded by c; the shared tight frame spreads
+  each vector into coords = D coefficients with per-coordinate bound
+  c' = c * level_k / sqrt(D), and the server maps the decoded
   coefficient mean back through the frame.
 
 Every function works on whole batches: clients are rows, and the binomial
@@ -31,9 +32,10 @@ from .kashin import KashinFrame, represent_batch
 class MechanismParams:
     """Shared client/server configuration for one round.
 
-    n: number of clients, d: input dimension, c: norm bound (L2 when
-    use_kashin, per-coordinate otherwise), theta: encoding strength,
-    m: binomial trials per coordinate.
+    n: number of clients, d: input dimension, c: norm bound (L2 with a
+    frame, per-coordinate without), theta: encoding strength, m: binomial
+    trials per coordinate, frame: the shared spreading frame, or None for
+    direct encoding.
     """
 
     n: int
@@ -41,7 +43,6 @@ class MechanismParams:
     c: float
     theta: float
     m: int
-    use_kashin: bool = False
     frame: KashinFrame | None = None
 
     def __post_init__(self):
@@ -53,23 +54,20 @@ class MechanismParams:
             raise ValueError(f"theta must lie in [0, 1/4], got {self.theta}")
         if int(self.m) != self.m or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.use_kashin:
-            if self.frame is None:
-                raise ValueError("use_kashin=True needs a shared frame")
-            if self.frame.d != self.d:
-                raise ValueError(
-                    f"frame dimension {self.frame.d} does not match d = {self.d}"
-                )
+        if self.frame is not None and self.frame.d != self.d:
+            raise ValueError(
+                f"frame dimension {self.frame.d} does not match d = {self.d}"
+            )
 
     @property
     def coords(self) -> int:
         """Encoded coordinates per client: D with the frame, d without."""
-        return self.frame.big_d if self.use_kashin else self.d
+        return self.frame.big_d if self.frame is not None else self.d
 
     @property
     def c_prime(self) -> float:
         """Per-coordinate magnitude bound after the optional spreading step."""
-        if self.use_kashin:
+        if self.frame is not None:
             return self.c * self.frame.level_k / sqrt(self.frame.big_d)
         return self.c
 
@@ -95,7 +93,7 @@ def spread(x: np.ndarray, params: MechanismParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.d:
         raise ValueError(f"expected shape (clients, {params.d}), got {x.shape}")
-    if params.use_kashin:
+    if params.frame is not None:
         norm = np.linalg.norm(x, axis=1).max(initial=0.0)
         if norm > params.c * (1.0 + 1e-9):
             raise ValueError(f"||x||_2 = {norm} exceeds c = {params.c}")
@@ -140,7 +138,7 @@ def server_decode(
     if params.theta == 0:
         raise ValueError("theta = 0 encodes no signal; the sum cannot be decoded")
     mu = params.c_prime / (nm * params.theta) * (agg_sum - nm / 2.0)
-    if params.use_kashin:
+    if params.frame is not None:
         return mu @ params.frame.u.T
     return mu
 

@@ -16,7 +16,7 @@ reporting, which a real federated server could not compute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -157,8 +157,14 @@ class SgdConfig:
             raise ValueError(f"clip must be positive, got {self.clip}")
         if not 0.0 < self.theta <= 0.25:
             raise ValueError(f"theta must lie in (0, 1/4], got {self.theta}")
-        if isinstance(self.learning_rate, str) and self.learning_rate != "auto":
-            raise ValueError("learning_rate must be a number or 'auto'")
+        if isinstance(self.learning_rate, str):
+            if self.learning_rate != "auto":
+                raise ValueError("learning_rate must be a number or 'auto'")
+        elif not (isfinite(self.learning_rate) and self.learning_rate >= 0):
+            # 0 is allowed: a run that never steps stays at w0
+            raise ValueError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate}"
+            )
 
 
 @dataclass
@@ -224,8 +230,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     else:
         frame = None
     params = MechanismParams(
-        n=config.sampled, d=d, c=config.clip, theta=config.theta, m=config.m,
-        use_kashin=config.use_kashin, frame=frame,
+        n=config.sampled, d=d, c=config.clip, theta=config.theta, m=config.m, frame=frame
     )
     group = secagg.GroupSpec(
         modulus=secagg.default_modulus(config.sampled, config.m),

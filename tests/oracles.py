@@ -134,3 +134,15 @@ def linear_curve_dp_oracle(rho: float, delta: float) -> float:
         + log(1.0 / (alpha_star * delta)) / (alpha_star - 1.0)
         + log(1.0 - 1.0 / alpha_star)
     )
+
+
+def rdp_to_dp_simple(curve, delta: float) -> float:
+    """Looser closed form: sup(eps/alpha) + 2*sqrt(sup(eps/alpha)*log(1/delta)).
+
+    An RDP curve below rho*alpha is (rho + 2*sqrt(rho*log(1/delta)), delta)-DP
+    (Bun and Steinke, zCDP), so the grid conversion must never exceed it.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    rho = float((curve.epsilons / curve.alphas).max())
+    return rho + 2.0 * sqrt(rho * log(1.0 / delta))

@@ -8,6 +8,7 @@ from oracles import (
     brute_force_extreme_rdp,
     exhaustive_k_curve,
     mpmath_endpoint_curve,
+    rdp_to_dp_simple,
 )
 from pbm import accounting
 from pbm.accounting import (
@@ -15,7 +16,6 @@ from pbm.accounting import (
     InfeasibleBudget,
     RdpCurve,
     binomial_logpmf,
-    compose,
     convolve_logpmf,
     gaussian_curve,
     gaussian_mse,
@@ -23,7 +23,6 @@ from pbm.accounting import (
     pbm_exact_curve,
     pbm_exact_rdp,
     rdp_to_dp,
-    rdp_to_dp_simple,
     scale,
     select_params,
     select_params_approx_dp,
@@ -191,8 +190,9 @@ def test_exact_validation():
 
 
 def test_gaussian_values():
-    assert gaussian_rdp(1.0, 1, 1.0, 2.0) == pytest.approx(1.0)
-    assert gaussian_rdp(2.0, 10, 0.4, 3.0) == pytest.approx(0.375)
+    # replace-one neighbours: sensitivity 2c/n
+    assert gaussian_rdp(1.0, 1, 1.0, 2.0) == pytest.approx(4.0)
+    assert gaussian_rdp(2.0, 10, 0.4, 3.0) == pytest.approx(1.5)
     assert gaussian_mse(4, 0.5) == pytest.approx(1.0)
 
 
@@ -205,12 +205,12 @@ def test_gaussian_privacy_utility_identity():
         d = int(rng.integers(1, 100))
         alpha = float(rng.uniform(1.01, 50.0))
         product = gaussian_rdp(c, n, sigma, alpha) * gaussian_mse(d, sigma)
-        assert product == pytest.approx(c * c * d * alpha / (2.0 * n * n), rel=1e-12)
+        assert product == pytest.approx(2.0 * c * c * d * alpha / (n * n), rel=1e-12)
 
 
 def test_gaussian_curve_and_validation():
     curve = gaussian_curve(1.0, 10, 0.5, (2.0, 4.0))
-    np.testing.assert_allclose(curve.epsilons, [0.04, 0.08], rtol=1e-12)
+    np.testing.assert_allclose(curve.epsilons, [0.16, 0.32], rtol=1e-12)
     assert curve.kind == "gaussian"
     with pytest.raises(ValueError):
         gaussian_rdp(0.0, 10, 0.5, 2.0)
@@ -249,23 +249,13 @@ def test_params_hash_depends_on_meta():
     assert len(a.params_hash()) == 12
 
 
-def test_compose_sums_pointwise():
-    a = pbm_exact_curve(5, 1, 0.2, DEFAULT_ALPHAS)
-    b = pbm_exact_curve(5, 2, 0.1, DEFAULT_ALPHAS)
-    both = compose([a, b])
-    np.testing.assert_allclose(both.epsilons, a.epsilons + b.epsilons, rtol=1e-15)
-    assert both.kind == "composed"
-    with pytest.raises(ValueError):
-        compose([a, pbm_exact_curve(5, 1, 0.2, [2.0, 3.0])])
-    with pytest.raises(ValueError):
-        compose([])
-
-
 def test_scale_matches_repeated_compose():
+    # composing 7 copies sums the curve pointwise 7 times
     a = pbm_exact_curve(5, 1, 0.2, DEFAULT_ALPHAS)
-    np.testing.assert_allclose(
-        scale(a, 7).epsilons, compose([a] * 7).epsilons, rtol=1e-15
-    )
+    seven = scale(a, 7)
+    np.testing.assert_allclose(seven.epsilons, sum([a.epsilons] * 7), rtol=1e-15)
+    np.testing.assert_array_equal(seven.alphas, a.alphas)
+    assert seven.kind == "composed" and seven.meta["copies"] == 7
     with pytest.raises(ValueError):
         scale(a, 0)
 

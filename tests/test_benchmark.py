@@ -82,7 +82,8 @@ def test_gaussian_rows_satisfy_identity():
     for r in run_tradeoff(config):
         if r.mechanism != "gaussian":
             continue
-        want = config.c**2 * config.d * config.alpha / (2.0 * config.n**2)
+        # replace-one neighbours: sensitivity 2c/n
+        want = 2.0 * config.c**2 * config.d * config.alpha / config.n**2
         assert r.epsilon * r.mse == pytest.approx(want, rel=1e-12)
         assert r.comm_bits == 0
 

@@ -5,7 +5,10 @@ import pytest
 
 from pbm import accounting, cli
 from pbm.accounting import pbm_exact_curve, pbm_exact_rdp, rdp_to_dp, scale
+from pbm.benchmark import ExperimentConfig
 from pbm.cli import main
+from pbm.config import load_dme_config, load_sgd_config
+from pbm.sgd import LossSpec, SgdConfig
 
 
 DME_INI = """\
@@ -153,21 +156,19 @@ def test_rdp_curve_gaussian_mode(tmp_path):
     assert code == 0
     rows = out.read_text().splitlines()[2:]
     eps = [float(r.split(",")[1]) for r in rows]
-    assert eps[0] == pytest.approx(1.0 * 2.0 / (2.0 * 100**2 * 0.25))
+    # replace-one neighbours: sensitivity 2c/n with c = 1
+    assert eps[0] == pytest.approx((2.0 / 100) ** 2 * 2.0 / (2.0 * 0.25))
     assert eps[1] == pytest.approx(2.0 * eps[0])
     # sigma is mandatory in gaussian mode
     assert main(["rdp-curve", "--n", "100", "--mode", "gaussian",
                  "--out", str(out)]) == 2
 
 
-def test_kashin_check(tmp_path, capsys):
-    save = tmp_path / "frame.npz"
-    code = main(["kashin-check", "--d", "16", "--seed", "1",
-                 "--save", str(save)])
+def test_kashin_check(capsys):
+    code = main(["kashin-check", "--d", "16", "--seed", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "level_k=" in out and "parseval_residual=" in out
-    assert save.exists()
 
 
 def test_kashin_check_too_few_iters_is_numerical_failure():
@@ -255,6 +256,7 @@ def test_select_params_rejects_non_finite_budget(flag, value, capsys):
 @pytest.mark.parametrize("argv", [
     ["rdp-curve", "--n", "10", "--mode", "bound", "--out", "x.csv"],
     ["select-params", "--n", "10", "--d", "1", "--eps-dp", "1.0", "--verify"],
+    ["kashin-check", "--d", "8", "--save", "f.npz"],
 ])
 def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -322,6 +324,35 @@ def test_sgd_rejects_theta_outside_range(tmp_path, theta, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["-0.5", "0", "0.0", "inf", "nan"])
+def test_sgd_rejects_bad_learning_rate(tmp_path, rate, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started with a bad learning rate")
+
+    monkeypatch.setattr(cli, "run_sgd", never)
+    cfg = tmp_path / "sgd.ini"
+    cfg.write_text(SGD_INI.replace("learning_rate = 0.3", f"learning_rate = {rate}"))
+    assert main(["sgd", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, load, want", [
+    ("[experiment]\nn = 10\nd = 2\nm_list = 2\ntheta_list = 0.1\n", load_dme_config,
+     ExperimentConfig(n=10, d=2, m_list=(2,), theta_list=(0.1,))),
+    ("[sgd]\ntotal_clients = 30\nsampled = 10\nrounds = 5\n", load_sgd_config,
+     SgdConfig(total_clients=30, sampled=10, rounds=5)),
+    ("[sgd]\ntotal_clients = 30\nsampled = 10\nrounds = 5\n[loss]\nkind = logistic\n",
+     load_sgd_config,
+     SgdConfig(total_clients=30, sampled=10, rounds=5, loss=LossSpec(kind="logistic"))),
+], ids=["dme", "sgd", "loss"])
+def test_config_file_defaults_are_the_dataclass_defaults(tmp_path, text, load, want):
+    # a file that sets only the required keys gets every other value from
+    # the config dataclass
+    path = tmp_path / "min.ini"
+    path.write_text(text)
+    assert load(path) == want
+
+
 def test_sgd_missing_section(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[loss]\nkind = quadratic\n")
@@ -359,7 +390,7 @@ def test_dme_rejects_nan_order(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["dme", "sgd", "rdp-curve", "kashin-check"])
+@pytest.mark.parametrize("command", ["dme", "sgd", "rdp-curve"])
 def test_unwritable_output_path_is_a_usage_error(
     tmp_path, dme_config, sgd_config, command, capsys
 ):
@@ -368,7 +399,6 @@ def test_unwritable_output_path_is_a_usage_error(
         "dme": ["dme", "--config", str(dme_config), "--out", target, "--threads", "1"],
         "sgd": ["sgd", "--config", str(sgd_config), "--out", target],
         "rdp-curve": ["rdp-curve", "--n", "10", "--out", target],
-        "kashin-check": ["kashin-check", "--d", "8", "--save", target],
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from pbm.kashin import (
-    ConvergenceError,
-    build_frame,
-    load_frame,
-    represent_batch,
-    save_frame,
-)
+from pbm.kashin import ConvergenceError, build_frame, represent_batch
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +82,3 @@ def test_build_frame_validation():
     with pytest.raises(ValueError):
         build_frame(4, 1.5, np.random.default_rng(0))
 
-
-def test_serialization_roundtrip(tmp_path, frame40):
-    path = tmp_path / "frame.npz"
-    save_frame(frame40, path)
-    loaded = load_frame(path)
-    np.testing.assert_array_equal(loaded.u, frame40.u)
-    assert loaded.level_k == frame40.level_k
-    assert loaded.eta == frame40.eta

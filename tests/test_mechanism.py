@@ -35,16 +35,14 @@ def test_params_validation(frame8):
     with pytest.raises(ValueError):
         MechanismParams(n=4, d=3, c=1.0, theta=0.1, m=0)
     with pytest.raises(ValueError):
-        MechanismParams(n=4, d=3, c=1.0, theta=0.1, m=1, use_kashin=True)
-    with pytest.raises(ValueError):
-        MechanismParams(n=4, d=5, c=1.0, theta=0.1, m=1, use_kashin=True, frame=frame8)
+        MechanismParams(n=4, d=5, c=1.0, theta=0.1, m=1, frame=frame8)
 
 
 def test_coords_and_c_prime(frame8):
     plain = _plain(d=6)
     assert plain.coords == 6
     assert plain.c_prime == plain.c
-    spread = MechanismParams(n=10, d=8, c=2.0, theta=0.2, m=1, use_kashin=True, frame=frame8)
+    spread = MechanismParams(n=10, d=8, c=2.0, theta=0.2, m=1, frame=frame8)
     assert spread.coords == frame8.big_d == 16
     assert spread.c_prime == pytest.approx(2.0 * frame8.level_k / sqrt(16.0))
 
@@ -142,7 +140,7 @@ def test_encode_norm_validation(frame8):
     with pytest.raises(ValueError):
         spread(np.zeros(3), params)
     spread_params = MechanismParams(
-        n=5, d=8, c=1.0, theta=0.2, m=2, use_kashin=True, frame=frame8
+        n=5, d=8, c=1.0, theta=0.2, m=2, frame=frame8
     )
     big = np.full((1, 8), 0.5)  # L2 norm sqrt(2) > 1
     with pytest.raises(ValueError):
@@ -152,7 +150,7 @@ def test_encode_norm_validation(frame8):
 def test_kashin_accepts_peaky_vectors(frame8):
     # a unit basis vector satisfies the L2 bound though its largest
     # coordinate far exceeds the spread per-coordinate budget c'
-    params = MechanismParams(n=5, d=8, c=1.0, theta=0.2, m=2, use_kashin=True, frame=frame8)
+    params = MechanismParams(n=5, d=8, c=1.0, theta=0.2, m=2, frame=frame8)
     assert params.c_prime < 1.0
     x = np.zeros((2, 8))
     x[0, 0] = 1.0
@@ -166,7 +164,7 @@ def test_mse_bound_formula(frame8):
     plain = _plain(n=100, d=4, c=1.0, theta=0.25, m=4)
     assert mse_bound(plain) == pytest.approx(4.0 / (4.0 * 100 * 4 * 0.0625))
     spread = MechanismParams(
-        n=100, d=8, c=1.0, theta=0.25, m=4, use_kashin=True, frame=frame8
+        n=100, d=8, c=1.0, theta=0.25, m=4, frame=frame8
     )
     want = 16 * spread.c_prime**2 / (4.0 * 100 * 4 * 0.0625)
     assert mse_bound(spread) == pytest.approx(want)
@@ -175,7 +173,7 @@ def test_mse_bound_formula(frame8):
 def test_communication_bits(frame8):
     assert communication_bits(_plain(n=1000, d=250, m=16)) == 250 * 14
     assert communication_bits(_plain(n=1, d=1, m=1)) == 1
-    spread = MechanismParams(n=10, d=8, c=1.0, theta=0.2, m=1, use_kashin=True, frame=frame8)
+    spread = MechanismParams(n=10, d=8, c=1.0, theta=0.2, m=1, frame=frame8)
     assert communication_bits(spread) == 16 * 4  # modulus 16 over 16 coords
 
 
@@ -200,7 +198,7 @@ def test_roundtrip_unbiased_kashin(frame8):
     # decode every trial at once, frame back-map included
     n, d, trials = 20, 8, 1200
     params = MechanismParams(
-        n=n, d=d, c=1.0, theta=0.25, m=4, use_kashin=True, frame=frame8
+        n=n, d=d, c=1.0, theta=0.25, m=4, frame=frame8
     )
     rng = np.random.default_rng(55)
     x = rng.standard_normal((n, d))

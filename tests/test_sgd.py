@@ -220,6 +220,9 @@ def test_config_validation():
         _quad_config(clip=0.0)
     with pytest.raises(ValueError):
         _quad_config(learning_rate="fast")
+    for rate in (-0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _quad_config(learning_rate=rate)
 
 
 def test_trajectory_csv(tmp_path):
