@@ -31,10 +31,11 @@ from .mechanism import (
     communication_bits,
     coordinate_probs,
     mse_bound,
+    sample_sums,
     server_decode,
     spread,
 )
-from .secagg import GroupSpec, aggregate, clipped_spec, default_modulus
+from .secagg import bits_per_coord, clipped_spec, default_modulus
 from .sgd import SgdConfig, LossSpec, convergence_bound
 from .sgd import run as run_sgd
 

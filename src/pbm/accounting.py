@@ -222,7 +222,8 @@ def gaussian_curve(
 ) -> "RdpCurve":
     alphas = _orders(alphas)
     eps = np.array([gaussian_rdp(c, n, sigma, a) for a in alphas])
-    meta = {"mechanism": "gaussian", "c": c, "n": n, "sigma": sigma}
+    meta = {"mechanism": "gaussian", "neighbours": "replace-one",
+            "c": c, "n": n, "sigma": sigma}
     return RdpCurve(alphas=alphas, epsilons=eps, kind="gaussian", meta=meta)
 
 

@@ -29,12 +29,10 @@ from .mechanism import (
     communication_bits,
     coordinate_probs,
     mse_bound,
+    sample_sums,
     server_decode,
     spread,
 )
-
-# cap on simultaneous binomial draws (entries), keeps peak memory ~128 MB
-_CHUNK_ENTRIES = 16_777_216
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,11 @@ class ExperimentConfig:
             raise ValueError(f"alpha must be a finite order above 1, got {self.alpha}")
         if self.cinf is None:
             object.__setattr__(self, "cinf", self.c / sqrt(self.d))
+        for name, value in (("c", self.c), ("cinf", self.cinf)):
+            if not 0.0 < value < inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.safety_c < inf:
+            raise ValueError(f"safety_c must be finite and nonnegative, got {self.safety_c}")
 
 
 @dataclass(frozen=True)
@@ -137,16 +140,8 @@ def _point_records(
     """
     n, coords = y.shape
     m, theta = params.m, params.theta
-    rng = np.random.default_rng(seed)
     probs = coordinate_probs(y, params)
-    sums = np.empty((config.trials, coords), dtype=np.int64)
-    chunk = max(1, _CHUNK_ENTRIES // (n * coords))
-    done = 0
-    while done < config.trials:
-        t = min(chunk, config.trials - done)
-        draws = rng.binomial(m, probs[None, :, :], size=(t, n, coords))
-        sums[done : done + t] = draws.sum(axis=1, dtype=np.int64)
-        done += t
+    sums = sample_sums(probs, m, np.random.default_rng(seed), config.trials)
 
     def decode_mse(agg: np.ndarray, window: tuple[int, int] | None = None) -> float:
         err = server_decode(agg, params, window) - mu_true[None, :]
@@ -161,14 +156,14 @@ def _point_records(
         )
     ]
     if config.clipping:
-        spec, offset = secagg.clipped_spec(n, m, theta, config.safety_c, coords)
-        lifted = secagg.lift_sum(sums, spec, offset)
+        modulus, offset = secagg.clipped_spec(n, m, theta, config.safety_c)
+        lifted = secagg.lift_sum(sums, modulus, offset)
         records.append(
             TrialRecord(
                 m=m, theta=theta, alpha=config.alpha, epsilon=eps_total,
-                mse=decode_mse(lifted, (offset, offset + spec.modulus)),
-                comm_bits=coords * spec.bits_per_coord,
-                wraps=secagg.count_wraps(sums, spec, offset),
+                mse=decode_mse(lifted, (offset, offset + modulus)),
+                comm_bits=coords * secagg.bits_per_coord(modulus),
+                wraps=secagg.count_wraps(sums, modulus, offset),
                 mechanism="pbm", mode="clipped",
             )
         )

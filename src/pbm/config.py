@@ -6,9 +6,9 @@ Backed by configparser, so files look like
     n = 1000
     m_list = 2 4 6 16
 
-Unknown keys are rejected (they are usually typos) and every parse or
-validation problem is raised as ConfigError, which the CLI maps to its
-config-error exit code.
+Unknown sections and keys are rejected (they are usually typos) and every
+parse or validation problem is raised as ConfigError, naming the file,
+which the CLI maps to its config-error exit code.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ class ConfigError(Exception):
     """A config file could not be parsed or validated."""
 
 
-def _read(path) -> configparser.ConfigParser:
+def _read(path, sections: tuple[str, ...]) -> configparser.ConfigParser:
+    """Parse path; a section other than the given ones raises."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -34,6 +35,9 @@ def _read(path) -> configparser.ConfigParser:
     except configparser.Error as exc:
         # configparser errors carry line numbers in their message
         raise ConfigError(f"bad config {path}: {exc}") from exc
+    unknown = ", ".join(f"[{s}]" for s in parser.sections() if s not in sections)
+    if unknown:
+        raise ConfigError(f"{path}: unknown sections {unknown}")
     return parser
 
 
@@ -52,7 +56,7 @@ def _section(parser, section: str, casts: dict, path, required=()) -> dict:
         )
     for key in required:
         if not parser.has_option(section, key):
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
+            raise ConfigError(f"{path}: missing required key {key!r} in [{section}]")
     values = {}
     for key, cast in casts.items():
         if not parser.has_option(section, key):
@@ -61,7 +65,7 @@ def _section(parser, section: str, casts: dict, path, required=()) -> dict:
         try:
             values[key] = parser.getboolean(section, key) if cast is bool else cast(raw)
         except (ValueError, AttributeError) as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+            raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
     return values
 
 
@@ -84,7 +88,7 @@ _CLIP_KEYS = {"enabled": bool, "safety_c": float}
 
 
 def load_dme_config(path) -> ExperimentConfig:
-    parser = _read(path)
+    parser = _read(path, ("experiment", "clipping"))
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
     kwargs = _section(parser, "experiment", _DME_KEYS, path, ("n", "d", "m_list"))
@@ -121,7 +125,7 @@ _LOSS_KEYS = {
 
 
 def load_sgd_config(path) -> SgdConfig:
-    parser = _read(path)
+    parser = _read(path, ("sgd", "loss"))
     if not parser.has_section("sgd"):
         raise ConfigError(f"{path}: missing [sgd] section")
     required = ("total_clients", "sampled", "rounds")

@@ -15,7 +15,7 @@ metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import ceil, inf, sqrt
 
 import numpy as np
 
@@ -89,8 +89,8 @@ def build_frame(
     """
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if redundancy < 2:
-        raise ValueError(f"redundancy must be >= 2, got {redundancy}")
+    if not 2 <= redundancy < inf:
+        raise ValueError(f"redundancy must be finite and >= 2, got {redundancy}")
     big_d = ceil(redundancy * d)
     if abs(redundancy - round(redundancy)) < 1e-9:
         blocks = int(round(redundancy))

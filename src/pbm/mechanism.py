@@ -2,7 +2,7 @@
 
 Each client re-scales every coordinate of its vector to a success
 probability and reports Binom(m, p) counts, which secure aggregation sums;
-the server decodes an unbiased mean from the aggregate alone. Two
+the server decodes an unbiased mean from the sum alone. Two
 geometries, selected by whether MechanismParams carries a frame:
 
 * no frame: inputs are L-infinity bounded and c is the per-coordinate
@@ -12,9 +12,9 @@ geometries, selected by whether MechanismParams carries a frame:
   c' = c * level_k / sqrt(D), and the server maps the decoded
   coefficient mean back through the frame.
 
-Every function works on whole batches: clients are rows, and the binomial
-draw Binom(m, coordinate_probs) is left to the caller, which owns the
-random stream.
+Every function works on whole batches: clients are rows. sample_sums is
+the one binomial draw; counts lie in [0, m], so under the default modulus
+M > n*m its integer sums are the secure-aggregation sums.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ import numpy as np
 
 from . import secagg
 from .kashin import KashinFrame, represent_batch
+
+# cap on simultaneous binomial draws (entries), keeps peak memory ~128 MB
+_CHUNK_ENTRIES = 16_777_216
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,24 @@ def coordinate_probs(y: np.ndarray, params: MechanismParams) -> np.ndarray:
     return np.clip(p, 0.5 - params.theta, 0.5 + params.theta)
 
 
+def sample_sums(
+    probs: np.ndarray, m: int, rng: np.random.Generator, trials: int
+) -> np.ndarray:
+    """Per-trial sums (trials, coords) over the rows of Binom(m, probs).
+
+    probs has shape (clients, coords). Trials are drawn in chunks of at most
+    _CHUNK_ENTRIES binomials; chunking does not change the stream.
+    """
+    n, coords = probs.shape
+    sums = np.empty((trials, coords), dtype=np.int64)
+    chunk = max(1, _CHUNK_ENTRIES // (n * coords))
+    for lo in range(0, trials, chunk):
+        t = min(chunk, trials - lo)
+        draws = rng.binomial(m, probs[None, :, :], size=(t, n, coords))
+        sums[lo : lo + t] = draws.sum(axis=1, dtype=np.int64)
+    return sums
+
+
 def server_decode(
     agg_sum: np.ndarray,
     params: MechanismParams,
@@ -157,8 +178,6 @@ def mse_bound(params: MechanismParams) -> float:
 
 
 def communication_bits(params: MechanismParams) -> int:
-    """Uplink bits per client under the default power-of-two group."""
-    spec = secagg.GroupSpec(
-        modulus=secagg.default_modulus(params.n, params.m), coords=params.coords
-    )
-    return params.coords * spec.bits_per_coord
+    """Uplink bits per client under the default power-of-two modulus."""
+    modulus = secagg.default_modulus(params.n, params.m)
+    return params.coords * secagg.bits_per_coord(modulus)

@@ -21,13 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import accounting, secagg
+from . import accounting
 from .accounting import DEFAULT_ALPHAS, RdpCurve
 from .kashin import build_frame
 from .mechanism import (
     MechanismParams,
     clip_rows,
     coordinate_probs,
+    sample_sums,
     server_decode,
     spread,
 )
@@ -153,8 +154,8 @@ class SgdConfig:
             )
         if self.rounds < 1:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
-        if self.clip <= 0:
-            raise ValueError(f"clip must be positive, got {self.clip}")
+        if not (isfinite(self.clip) and self.clip > 0):
+            raise ValueError(f"clip must be finite and positive, got {self.clip}")
         if not 0.0 < self.theta <= 0.25:
             raise ValueError(f"theta must lie in (0, 1/4], got {self.theta}")
         if isinstance(self.learning_rate, str):
@@ -217,7 +218,7 @@ def convergence_bound(
 def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     """Simulate the full training loop and assemble the privacy ledger.
 
-    disable_mechanism=True replaces encode/aggregate/decode with the exact
+    disable_mechanism=True replaces encode/sum/decode with the exact
     mean of the clipped gradients while consuming identical client-sampling
     randomness, giving a noise-free paired run for the same seed.
     """
@@ -231,10 +232,6 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
         frame = None
     params = MechanismParams(
         n=config.sampled, d=d, c=config.clip, theta=config.theta, m=config.m, frame=frame
-    )
-    group = secagg.GroupSpec(
-        modulus=secagg.default_modulus(config.sampled, config.m),
-        coords=params.coords,
     )
     smoothness = loss.smoothness
     d_f = loss.gap()
@@ -270,13 +267,10 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
             mu_hat = grads.mean(axis=0)
         else:
             probs = coordinate_probs(spread(grads, params), params)
-            # each client draws its shares from its own generator, as a
-            # real client would on its own device
-            shares = np.stack([
-                np.random.default_rng(cs).binomial(config.m, p)
-                for p, cs in zip(probs, mech_root.spawn(config.sampled))
-            ])
-            mu_hat = server_decode(secagg.aggregate(shares, group), params)
+            # one trial of the cohort's summed counts; under the default
+            # modulus the secure-aggregation sum is this integer sum
+            rng = np.random.default_rng(mech_root)
+            mu_hat = server_decode(sample_sums(probs, config.m, rng, 1)[0], params)
         w = w - gamma * mu_hat
         losses[t] = loss.full_loss(w)
         grad_norms[t] = float(np.sum(loss.full_grad(w) ** 2))

@@ -32,10 +32,17 @@ from pbm.mechanism import (
     MechanismParams,
     coordinate_probs,
     mse_bound,
+    sample_sums,
     server_decode,
     spread,
 )
-from pbm.secagg import clipped_spec, count_wraps, default_modulus, lift_sum
+from pbm.secagg import (
+    bits_per_coord,
+    clipped_spec,
+    count_wraps,
+    default_modulus,
+    lift_sum,
+)
 from pbm.sgd import LossSpec, SgdConfig, build_loss, convergence_bound, run
 
 GRID = [
@@ -154,7 +161,7 @@ def test_criterion_06_unbiased_within_variance_budget(acceptance):
     rng = np.random.default_rng(606)
     x = rng.uniform(-c, c, size=(n, d))
     probs = coordinate_probs(spread(x, params), params)
-    sums = rng.binomial(m, probs[None, :, :], size=(trials, n, d)).sum(axis=1)
+    sums = sample_sums(probs, m, rng, trials)
     ests = server_decode(sums, params)
     mu = x.mean(axis=0)
     per_coord_var = c * c / (4.0 * n * m * theta * theta)
@@ -178,20 +185,20 @@ def test_criterion_07_reduced_modulus_is_nearly_free(acceptance):
     rng = np.random.default_rng(707)
     x = rng.uniform(-c, c, size=(n, d))
     probs = coordinate_probs(spread(x, params), params)
-    sums = rng.binomial(m, probs[None, :, :], size=(trials, n, d)).sum(axis=1)
-    spec, offset = clipped_spec(n, m, theta, sqrt(30.0), coords=d)
-    wraps = count_wraps(sums, spec, offset)
+    sums = sample_sums(probs, m, rng, trials)
+    modulus, offset = clipped_spec(n, m, theta, sqrt(30.0))
+    wraps = count_wraps(sums, modulus, offset)
     wrap_rate = wraps / sums.size
-    lifted = lift_sum(sums % spec.modulus, spec, offset)
+    lifted = lift_sum(sums % modulus, modulus, offset)
     mu = x.mean(axis=0)
 
     def mse(agg, window=None):
         est = server_decode(agg, params, window)
         return float(np.mean(np.sum((est - mu[None, :]) ** 2, axis=1)))
 
-    ratio = mse(lifted, (offset, offset + spec.modulus)) / mse(sums)
+    ratio = mse(lifted, (offset, offset + modulus)) / mse(sums)
     full_bits = (default_modulus(n, m) - 1).bit_length()
-    saved = full_bits - spec.bits_per_coord
+    saved = full_bits - bits_per_coord(modulus)
     ok = wrap_rate <= 1e-3 and 0.95 <= ratio <= 1.05 and saved >= 1
     acceptance(
         7, ok,

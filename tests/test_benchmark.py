@@ -36,6 +36,14 @@ def test_config_validation():
             _small_config(alpha=alpha)
     with pytest.raises(ValueError):
         _small_config(trials=0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for key in ("c", "cinf"):
+            with pytest.raises(ValueError):
+                _small_config(**{key: bad})
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _small_config(safety_c=bad)
+    assert _small_config(safety_c=0.0).safety_c == 0.0
     assert ExperimentConfig(n=10, d=16, c=2.0).cinf == pytest.approx(0.5)
 
 

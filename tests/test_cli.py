@@ -159,6 +159,9 @@ def test_rdp_curve_gaussian_mode(tmp_path):
     # replace-one neighbours: sensitivity 2c/n with c = 1
     assert eps[0] == pytest.approx((2.0 / 100) ** 2 * 2.0 / (2.0 * 0.25))
     assert eps[1] == pytest.approx(2.0 * eps[0])
+    # the meta names the neighbour relation, so this hash differs from the
+    # one (d0403a1b7e99) the same call wrote when the sensitivity was c/n
+    assert {r.split(",")[3] for r in rows} == {"030ba38256ce"}
     # sigma is mandatory in gaussian mode
     assert main(["rdp-curve", "--n", "100", "--mode", "gaussian",
                  "--out", str(out)]) == 2
@@ -173,6 +176,12 @@ def test_kashin_check(capsys):
 
 def test_kashin_check_too_few_iters_is_numerical_failure():
     assert main(["kashin-check", "--d", "64", "--seed", "1", "--iters", "1"]) == 4
+
+
+@pytest.mark.parametrize("redundancy", ["inf", "nan"])
+def test_kashin_check_rejects_bad_redundancy(redundancy, capsys):
+    assert main(["kashin-check", "--d", "8", "--redundancy", redundancy]) == 2
+    assert "redundancy" in capsys.readouterr().err
 
 
 def _select_params_output(capsys, argv):
@@ -293,16 +302,35 @@ def test_missing_config_file(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_unknown_config_key(tmp_path):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[experiment]\nn = 10\nd = 2\nm_list = 2\ntheta_list = 0.1\nepsilon = 3\n")
-    assert main(["dme", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+def test_unknown_config_key(tmp_path, capsys):
+    # a misspelt key, or a misspelt section whose keys would otherwise be
+    # ignored without a word
+    cases = [
+        ("dme", "[experiment]\nn = 10\nd = 2\nm_list = 2\ntheta_list = 0.1\n"
+                "epsilon = 3\n", "epsilon"),
+        ("dme", DME_INI + "\n[clippin]\nenabled = true\n", "[clippin]"),
+        ("sgd", SGD_INI + "\n[los]\nkind = logistic\n", "[los]"),
+    ]
+    for i, (tool, text, name) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.ini"
+        bad.write_text(text)
+        out = tmp_path / f"x{i}.csv"
+        assert main([tool, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and name in err
+        assert not out.exists()
 
 
-def test_bad_config_value(tmp_path):
+def test_bad_config_value(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nn = ten\nd = 2\nm_list = 2\ntheta_list = 0.1\n")
     assert main(["dme", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    assert str(bad) in capsys.readouterr().err
+    # a missing required key names the file too
+    bad.write_text("[experiment]\nn = 10\nd = 2\ntheta_list = 0.1\n")
+    assert main(["dme", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "m_list" in err
 
 
 def test_conflicting_sweep_lists(tmp_path):
@@ -334,6 +362,47 @@ def test_sgd_rejects_bad_learning_rate(tmp_path, rate, capsys, monkeypatch):
     cfg.write_text(SGD_INI.replace("learning_rate = 0.3", f"learning_rate = {rate}"))
     assert main(["sgd", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("c", "inf"), ("c", "nan"), ("cinf", "inf"), ("cinf", "nan"), ("safety_c", "inf"),
+])
+def test_dme_rejects_non_finite_values(tmp_path, key, value, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started with a non-finite value")
+
+    monkeypatch.setattr(cli, "run_tradeoff", never)
+    section = "\n[clipping]\n" if key == "safety_c" else ""
+    cfg = tmp_path / "dme.ini"
+    cfg.write_text(DME_INI.replace("c = 1.0\n", "") + f"{section}{key} = {value}\n")
+    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("clip", ["inf", "nan"])
+def test_sgd_rejects_non_finite_clip(tmp_path, clip, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started with a non-finite clip")
+
+    monkeypatch.setattr(cli, "run_sgd", never)
+    cfg = tmp_path / "sgd.ini"
+    cfg.write_text(SGD_INI.replace("clip = 5.0", f"clip = {clip}"))
+    assert main(["sgd", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "clip must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tool, text", [
+    ("dme", DME_INI + "use_kashin = true\nredundancy = inf\n"),
+    ("sgd", SGD_INI.replace("use_kashin = false", "use_kashin = true\nredundancy = inf")),
+], ids=["dme", "sgd"])
+def test_infinite_redundancy_is_a_config_error(tmp_path, tool, text, capsys):
+    # the frame rejects it before any point is sampled or round is run
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main([tool, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "redundancy must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, load, want", [

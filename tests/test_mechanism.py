@@ -3,6 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from pbm import mechanism
 from pbm.kashin import build_frame
 from pbm.mechanism import (
     MechanismParams,
@@ -10,6 +11,7 @@ from pbm.mechanism import (
     communication_bits,
     coordinate_probs,
     mse_bound,
+    sample_sums,
     server_decode,
     spread,
 )
@@ -89,11 +91,11 @@ def test_decode_window_for_lifted_sums():
     # a reduced-modulus window can reach past the plain range [0, n*m]
     n, m, theta = 20, 2, 0.25
     params = _plain(n=n, d=2, theta=theta, m=m)
-    spec, offset = clipped_spec(n, m, theta, coords=2)
-    window = (offset, offset + spec.modulus)
+    modulus, offset = clipped_spec(n, m, theta)
+    window = (offset, offset + modulus)
     assert window == (-3, 43)
     # residues 43 and 42 mod 46 lift to both ends of the window
-    lifted = lift_sum(np.array([[43, 42]]), spec, offset)
+    lifted = lift_sum(np.array([[43, 42]]), modulus, offset)
     np.testing.assert_array_equal(lifted, [[-3, 42]])
     est = server_decode(lifted, params, window)
     np.testing.assert_array_equal(est, 1.0 / (n * m * theta) * (lifted - n * m / 2.0))
@@ -103,7 +105,7 @@ def test_decode_window_for_lifted_sums():
     with pytest.raises(ValueError):
         server_decode(np.array([offset - 1, 0]), params, window)
     with pytest.raises(ValueError):
-        server_decode(np.array([0, offset + spec.modulus]), params, window)
+        server_decode(np.array([0, offset + modulus]), params, window)
 
 
 def test_clip_rows():
@@ -177,6 +179,20 @@ def test_communication_bits(frame8):
     assert communication_bits(spread) == 16 * 4  # modulus 16 over 16 coords
 
 
+@pytest.mark.parametrize("m", [2, 16, 300])
+def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
+    # small chunks must draw the same sums as all trials in one chunk
+    n, coords, trials = 7, 5, 6
+    probs = np.random.default_rng(3).uniform(0.25, 0.75, size=(n, coords))
+    whole = sample_sums(probs, m, np.random.default_rng(m), trials)
+    assert whole.shape == (trials, coords) and whole.dtype == np.int64
+    assert np.all((whole >= 0) & (whole <= n * m))
+    for per_chunk in (1, 4):  # 4 trials per chunk leaves a short last chunk
+        monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
+        chunked = sample_sums(probs, m, np.random.default_rng(m), trials)
+        np.testing.assert_array_equal(chunked, whole)
+
+
 def test_roundtrip_unbiased_plain():
     n, d, trials = 30, 3, 2500
     params = _plain(n=n, d=d, c=1.0, theta=0.25, m=2)
@@ -184,7 +200,7 @@ def test_roundtrip_unbiased_plain():
     x = rng.uniform(-1.0, 1.0, size=(n, d))
     mu = x.mean(axis=0)
     probs = coordinate_probs(spread(x, params), params)
-    sums = rng.binomial(2, probs[None, :, :], size=(trials, n, d)).sum(axis=1)
+    sums = sample_sums(probs, 2, rng, trials)
     ests = server_decode(sums, params)
     per_coord_var = mse_bound(params) / d
     tol = 4.0 * sqrt(per_coord_var / trials)
@@ -205,7 +221,7 @@ def test_roundtrip_unbiased_kashin(frame8):
     x /= np.maximum(1.0, np.linalg.norm(x, axis=1))[:, None]
     mu = x.mean(axis=0)
     probs = coordinate_probs(spread(x, params), params)
-    sums = rng.binomial(4, probs[None, :, :], size=(trials, n, params.coords)).sum(axis=1)
+    sums = sample_sums(probs, 4, rng, trials)
     ests = server_decode(sums, params)
     assert ests.shape == (trials, d)
     per_coord_var = mse_bound(params) / d

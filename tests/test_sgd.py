@@ -216,8 +216,9 @@ def test_config_validation():
         _quad_config(sampled=50, total_clients=40)
     with pytest.raises(ValueError):
         _quad_config(rounds=0)
-    with pytest.raises(ValueError):
-        _quad_config(clip=0.0)
+    for clip in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _quad_config(clip=clip)
     with pytest.raises(ValueError):
         _quad_config(learning_rate="fast")
     for rate in (-0.5, float("inf"), float("nan")):
