@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from math import atanh, expm1, isfinite, log
+from math import atanh, expm1, inf, isfinite, log
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -203,8 +203,12 @@ def gaussian_rdp(c: float, n: int, sigma: float, alpha: float) -> float:
     as in the PBM accountant, so the mean moves by up to 2c/n and the order
     alpha divergence is (2c/n)^2 * alpha / (2 * sigma^2).
     """
-    if c <= 0 or n < 1 or sigma <= 0:
-        raise ValueError(f"need c > 0, n >= 1, sigma > 0; got {c}, {n}, {sigma}")
+    if not 0 < c < inf:
+        raise ValueError(f"c must be finite and positive, got {c}")
+    if not 0 < sigma < inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     return 2.0 * c * c * alpha / (n * n * sigma * sigma)

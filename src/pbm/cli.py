@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--redundancy", type=float, default=kashin.DEFAULT_REDUNDANCY)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=int, default=kashin.DEFAULT_PROBES)
-    p.add_argument("--iters", type=int, default=kashin.DEFAULT_ITERS)
+    p.add_argument("--probes", type=_positive_int, default=kashin.DEFAULT_PROBES)
+    p.add_argument("--iters", type=_positive_int, default=kashin.DEFAULT_ITERS)
     p.set_defaults(func=_cmd_kashin_check)
 
     p = sub.add_parser("select-params", help="pick (theta, m) for a privacy budget")

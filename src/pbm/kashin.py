@@ -91,6 +91,8 @@ def build_frame(
         raise ValueError(f"d must be a positive integer, got {d}")
     if not 2 <= redundancy < inf:
         raise ValueError(f"redundancy must be finite and >= 2, got {redundancy}")
+    if iters < 1 or probes < 1:
+        raise ValueError(f"iters and probes must be at least 1, got {iters}, {probes}")
     big_d = ceil(redundancy * d)
     if abs(redundancy - round(redundancy)) < 1e-9:
         blocks = int(round(redundancy))

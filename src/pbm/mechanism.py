@@ -14,21 +14,28 @@ geometries, selected by whether MechanismParams carries a frame:
 
 Every function works on whole batches: clients are rows. sample_sums is
 the one binomial draw; counts lie in [0, m], so under the default modulus
-M > n*m its integer sums are the secure-aggregation sums.
+M > n*m its integer sums are the secure-aggregation sums. It has two exact
+kernels, picked by m at the measured crossover m = 32: up to it, each of
+the m Bernoulli trials is a uniform compared with p, which is exact to
+2**-53 per trial (a float64 uniform is a multiple of 2**-53); above it,
+numpy's binomial sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
 from . import secagg
 from .kashin import KashinFrame, represent_batch
 
-# cap on simultaneous binomial draws (entries), keeps peak memory ~128 MB
-_CHUNK_ENTRIES = 16_777_216
+# cap on the entries of one draw (uniforms or binomials), ~8 MB of float64
+_CHUNK_ENTRIES = 1_048_576
+# largest m drawn as m Bernoulli compares; above it rng.binomial is faster
+_COMPARE_MAX_M = 32
 
 
 @dataclass(frozen=True)
@@ -123,16 +130,33 @@ def sample_sums(
 ) -> np.ndarray:
     """Per-trial sums (trials, coords) over the rows of Binom(m, probs).
 
-    probs has shape (clients, coords). Trials are drawn in chunks of at most
-    _CHUNK_ENTRIES binomials; chunking does not change the stream.
+    probs has shape (clients, coords). For m <= 32 each Binom(m, p) is m
+    compares u < p of float64 uniforms, exact to 2**-53 per trial; the
+    uniforms are one trial-major stream of (clients, coords) slabs. Larger
+    m uses rng.binomial. Either way a draw holds at most _CHUNK_ENTRIES
+    entries (or one slab), and chunking does not change the stream.
     """
+    if not isinstance(m, Integral) or m < 0:
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1] and not be NaN")
     n, coords = probs.shape
     sums = np.empty((trials, coords), dtype=np.int64)
-    chunk = max(1, _CHUNK_ENTRIES // (n * coords))
+    slabs = max(1, _CHUNK_ENTRIES // (n * coords))
+    if m > _COMPARE_MAX_M:
+        for lo in range(0, trials, slabs):
+            t = min(slabs, trials - lo)
+            sums[lo : lo + t] = rng.binomial(m, probs, size=(t, n, coords)).sum(axis=1)
+        return sums
+    # whole trials per draw while m slabs fit, else one trial in slab groups
+    chunk = max(1, slabs // max(m, 1))
     for lo in range(0, trials, chunk):
         t = min(chunk, trials - lo)
-        draws = rng.binomial(m, probs[None, :, :], size=(t, n, coords))
-        sums[lo : lo + t] = draws.sum(axis=1, dtype=np.int64)
+        counts = np.zeros((t, n, coords), dtype=np.uint8)
+        for k in range(0, m, slabs):
+            below = rng.random((t, min(slabs, m - k), n, coords)) < probs
+            counts += np.sum(below, axis=1, dtype=np.uint8)
+        sums[lo : lo + t] = counts.sum(axis=1, dtype=np.int64)
     return sums
 
 

@@ -167,6 +167,20 @@ def test_rdp_curve_gaussian_mode(tmp_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--c", "inf"), ("--c", "nan"), ("--c", "0"),
+    ("--sigma", "inf"), ("--sigma", "nan"), ("--sigma", "-1"),
+])
+def test_rdp_curve_gaussian_rejects_bad_scale(flag, value, tmp_path, capsys):
+    out = tmp_path / "gauss.csv"
+    scale = {"--c": "1.0", "--sigma": "0.5", flag: value}
+    code = main(["rdp-curve", "--n", "100", "--mode", "gaussian",
+                 "--c", scale["--c"], "--sigma", scale["--sigma"], "--out", str(out)])
+    assert code == 2
+    assert f"{flag[2:]} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kashin_check(capsys):
     code = main(["kashin-check", "--d", "16", "--seed", "1"])
     assert code == 0
@@ -176,6 +190,15 @@ def test_kashin_check(capsys):
 
 def test_kashin_check_too_few_iters_is_numerical_failure():
     assert main(["kashin-check", "--d", "64", "--seed", "1", "--iters", "1"]) == 4
+
+
+@pytest.mark.parametrize("flag,value", [("--iters", "0"), ("--iters", "-1"),
+                                        ("--probes", "0")])
+def test_kashin_check_rejects_non_positive_counts(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kashin-check", "--d", "8", flag, value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("redundancy", ["inf", "nan"])

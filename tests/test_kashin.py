@@ -81,4 +81,7 @@ def test_build_frame_validation():
         build_frame(0, 2.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         build_frame(4, 1.5, np.random.default_rng(0))
+    for iters, probes in ((0, 10), (-1, 10), (10, 0)):
+        with pytest.raises(ValueError, match="iters and probes"):
+            build_frame(4, 2.0, np.random.default_rng(0), iters=iters, probes=probes)
 

@@ -1,7 +1,10 @@
+import tracemalloc
 from math import sqrt
 
 import numpy as np
 import pytest
+from oracles import poisson_binomial_pmf
+from scipy.stats import chisquare
 
 from pbm import mechanism
 from pbm.kashin import build_frame
@@ -179,9 +182,10 @@ def test_communication_bits(frame8):
     assert communication_bits(spread) == 16 * 4  # modulus 16 over 16 coords
 
 
-@pytest.mark.parametrize("m", [2, 16, 300])
+@pytest.mark.parametrize("m", [2, 16, 32, 33, 300])
 def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
-    # small chunks must draw the same sums as all trials in one chunk
+    # small chunks must draw the same sums as all trials in one chunk; one
+    # trial per chunk splits a compare draw (m <= 32) into single slabs
     n, coords, trials = 7, 5, 6
     probs = np.random.default_rng(3).uniform(0.25, 0.75, size=(n, coords))
     whole = sample_sums(probs, m, np.random.default_rng(m), trials)
@@ -191,6 +195,55 @@ def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
         monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
         chunked = sample_sums(probs, m, np.random.default_rng(m), trials)
         np.testing.assert_array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("m", [4, 64])  # the compare and the binomial kernel
+def test_sample_sums_rejects_bad_input(m):
+    rng = np.random.default_rng(0)
+    good = np.full((2, 2), 0.5)
+    for bad in (np.nan, 1.5, -0.1):
+        probs = good.copy()
+        probs[1, 0] = bad
+        with pytest.raises(ValueError):
+            sample_sums(probs, m, rng, 3)
+    for bad_m in (-1, m + 0.5, float(m)):
+        with pytest.raises(ValueError):
+            sample_sums(good, bad_m, rng, 3)
+    np.testing.assert_array_equal(sample_sums(good, 0, rng, 3), np.zeros((3, 2)))
+    assert sample_sums(good, np.int64(m), rng, 3).shape == (3, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64])
+def test_sample_sums_distribution(m):
+    # each column's sum over clients is Poisson-binomial; chi-square its
+    # histogram against the exact pmf, pooling cells expected below 5
+    trials = 40_000
+    probs = np.array([[0.1, 0.35, 0.5], [0.25, 0.6, 0.75], [0.45, 0.8, 0.95]])
+    sums = sample_sums(probs, m, np.random.default_rng(900 + m), trials)
+    for j in range(3):
+        pmf = poisson_binomial_pmf(probs[:, j], m)
+        expected = trials * pmf / pmf.sum()
+        observed = np.bincount(sums[:, j], minlength=len(pmf))
+        assert len(observed) == len(pmf)
+        small = expected < 5.0
+        obs = np.append(observed[~small], observed[small].sum())
+        exp = np.append(expected[~small], expected[small].sum())
+        if not small.any():
+            obs, exp = obs[:-1], exp[:-1]
+        assert chisquare(obs, exp).pvalue >= 1e-4, (m, j)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_sample_sums_memory(m):
+    # the dme sweep's geometry: 1000 clients x 500 coordinates, 15 trials
+    probs = np.random.default_rng(4).uniform(0.25, 0.75, size=(1000, 500))
+    tracemalloc.start()
+    try:
+        sample_sums(probs, m, np.random.default_rng(5), 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_roundtrip_unbiased_plain():
