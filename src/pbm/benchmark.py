@@ -50,7 +50,6 @@ class ExperimentConfig:
     trials: int = 50
     seed: int = 1234
     use_kashin: bool = False
-    redundancy: float = 2.0
     clipping: bool = False
     safety_c: float = secagg.DEFAULT_SAFETY
     threads: int = 1
@@ -58,6 +57,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.trials < 1:
             raise ValueError("n, d, trials must all be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if (self.theta_list is None) == (self.eps_list is None):
             raise ValueError("exactly one of theta_list / eps_list must be set")
         if not 1.0 < self.alpha < inf:
@@ -191,7 +192,7 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     clients = generate_clients(config, np.random.default_rng(client_seed))
     mu_true = clients.mean(axis=0)
     frame = (
-        build_frame(config.d, config.redundancy, np.random.default_rng(frame_seed))
+        build_frame(config.d, np.random.default_rng(frame_seed))
         if config.use_kashin else None
     )
     # theta and m are set per sweep point; the spread depends on neither

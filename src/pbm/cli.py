@@ -24,7 +24,7 @@ from .benchmark import run_tradeoff, write_records_csv, write_series_json
 from .config import ConfigError, load_dme_config, load_sgd_config
 from .kashin import ConvergenceError
 from .sgd import run as run_sgd
-from .sgd import write_trajectory_csv
+from .sgd import LEDGER_NOTE, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,7 +74,7 @@ def _cmd_sgd(args) -> int:
     print(
         f"wrote {len(result.rounds)} rounds to {args.out}; final loss "
         f"{result.losses[-1]:.6g}, ledger eps({result.alphas[idx]:g}) = "
-        f"{final_eps[idx]:.6g}"
+        f"{final_eps[idx]:.6g} ({LEDGER_NOTE})"
     )
     return EXIT_OK
 
@@ -103,9 +103,7 @@ def _cmd_rdp_curve(args) -> int:
 
 def _cmd_kashin_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    frame = kashin.build_frame(
-        args.d, args.redundancy, rng, iters=args.iters, probes=args.probes
-    )
+    frame = kashin.build_frame(args.d, rng, iters=args.iters, probes=args.probes)
     gram = frame.u @ frame.u.T
     parseval = float(np.abs(gram - np.eye(frame.d)).max())
     probe = rng.standard_normal((frame.d, 100))
@@ -139,11 +137,14 @@ def _cmd_select_params(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--json", help="also write a plotting JSON series file")
     p.add_argument("--clipping", action="store_true", help="add reduced-modulus rows")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
     p.add_argument(
-        "--threads", type=_positive_int, default=os.cpu_count() or 1,
+        "--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
         help="parameter-point parallelism (default: cores)",
     )
     p.set_defaults(func=_cmd_dme)
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sgd", help="run the federated training simulation")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="trajectory CSV path")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
     p.set_defaults(func=_cmd_sgd)
 
     p = sub.add_parser("rdp-curve", help="write a privacy curve CSV")
@@ -189,10 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kashin-check", help="build and certify a spreading frame")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--redundancy", type=float, default=kashin.DEFAULT_REDUNDANCY)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=_positive_int, default=kashin.DEFAULT_PROBES)
-    p.add_argument("--iters", type=_positive_int, default=kashin.DEFAULT_ITERS)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--probes", type=_int_at_least(1), default=kashin.DEFAULT_PROBES)
+    p.add_argument("--iters", type=_int_at_least(1), default=kashin.DEFAULT_ITERS)
     p.set_defaults(func=_cmd_kashin_check)
 
     p = sub.add_parser("select-params", help="pick (theta, m) for a privacy budget")

@@ -82,7 +82,7 @@ def _num_list(cast):
 _DME_KEYS = {
     "n": int, "d": int, "c": float, "cinf": float, "m_list": _num_list(int),
     "theta_list": _num_list(float), "eps_list": _num_list(float), "alpha": float,
-    "trials": int, "seed": int, "use_kashin": bool, "redundancy": float,
+    "trials": int, "seed": int, "use_kashin": bool,
 }
 _CLIP_KEYS = {"enabled": bool, "safety_c": float}
 
@@ -116,7 +116,7 @@ def _learning_rate(raw: str):
 _SGD_KEYS = {
     "total_clients": int, "sampled": int, "rounds": int, "clip": float,
     "learning_rate": _learning_rate, "theta": float, "m": int, "seed": int,
-    "use_kashin": bool, "redundancy": float,
+    "use_kashin": bool,
 }
 _LOSS_KEYS = {
     "kind": str, "dimension": int, "smoothness": float, "radius": float,

@@ -1,12 +1,13 @@
 """Tight-frame spreading transform.
 
-Maps an L2-bounded vector x in R^d to coefficients y in R^D (D > d) whose
+Maps an L2-bounded vector x in R^d to coefficients y in R^D (D = 2d) whose
 magnitudes are uniformly small, ||y||_inf <= K * ||x||_2 / sqrt(D), while
 U @ y reconstructs x exactly. This turns an L2 geometry into the L-infinity
-geometry the per-coordinate binomial encoder needs, at the cost of a
-constant-factor dimension blowup.
+geometry the per-coordinate binomial encoder needs, at the cost of doubling
+the dimension.
 
-The frame U (shape d x D) is a random tight frame: U @ U.T = I_d. The
+The frame U (shape d x D) is a random tight frame: U @ U.T = I_d, two
+Haar-orthogonal d x d bases side by side, scaled by 1/sqrt(2). The
 spread level K is not known in closed form for this construction, so each
 frame certifies its own level empirically at build time and carries it as
 metadata.
@@ -15,11 +16,11 @@ metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf, sqrt
+from math import sqrt
 
 import numpy as np
 
-DEFAULT_REDUNDANCY = 2.0
+BLOCKS = 2  # orthogonal d x d bases per frame, so D = BLOCKS * d
 DEFAULT_ITERS = 60
 DEFAULT_PROBES = 1000
 LEVEL_SAFETY = 1.1
@@ -70,18 +71,14 @@ def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def build_frame(
     d: int,
-    redundancy: float,
     rng: np.random.Generator,
     iters: int = DEFAULT_ITERS,
     probes: int = DEFAULT_PROBES,
 ) -> KashinFrame:
     """Build a random tight frame and certify its spread level.
 
-    For integer redundancy the frame is a stack of `redundancy` independent
-    Haar-orthogonal bases scaled by 1/sqrt(redundancy). A non-integer
-    redundancy would break exact tightness under that scaling, so the frame
-    falls back to the first d rows of a Haar-orthogonal D x D matrix, which
-    is tight for any D = ceil(redundancy * d).
+    The frame stacks BLOCKS independent Haar-orthogonal d x d bases scaled
+    by 1/sqrt(BLOCKS), so U @ U.T = I_d and D = BLOCKS * d.
 
     The certified level is the max spread over `probes` Gaussian probe
     vectors times a 1.1 safety factor; represent_batch() checks every output
@@ -89,17 +86,11 @@ def build_frame(
     """
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if not 2 <= redundancy < inf:
-        raise ValueError(f"redundancy must be finite and >= 2, got {redundancy}")
     if iters < 1 or probes < 1:
         raise ValueError(f"iters and probes must be at least 1, got {iters}, {probes}")
-    big_d = ceil(redundancy * d)
-    if abs(redundancy - round(redundancy)) < 1e-9:
-        blocks = int(round(redundancy))
-        u = np.hstack([_haar_orthogonal(d, rng) for _ in range(blocks)])
-        u /= sqrt(blocks)
-    else:
-        u = _haar_orthogonal(big_d, rng)[:d, :]
+    big_d = BLOCKS * d
+    u = np.hstack([_haar_orthogonal(d, rng) for _ in range(BLOCKS)])
+    u /= sqrt(BLOCKS)
     frame = KashinFrame(u=u, level_k=np.inf)
     x = rng.standard_normal((d, probes))
     y = _represent_batch(x, frame, iters)

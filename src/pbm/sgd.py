@@ -5,24 +5,24 @@ to L2 norm c, encodes it with the vector mechanism (tight-frame spreading
 plus per-coordinate binomial counts), and the server takes one descent
 step from the decoded mean. The privacy ledger composes the exact
 per-round curve of the sampled cohort across rounds after a kappa^2
-subsampling estimate (kappa = n/N).
+subsampling estimate (kappa = n/N); it is an estimate, not a certified
+bound, and the outputs say so.
 
-Two synthetic objectives with known smoothness: a quadratic consensus
-problem (per-client anchors) and one-sample-per-client logistic
-regression. Both expose full-population loss and gradient for trajectory
-reporting, which a real federated server could not compute.
+The objective is a synthetic quadratic consensus problem (per-client
+anchors) with known smoothness L and exact gap D_F, the two constants of
+the convergence bound. It exposes the full-population loss and gradient
+for trajectory reporting, which a real federated server could not compute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from typing import Sequence
 
 import numpy as np
 
 from . import accounting
-from .accounting import DEFAULT_ALPHAS, RdpCurve
+from .accounting import RdpCurve
 from .kashin import build_frame
 from .mechanism import (
     MechanismParams,
@@ -33,23 +33,27 @@ from .mechanism import (
     spread,
 )
 
+LEDGER_NOTE = "kappa^2 subsampling estimate, not a certified bound"
+
 
 @dataclass(frozen=True)
 class LossSpec:
     """Synthetic objective family and its generation parameters."""
 
-    kind: str = "quadratic"           # quadratic | logistic
+    kind: str = "quadratic"           # the only objective
     dimension: int = 8
-    smoothness: float = 1.0           # quadratic curvature; ignored by logistic
+    smoothness: float = 1.0           # curvature L
     radius: float = 1.0               # client data spread
     shift: float = 1.0                # distance of the optimum from w0 = 0
     data_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("quadratic", "logistic"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+        if self.kind != "quadratic":
+            raise ValueError(f"loss kind must be 'quadratic', got {self.kind!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be non-negative, got {self.data_seed}")
 
 
 class QuadraticLoss:
@@ -85,52 +89,6 @@ class QuadraticLoss:
         return self.full_loss(self.w0) - self.full_loss(self._mean)
 
 
-class LogisticLoss:
-    """One labelled sample per client, l_i(w) = log(1 + exp(-y_i <z_i, w>)).
-
-    Labels come from a planted direction with 10% flips. Smoothness is
-    max ||z_i||^2 / 4; gradients are bounded by max ||z_i||, so with
-    clip >= that the clipping step never distorts them.
-    """
-
-    def __init__(self, spec: LossSpec, n_clients: int):
-        rng = np.random.default_rng(spec.data_seed)
-        d = spec.dimension
-        self.features = spec.radius / sqrt(d) * rng.standard_normal((n_clients, d))
-        planted = rng.standard_normal(d)
-        margin = self.features @ planted
-        flips = rng.random(n_clients) < 0.1
-        self.labels = np.where(flips, -np.sign(margin), np.sign(margin))
-        self.labels[self.labels == 0] = 1.0
-        self.smoothness = float((np.linalg.norm(self.features, axis=1) ** 2).max() / 4.0)
-        self.w0 = np.zeros(d)
-
-    def client_grads(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        z = self.features[idx]
-        y = self.labels[idx]
-        s = -y * (z @ w)
-        sig = 1.0 / (1.0 + np.exp(-s))
-        return (-y * sig)[:, None] * z
-
-    def full_loss(self, w: np.ndarray) -> float:
-        s = -self.labels * (self.features @ w)
-        return float(np.mean(np.logaddexp(0.0, s)))
-
-    def full_grad(self, w: np.ndarray) -> np.ndarray:
-        s = -self.labels * (self.features @ w)
-        sig = 1.0 / (1.0 + np.exp(-s))
-        return ((-self.labels * sig)[:, None] * self.features).mean(axis=0)
-
-    def gap(self) -> float:
-        """Loss range from w0; a cheap stand-in for F(w0) - F*."""
-        return self.full_loss(self.w0)
-
-
-def build_loss(spec: LossSpec, n_clients: int):
-    cls = QuadraticLoss if spec.kind == "quadratic" else LogisticLoss
-    return cls(spec, n_clients)
-
-
 @dataclass(frozen=True)
 class SgdConfig:
     total_clients: int = 500
@@ -142,8 +100,6 @@ class SgdConfig:
     m: int = 16
     seed: int = 7
     use_kashin: bool = True
-    redundancy: float = 2.0
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
     loss: LossSpec = field(default_factory=LossSpec)
 
     def __post_init__(self):
@@ -154,6 +110,8 @@ class SgdConfig:
             )
         if self.rounds < 1:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (isfinite(self.clip) and self.clip > 0):
             raise ValueError(f"clip must be finite and positive, got {self.clip}")
         if not 0.0 < self.theta <= 0.25:
@@ -205,14 +163,13 @@ def convergence_bound(
 ) -> float:
     """Mean-squared-gradient guarantee at the automatic learning rate.
 
-    L*D_F/T + sqrt(8*c^2*L*D_F/T) * sqrt(1 + 1/(4*n*m*theta^2)); applies to
-    the average of ||grad F||^2 over a uniformly chosen round.
+    L*D_F/T + sqrt(8*sigma2*L*D_F/T), sigma2 = mechanism_sigma2(c, n, m, theta);
+    applies to the average of ||grad F||^2 over a uniformly chosen round.
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    return smoothness * d_f / rounds + sqrt(
-        8.0 * c * c * smoothness * d_f / rounds
-    ) * sqrt(1.0 + 1.0 / (4.0 * n * m * theta * theta))
+    sigma2 = mechanism_sigma2(c, n, m, theta)
+    return smoothness * d_f / rounds + sqrt(8.0 * sigma2 * smoothness * d_f / rounds)
 
 
 def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
@@ -222,29 +179,25 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     mean of the clipped gradients while consuming identical client-sampling
     randomness, giving a noise-free paired run for the same seed.
     """
-    loss = build_loss(config.loss, config.total_clients)
+    loss = QuadraticLoss(config.loss, config.total_clients)
     d = config.loss.dimension
     root = np.random.SeedSequence(config.seed)
     frame_seed, round_root = root.spawn(2)
-    if config.use_kashin:
-        frame = build_frame(d, config.redundancy, np.random.default_rng(frame_seed))
-    else:
-        frame = None
+    frame_rng = np.random.default_rng(frame_seed)
+    frame = build_frame(d, frame_rng) if config.use_kashin else None
     params = MechanismParams(
         n=config.sampled, d=d, c=config.clip, theta=config.theta, m=config.m, frame=frame
     )
-    smoothness = loss.smoothness
-    d_f = loss.gap()
     if config.learning_rate == "auto":
         sigma2 = mechanism_sigma2(config.clip, config.sampled, config.m, config.theta)
-        gamma = auto_learning_rate(smoothness, d_f, sigma2, config.rounds)
+        gamma = auto_learning_rate(loss.smoothness, loss.gap(), sigma2, config.rounds)
     else:
         gamma = float(config.learning_rate)
 
     kappa = config.sampled / config.total_clients
     # one full round, all coordinates, for the sampled cohort
     per_round = accounting.scale(
-        accounting.pbm_exact_curve(config.sampled, config.m, config.theta, config.alphas),
+        accounting.pbm_exact_curve(config.sampled, config.m, config.theta),
         params.coords,
     )
     amplified = accounting.subsample_estimate(per_round, kappa)
@@ -276,7 +229,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
         grad_norms[t] = float(np.sum(loss.full_grad(w) ** 2))
     return SgdResult(
         rounds=t_axis, losses=losses, grad_norms_sq=grad_norms,
-        eps_matrix=eps_matrix, alphas=np.asarray(config.alphas, dtype=float),
+        eps_matrix=eps_matrix, alphas=per_round.alphas,
         ledger=ledger, per_round=per_round, kappa=kappa,
         learning_rate=gamma, final_w=w, selection_counts=selection_counts,
     )
@@ -285,7 +238,8 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
 def write_trajectory_csv(result: SgdResult, path) -> None:
     """Versioned CSV: round, loss, grad_norm_sq, cumulative eps per order."""
     eps_cols = ",".join(f"eps_at_{a:g}" for a in result.alphas)
-    lines = ["# pbm-csv v1 sgd", f"round,loss,grad_norm_sq,{eps_cols}"]
+    lines = ["# pbm-csv v1 sgd", f"# eps_at_* columns: {LEDGER_NOTE}",
+             f"round,loss,grad_norm_sq,{eps_cols}"]
     for i in range(len(result.rounds)):
         eps = ",".join(repr(float(v)) for v in result.eps_matrix[i])
         lines.append(

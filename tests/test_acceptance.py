@@ -43,7 +43,7 @@ from pbm.secagg import (
     default_modulus,
     lift_sum,
 )
-from pbm.sgd import LossSpec, SgdConfig, build_loss, convergence_bound, run
+from pbm.sgd import LossSpec, QuadraticLoss, SgdConfig, convergence_bound, run
 
 GRID = [
     (n, m, theta, alpha)
@@ -210,7 +210,7 @@ def test_criterion_07_reduced_modulus_is_nearly_free(acceptance):
 
 def test_criterion_08_frame_certification(acceptance):
     rng = np.random.default_rng(808)
-    frame = build_frame(250, 2.0, rng)
+    frame = build_frame(250, rng)
     parseval = float(np.abs(frame.u @ frame.u.T - np.eye(250)).max())
     x = rng.standard_normal((250, 100))
     y = represent_batch(x, frame)
@@ -255,7 +255,7 @@ def test_criterion_10_training_loop_sanity(acceptance):
     noisy = run(config)
     clean = run(config, disable_mechanism=True)
     loss_gap = abs(noisy.losses[-1] - clean.losses[-1]) / clean.losses[-1]
-    loss = build_loss(config.loss, config.total_clients)
+    loss = QuadraticLoss(config.loss, config.total_clients)
     bound = convergence_bound(
         loss.smoothness, loss.gap(), config.clip, config.rounds,
         config.sampled, config.m, config.theta,

@@ -6,7 +6,7 @@ from pbm.kashin import ConvergenceError, build_frame, represent_batch
 
 @pytest.fixture(scope="module")
 def frame40():
-    return build_frame(40, 2.0, np.random.default_rng(11))
+    return build_frame(40, np.random.default_rng(11))
 
 
 def test_frame_is_tight(frame40):
@@ -17,12 +17,6 @@ def test_frame_is_tight(frame40):
 def test_frame_shape_and_level(frame40):
     assert frame40.u.shape == (40, 80)
     assert 0 < frame40.level_k <= 3.0
-
-
-def test_fractional_redundancy_dimensions():
-    frame = build_frame(7, 2.5, np.random.default_rng(1))
-    assert frame.u.shape == (7, 18)  # ceil(2.5 * 7)
-    assert np.abs(frame.u @ frame.u.T - np.eye(7)).max() < 1e-9
 
 
 def test_roundtrip_and_spread(frame40):
@@ -62,7 +56,7 @@ def test_reconstruct_non_expansive(frame40):
 
 
 def test_dimension_one_edge_case():
-    frame = build_frame(1, 2.0, np.random.default_rng(2))
+    frame = build_frame(1, np.random.default_rng(2))
     assert frame.u.shape == (1, 2)
     y = represent_batch(np.array([[1.5]]), frame)
     assert (frame.u @ y)[0, 0] == pytest.approx(1.5, abs=1e-9)
@@ -70,7 +64,7 @@ def test_dimension_one_edge_case():
 
 
 def test_too_few_iterations_raises():
-    frame = build_frame(80, 2.0, np.random.default_rng(4))
+    frame = build_frame(80, np.random.default_rng(4))
     x = np.random.default_rng(5).standard_normal((80, 1))
     with pytest.raises(ConvergenceError):
         represent_batch(x, frame, iters=1)
@@ -78,10 +72,8 @@ def test_too_few_iterations_raises():
 
 def test_build_frame_validation():
     with pytest.raises(ValueError):
-        build_frame(0, 2.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        build_frame(4, 1.5, np.random.default_rng(0))
+        build_frame(0, np.random.default_rng(0))
     for iters, probes in ((0, 10), (-1, 10), (10, 0)):
         with pytest.raises(ValueError, match="iters and probes"):
-            build_frame(4, 2.0, np.random.default_rng(0), iters=iters, probes=probes)
+            build_frame(4, np.random.default_rng(0), iters=iters, probes=probes)
 

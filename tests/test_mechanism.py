@@ -23,7 +23,7 @@ from pbm.secagg import clipped_spec, lift_sum
 
 @pytest.fixture(scope="module")
 def frame8():
-    return build_frame(8, 2.0, np.random.default_rng(21))
+    return build_frame(8, np.random.default_rng(21))
 
 
 def _plain(n=40, d=3, c=1.0, theta=0.25, m=4) -> MechanismParams:

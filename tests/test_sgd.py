@@ -7,9 +7,9 @@ import pytest
 from pbm import accounting
 from pbm.sgd import (
     LossSpec,
+    QuadraticLoss,
     SgdConfig,
     auto_learning_rate,
-    build_loss,
     convergence_bound,
     mechanism_sigma2,
     run,
@@ -68,7 +68,7 @@ def test_convergence_bound():
 
 def test_quadratic_loss_shape():
     spec = LossSpec(kind="quadratic", dimension=5, smoothness=2.0, data_seed=1)
-    loss = build_loss(spec, 30)
+    loss = QuadraticLoss(spec, 30)
     w = np.random.default_rng(0).standard_normal(5)
     grads = loss.client_grads(w, np.arange(30))
     np.testing.assert_allclose(grads.mean(axis=0), loss.full_grad(w), rtol=1e-12)
@@ -85,31 +85,11 @@ def test_quadratic_loss_shape():
         assert fd == pytest.approx(loss.full_grad(w)[j], rel=1e-5, abs=1e-8)
 
 
-def test_logistic_loss_shape():
-    spec = LossSpec(kind="logistic", dimension=4, radius=2.0, data_seed=2)
-    loss = build_loss(spec, 50)
-    assert set(np.unique(loss.labels)) <= {-1.0, 1.0}
-    assert loss.smoothness == pytest.approx(
-        (np.linalg.norm(loss.features, axis=1) ** 2).max() / 4.0
-    )
-    w = np.random.default_rng(1).standard_normal(4) * 0.3
-    grads = loss.client_grads(w, np.arange(50))
-    np.testing.assert_allclose(grads.mean(axis=0), loss.full_grad(w), rtol=1e-10)
-    # per-client gradients are bounded by the feature norms
-    assert np.all(
-        np.linalg.norm(grads, axis=1) <= np.linalg.norm(loss.features, axis=1) + 1e-12
-    )
-    eps = 1e-6
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = eps
-        fd = (loss.full_loss(w + e) - loss.full_loss(w - e)) / (2 * eps)
-        assert fd == pytest.approx(loss.full_grad(w)[j], rel=1e-5, abs=1e-8)
-
-
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec(kind="hinge")
+    with pytest.raises(ValueError, match="quadratic"):
+        LossSpec(kind="logistic")
     with pytest.raises(ValueError):
         LossSpec(dimension=0)
 
@@ -123,7 +103,7 @@ def test_noiseless_full_batch_quadratic_converges_in_one_step():
     # after the first round
     config = _quad_config()
     result = run(config, disable_mechanism=True)
-    loss = build_loss(config.loss, config.total_clients)
+    loss = QuadraticLoss(config.loss, config.total_clients)
     f_star = loss.full_loss(loss.optimum())
     assert result.losses[0] == pytest.approx(f_star, rel=1e-12)
     assert result.grad_norms_sq[0] <= 1e-24
@@ -134,7 +114,7 @@ def test_noiseless_full_batch_quadratic_converges_in_one_step():
 def test_zero_learning_rate_stays_put():
     config = _quad_config(learning_rate=0.0, rounds=5)
     result = run(config, disable_mechanism=True)
-    loss = build_loss(config.loss, config.total_clients)
+    loss = QuadraticLoss(config.loss, config.total_clients)
     f0 = loss.full_loss(loss.w0)
     np.testing.assert_allclose(result.losses, f0, rtol=1e-12)
     np.testing.assert_array_equal(result.final_w, loss.w0)
@@ -196,7 +176,7 @@ def test_mechanism_noise_scales_inversely_with_m():
         loss=LossSpec(kind="quadratic", dimension=6, smoothness=1.0,
                       radius=1.0, shift=1.0, data_seed=11),
     )
-    loss = build_loss(base["loss"], 20)
+    loss = QuadraticLoss(base["loss"], 20)
     true_mean = loss.full_grad(loss.w0)
     errors = {}
     for m in (4, 16):
@@ -233,12 +213,14 @@ def test_trajectory_csv(tmp_path):
     write_trajectory_csv(result, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "# pbm-csv v1 sgd"
-    cols = lines[1].split(",")
+    # the ledger columns say in the file that they are an estimate
+    assert lines[1].startswith("# eps_at_* columns:") and "not a certified bound" in lines[1]
+    cols = lines[2].split(",")
     assert cols[:3] == ["round", "loss", "grad_norm_sq"]
     assert cols[3] == "eps_at_1.25"
     assert cols[-1] == "eps_at_64"
-    assert len(lines) == 2 + 4
-    for i, line in enumerate(lines[2:]):
+    assert len(lines) == 3 + 4
+    for i, line in enumerate(lines[3:]):
         vals = line.split(",")
         assert int(vals[0]) == i + 1
         assert float(vals[1]) == result.losses[i]
