@@ -333,10 +333,6 @@ def test_unknown_config_key(tmp_path, capsys):
                 "epsilon = 3\n", "epsilon"),
         ("dme", DME_INI + "\n[clippin]\nenabled = true\n", "[clippin]"),
         ("sgd", SGD_INI + "\n[los]\nkind = quadratic\n", "[los]"),
-        # the frame's shape is fixed (D = 2d), so the key that set it is gone
-        ("dme", DME_INI + "use_kashin = true\nredundancy = 2\n", "redundancy"),
-        ("sgd", SGD_INI.replace("use_kashin = false", "use_kashin = true\nredundancy = 2"),
-         "redundancy"),
     ]
     for i, (tool, text, name) in enumerate(cases):
         bad = tmp_path / f"bad{i}.ini"
@@ -345,6 +341,23 @@ def test_unknown_config_key(tmp_path, capsys):
         assert main([tool, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and name in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("tool, text", [
+    ("dme", DME_INI + "use_kashin = true\nredundancy = {}\n"),
+    ("sgd", SGD_INI.replace("use_kashin = false", "use_kashin = true\nredundancy = {}")),
+], ids=["dme", "sgd"])
+def test_infinite_redundancy_is_a_config_error(tmp_path, tool, text, capsys):
+    # the frame's shape is fixed (D = 2d), so the key that set it is gone: a
+    # file that still sets it, to any value, fails before any run
+    for value in ("inf", "2"):
+        cfg = tmp_path / f"cfg_{value}.ini"
+        cfg.write_text(text.format(value))
+        out = tmp_path / f"x_{value}.csv"
+        assert main([tool, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "redundancy" in err
         assert not out.exists()
 
 
