@@ -17,6 +17,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import inf, sqrt
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +62,12 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if (self.theta_list is None) == (self.eps_list is None):
             raise ValueError("exactly one of theta_list / eps_list must be set")
+        for m in self.m_list:
+            if not isinstance(m, Integral) or m < 1:
+                raise ValueError(f"m_list entries must be positive integers, got {m!r}")
+        for theta in self.theta_list or ():
+            if not 0.0 < theta <= 0.25:
+                raise ValueError(f"theta_list entries must lie in (0, 1/4], got {theta}")
         if not 1.0 < self.alpha < inf:
             raise ValueError(f"alpha must be a finite order above 1, got {self.alpha}")
         if self.cinf is None:

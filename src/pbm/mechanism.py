@@ -15,10 +15,16 @@ geometries, selected by whether MechanismParams carries a frame:
 Every function works on whole batches: clients are rows. sample_sums is
 the one binomial draw; counts lie in [0, m], so under the default modulus
 M > n*m its integer sums are the secure-aggregation sums. It has two exact
-kernels, picked by m at the measured crossover m = 32: up to it, each of
-the m Bernoulli trials is a uniform compared with p, which is exact to
-2**-53 per trial (a float64 uniform is a multiple of 2**-53); above it,
-numpy's binomial sampler.
+kernels, picked by m at the measured crossover m = 32: above it, numpy's
+binomial sampler; up to it, m Bernoulli trials, each succeeding when a
+53-bit uniform k lies below T = ceil(p * 2**53), which has probability
+exactly T / 2**53, the same as the compare u < p of a float64 uniform
+(a multiple of 2**-53). The trial is settled on the top 16 bits of k, so
+one 64-bit random word serves four trials: a prefix below T's top 16 bits
+succeeds, one above fails, and only an equal prefix (probability 2**-16)
+needs the other 37 bits, drawn as one word per tie after all prefixes.
+Each (clients, coords) slab of prefixes is padded to whole words, so
+chunk boundaries fall on words and chunking leaves the stream unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from . import secagg
 from .kashin import KashinFrame, represent_batch
 
-# cap on the entries of one draw (uniforms or binomials), ~8 MB of float64
+# cap on the entries of one draw (16-bit prefixes or binomials)
 _CHUNK_ENTRIES = 1_048_576
 # largest m drawn as m Bernoulli compares; above it rng.binomial is faster
 _COMPARE_MAX_M = 32
@@ -125,16 +131,45 @@ def coordinate_probs(y: np.ndarray, params: MechanismParams) -> np.ndarray:
     return np.clip(p, 0.5 - params.theta, 0.5 + params.theta)
 
 
+def _prefix_thresholds(probs: np.ndarray) -> np.ndarray:
+    """hi = (max(T, 1) - 1) >> 37 as uint16 for T = ceil(p * 2**53).
+
+    Computed as max(ceil(p * 2**16), 1) - 1, which is exact in float64
+    (scaling by a power of two is) and needs no uint64 copy of T.
+    """
+    hi = np.multiply(probs, 2.0**16)
+    np.ceil(hi, out=hi)
+    np.maximum(hi, 1.0, out=hi)
+    hi -= 1.0
+    return hi.astype(np.uint16)
+
+
+def _split_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each T = ceil(p * 2**53) as hi * 2**37 + lo, hi from _prefix_thresholds.
+
+    lo lies in [0, 2**37] (uint64). For a 53-bit integer k, k < T exactly
+    when k >> 37 < hi, or k >> 37 == hi and k mod 2**37 < lo; and k < T
+    exactly when k * 2**-53 < p, the compare of a float64 uniform with p.
+    """
+    hi = _prefix_thresholds(probs)
+    t = np.ceil(np.multiply(probs, 2.0**53)).astype(np.uint64)
+    return hi, t - (hi.astype(np.uint64) << 37)
+
+
 def sample_sums(
     probs: np.ndarray, m: int, rng: np.random.Generator, trials: int
 ) -> np.ndarray:
     """Per-trial sums (trials, coords) over the rows of Binom(m, probs).
 
     probs has shape (clients, coords). For m <= 32 each Binom(m, p) is m
-    compares u < p of float64 uniforms, exact to 2**-53 per trial; the
-    uniforms are one trial-major stream of (clients, coords) slabs. Larger
-    m uses rng.binomial. Either way a draw holds at most _CHUNK_ENTRIES
-    entries (or one slab), and chunking does not change the stream.
+    Bernoulli trials, each succeeding with probability exactly
+    ceil(p * 2**53) / 2**53, as the compare u < p of a float64 uniform
+    would (_split_thresholds). The trials read one trial-major stream of
+    16-bit prefixes, four to a 64-bit word, in (clients, coords) slabs each
+    padded to whole words; after the last prefix, one word per tied prefix,
+    in stream order, supplies the 37 bits below it. Larger m uses
+    rng.binomial. Either way a draw holds at most _CHUNK_ENTRIES entries
+    (or one slab), and chunking does not change the stream.
     """
     if not isinstance(m, Integral) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
@@ -148,15 +183,34 @@ def sample_sums(
             t = min(slabs, trials - lo)
             sums[lo : lo + t] = rng.binomial(m, probs, size=(t, n, coords)).sum(axis=1)
         return sums
+    flat = probs.ravel()
+    hi = _prefix_thresholds(flat)
+    entries = n * coords
+    words = -(-entries // 4)  # four 16-bit prefixes per word, slabs padded
+    tie_trials, tie_entries = [], []
     # whole trials per draw while m slabs fit, else one trial in slab groups
     chunk = max(1, slabs // max(m, 1))
     for lo in range(0, trials, chunk):
         t = min(chunk, trials - lo)
-        counts = np.zeros((t, n, coords), dtype=np.uint8)
+        counts = np.zeros((t, entries), dtype=np.uint8)
         for k in range(0, m, slabs):
-            below = rng.random((t, min(slabs, m - k), n, coords)) < probs
-            counts += np.sum(below, axis=1, dtype=np.uint8)
-        sums[lo : lo + t] = counts.sum(axis=1, dtype=np.int64)
+            size = (t, min(slabs, m - k), words)
+            # full 64-bit words with any bit generator (random_raw is not)
+            raw = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+            # little-endian lanes, so the prefixes do not depend on the platform
+            prefix = raw.astype("<u8", copy=False).view("<u2")[..., :entries]
+            counts += np.sum(prefix < hi, axis=1, dtype=np.uint8)
+            tied = np.flatnonzero(prefix == hi)
+            if tied.size:
+                trial, _, entry = np.unravel_index(tied, prefix.shape)
+                tie_trials.append(lo + trial)
+                tie_entries.append(entry)
+        sums[lo : lo + t] = counts.reshape(t, n, coords).sum(axis=1, dtype=np.int64)
+    if tie_trials:
+        trial, entry = np.concatenate(tie_trials), np.concatenate(tie_entries)
+        raw = rng.integers(0, 2**64, size=trial.size, dtype=np.uint64)
+        rest = _split_thresholds(flat[entry])[1]
+        np.add.at(sums, (trial, entry % coords), (raw >> 27) < rest)
     return sums
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -116,6 +117,8 @@ class SgdConfig:
             raise ValueError(f"clip must be finite and positive, got {self.clip}")
         if not 0.0 < self.theta <= 0.25:
             raise ValueError(f"theta must lie in (0, 1/4], got {self.theta}")
+        if not isinstance(self.m, Integral) or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if isinstance(self.learning_rate, str):
             if self.learning_rate != "auto":
                 raise ValueError("learning_rate must be a number or 'auto'")

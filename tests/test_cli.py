@@ -392,6 +392,31 @@ def test_sgd_rejects_theta_outside_range(tmp_path, theta, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tool, text, key", [
+    ("dme", DME_INI.replace("m_list = 2 4", "m_list = 0 2"), "m_list"),
+    ("dme", DME_INI.replace("theta_list = 0.1 0.25", "theta_list = 0.3"), "theta_list"),
+    ("dme", DME_INI.replace("theta_list = 0.1 0.25", "theta_list = 0.0 0.1"),
+     "theta_list"),
+    ("sgd", SGD_INI.replace("m = 4", "m = 0"), "m must be a positive integer"),
+], ids=["dme-m-zero", "dme-theta-above-quarter", "dme-theta-zero", "sgd-m-zero"])
+def test_sweep_point_out_of_range_fails_at_load(
+    tool, text, key, tmp_path, capsys, monkeypatch
+):
+    # a bad m or theta is named with its file before any frame, accounting
+    # or draw runs
+    def never(*args, **kwargs):
+        raise AssertionError("the run started with a bad m or theta")
+
+    monkeypatch.setattr(cli, {"dme": "run_tradeoff", "sgd": "run_sgd"}[tool], never)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main([tool, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["-0.5", "0", "0.0", "inf", "nan"])
 def test_sgd_rejects_bad_learning_rate(tmp_path, rate, capsys, monkeypatch):
     def never(*args, **kwargs):

@@ -1,5 +1,6 @@
 import tracemalloc
-from math import sqrt
+from fractions import Fraction
+from math import ceil, sqrt
 
 import numpy as np
 import pytest
@@ -231,6 +232,91 @@ def test_sample_sums_distribution(m):
         if not small.any():
             obs, exp = obs[:-1], exp[:-1]
         assert chisquare(obs, exp).pvalue >= 1e-4, (m, j)
+
+
+def test_split_thresholds_is_the_float_compare():
+    # for every 53-bit k, the prefix compare with a tie on the remainder
+    # decides k < T = ceil(p * 2**53), which is the old u < p compare of the
+    # float64 uniform u = k * 2**-53
+    rng = np.random.default_rng(61)
+    ulp = 2.0**-53
+    edges = [j * 2.0**-16 for j in (1, 2, 3, 4097, 32767, 32768, 32769, 65535)]
+    probs = [0.0, ulp, 0.5 - ulp, 0.5, 1.0 - ulp, 1.0]
+    probs += [e + s for e in edges for s in (-ulp, 0.0, ulp) if e + s <= 1.0]
+    probs += list(rng.uniform(0.0, 1.0, size=40))
+    hi, lo = mechanism._split_thresholds(np.array(probs))
+    assert hi.dtype == np.uint16 and lo.dtype == np.uint64
+    for p, h, r in zip(probs, hi.tolist(), lo.tolist()):
+        t = ceil(Fraction(p) * 2**53)
+        assert h == (max(t, 1) - 1) >> 37 and r == t - (h << 37)
+        assert 0 <= r <= 2**37
+        ks = [0, t - 1, t, t + 1, (h << 37) - 1, h << 37, (h + 1) << 37, 2**53 - 1]
+        ks += [int(k) for k in rng.integers(0, 2**53, size=8)]
+        for k in (k for k in ks if 0 <= k < 2**53):
+            prefix, rest = k >> 37, k & (2**37 - 1)
+            decided = prefix < h or (prefix == h and rest < r)
+            assert decided == (k < t) == (k * ulp < p), (p, k)
+
+
+class _WordStream:
+    """Generator stand-in that serves a fixed list of 64-bit words in order."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.used = 0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**64, np.uint64)
+        count = int(np.prod(size))
+        assert self.used + count <= self.words.size, "stream overrun"
+        out = self.words[self.used : self.used + count].reshape(size)
+        self.used += count
+        return out
+
+
+def _tied_prefix_words(probs, m, trials):
+    # every prefix lane equals its entry's hi; the padding lanes too
+    hi = mechanism._split_thresholds(probs.ravel())[0]
+    lanes = np.resize(hi, -(-hi.size // 4) * 4)
+    return np.tile(lanes.astype("<u2"), trials * m).view("<u8")
+
+
+@pytest.mark.parametrize("per_chunk", [None, 1, 2])
+def test_sample_sums_tie_path(per_chunk, monkeypatch):
+    # ties are too rare (2**-16 per trial) for the distribution test; tie
+    # every prefix and pick the words that settle the ties
+    n, coords, m, trials = 3, 3, 3, 4  # 9 entries, padded to 12 per slab
+    probs = np.random.default_rng(8).uniform(0.0, 1.0, size=(n, coords))
+    lo = mechanism._split_thresholds(probs.ravel())[1]
+    ties = trials * m * n * coords
+    # random words, plus the remainders just below and at each threshold
+    tie_words = np.random.default_rng(9).integers(0, 2**64, size=ties, dtype=np.uint64)
+    tie_words[: n * coords] = (lo - 1) << 27
+    tie_words[n * coords : 2 * n * coords] = lo << 27
+    if per_chunk is not None:
+        monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
+    prefix = _tied_prefix_words(probs, m, trials)
+    stream = _WordStream(np.concatenate([prefix, tie_words]))
+    sums = sample_sums(probs, m, stream, trials)
+    assert stream.used == stream.words.size
+    hits = (tie_words >> 27) < np.tile(lo, trials * m)
+    expected = hits.reshape(trials, m, n, coords).sum(axis=(1, 2))
+    np.testing.assert_array_equal(sums, expected)
+
+
+@pytest.mark.parametrize("m", [1, 2, 32])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_sample_sums_certain_outcomes_with_every_prefix_tied(p, m):
+    n, coords, trials = 5, 3, 2
+    probs = np.full((n, coords), p)
+    ties = trials * m * n * coords
+    tie_words = np.random.default_rng(m).integers(0, 2**64, size=ties, dtype=np.uint64)
+    tie_words[:2] = (0, 2**64 - 1)
+    prefix = _tied_prefix_words(probs, m, trials)
+    stream = _WordStream(np.concatenate([prefix, tie_words]))
+    sums = sample_sums(probs, m, stream, trials)
+    assert stream.used == stream.words.size
+    np.testing.assert_array_equal(sums, np.full((trials, coords), int(p) * n * m))
 
 
 @pytest.mark.parametrize("m", [16, 64])
