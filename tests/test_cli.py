@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pbm import accounting, cli
+from pbm import accounting, cli, kashin
 from pbm.accounting import pbm_exact_curve, pbm_exact_rdp, rdp_to_dp, scale
 from pbm.benchmark import ExperimentConfig
 from pbm.cli import main
@@ -192,8 +192,24 @@ def test_kashin_check(capsys):
     assert "level_k=" in out and "parseval_residual=" in out
 
 
-def test_kashin_check_too_few_iters_is_numerical_failure():
-    assert main(["kashin-check", "--d", "64", "--seed", "1", "--iters", "1"]) == 4
+@pytest.mark.parametrize("tool", ["dme", "sgd", "kashin-check"])
+def test_spread_above_certified_level_is_numerical_failure(
+    tool, tmp_path, capsys, monkeypatch
+):
+    # a level certified below the probes' own spread cannot hold for the
+    # vectors spread after it: a numerical failure, not a config error
+    monkeypatch.setattr(kashin, "LEVEL_SAFETY", 0.8)
+    cfg = tmp_path / "frame.ini"
+    cfg.write_text(DME_INI + "use_kashin = true\n" if tool == "dme" else
+                   SGD_INI.replace("use_kashin = false", "use_kashin = true"))
+    out = tmp_path / "x.csv"
+    args = {"dme": ["--config", str(cfg), "--out", str(out), "--threads", "1"],
+            "sgd": ["--config", str(cfg), "--out", str(out)],
+            "kashin-check": ["--d", "16", "--seed", "1"]}[tool]
+    assert main([tool, *args]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "exceeds the certified level_k" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--iters", "0"), ("--iters", "-1"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pbm.kashin import ConvergenceError, build_frame, represent_batch
+from pbm.kashin import ConvergenceError, KashinFrame, build_frame, represent_batch
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def test_roundtrip_and_spread(frame40):
     x = rng.standard_normal((40, 100))
     y = represent_batch(x, frame40)
     err = np.linalg.norm(frame40.u @ y - x, axis=0)
-    assert np.all(err <= 1e-6 * np.linalg.norm(x, axis=0))
+    assert np.all(err <= 1e-12 * np.linalg.norm(x, axis=0))
     spread = np.sqrt(frame40.big_d) * np.abs(y).max(axis=0)
     assert np.all(spread <= frame40.level_k * np.linalg.norm(x, axis=0) * (1 + 1e-9))
 
@@ -64,10 +64,34 @@ def test_dimension_one_edge_case():
 
 
 def test_too_few_iterations_raises():
+    # the exact step still closes the residual after one clipped pass, but
+    # the spread is far above the level certified at the default count
     frame = build_frame(80, np.random.default_rng(4))
     x = np.random.default_rng(5).standard_normal((80, 1))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="spread .* exceeds the certified level_k"):
         represent_batch(x, frame, iters=1)
+
+
+def test_frame_that_is_not_tight_raises(frame40):
+    # U @ U.T = 0.81 I: the exact step leaves 19% of the residual behind
+    loose = KashinFrame(u=0.9 * frame40.u, level_k=np.inf)
+    x = np.random.default_rng(6).standard_normal((40, 3))
+    with pytest.raises(ConvergenceError, match="representation residual"):
+        represent_batch(x, loose)
+
+
+@pytest.mark.parametrize("d", [8, 16, 64, 250])
+def test_default_pass_count_matches_sixty_passes(d):
+    # the clipped passes past the default barely move the certified level,
+    # and the exact step leaves only rounding in the round trip
+    frame = build_frame(d, np.random.default_rng(d))
+    frame60 = build_frame(d, np.random.default_rng(d), iters=60)
+    np.testing.assert_array_equal(frame.u, frame60.u)
+    assert abs(frame.level_k - frame60.level_k) <= 1e-4 * frame60.level_k
+    x = np.random.default_rng(d + 1).standard_normal((d, 200))
+    y = represent_batch(x, frame)
+    err = np.linalg.norm(frame.u @ y - x, axis=0) / np.linalg.norm(x, axis=0)
+    assert err.max() <= 1e-13
 
 
 def test_build_frame_validation():
