@@ -31,6 +31,7 @@ from .mechanism import (
     communication_bits,
     coordinate_probs,
     mse_bound,
+    rdp_curve,
     sample_sums,
     server_decode,
     spread,

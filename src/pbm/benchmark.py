@@ -30,6 +30,7 @@ from .mechanism import (
     communication_bits,
     coordinate_probs,
     mse_bound,
+    rdp_curve,
     sample_sums,
     server_decode,
     spread,
@@ -109,27 +110,29 @@ def generate_clients(config: ExperimentConfig, rng: np.random.Generator) -> np.n
     return clip_rows(x, config.c)
 
 
-def _resolve_points(config: ExperimentConfig, coords: int) -> list[tuple[int, float]]:
+def _resolve_points(
+    config: ExperimentConfig, base: MechanismParams
+) -> list[tuple[int, float]]:
     """The (m, theta) sweep; eps_list entries are inverted per m by bisection."""
     if config.theta_list is not None:
         return [(m, th) for m in config.m_list for th in config.theta_list]
     points = []
     for m in config.m_list:
         for eps_target in config.eps_list:
-            points.append((m, _invert_eps(config, coords, m, eps_target)))
+            points.append((m, _invert_eps(config, base, m, eps_target)))
     return points
 
 
 def _invert_eps(
-    config: ExperimentConfig, coords: int, m: int, eps_target: float
+    config: ExperimentConfig, base: MechanismParams, m: int, eps_target: float
 ) -> float:
     """Largest theta <= 1/4 whose total epsilon stays within eps_target."""
     if eps_target <= 0:
         raise ValueError(f"epsilon targets must be positive, got {eps_target}")
 
     def fits(theta):
-        eps = coords * accounting.pbm_exact_rdp(config.n, m, theta, config.alpha)
-        return eps <= eps_target
+        curve = rdp_curve(replace(base, m=m, theta=theta), [config.alpha])
+        return curve.epsilons[0] <= eps_target
 
     return accounting.largest_theta(fits, f"the epsilon target {eps_target} at m = {m}")
 
@@ -155,7 +158,7 @@ def _point_records(
         err = server_decode(agg, params, window) - mu_true[None, :]
         return float(np.mean(np.sum(err * err, axis=1)))
 
-    eps_total = coords * accounting.pbm_exact_rdp(n, m, theta, config.alpha)
+    eps_total = float(rdp_curve(params, [config.alpha]).epsilons[0])
     records = [
         TrialRecord(
             m=m, theta=theta, alpha=config.alpha, epsilon=eps_total,
@@ -205,10 +208,10 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     # theta and m are set per sweep point; the spread depends on neither
     base = MechanismParams(
         n=config.n, d=config.d, c=config.c if config.use_kashin else config.cinf,
-        theta=0.0, m=1, frame=frame,
+        theta=0.25, m=1, frame=frame,
     )
     y = spread(clients, base)
-    points = _resolve_points(config, base.coords)
+    points = _resolve_points(config, base)
     seeds = point_root.spawn(len(points))
     tasks = [
         (config, y, mu_true, replace(base, theta=theta, m=m), seed)

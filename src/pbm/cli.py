@@ -103,11 +103,11 @@ def _cmd_rdp_curve(args) -> int:
 
 def _cmd_kashin_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    frame = kashin.build_frame(args.d, rng, iters=args.iters, probes=args.probes)
+    frame = kashin.build_frame(args.d, rng)
     gram = frame.u @ frame.u.T
     parseval = float(np.abs(gram - np.eye(frame.d)).max())
     probe = rng.standard_normal((frame.d, 100))
-    y = kashin.represent_batch(probe, frame, iters=args.iters)
+    y = kashin.represent_batch(probe, frame)
     err = np.linalg.norm(frame.u @ y - probe, axis=0) / np.linalg.norm(probe, axis=0)
     print(f"d={frame.d} D={frame.big_d} level_k={frame.level_k:.6g}")
     print(f"parseval_residual={parseval:.3e} max_roundtrip_rel={err.max():.3e}")
@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kashin-check", help="build and certify a spreading frame")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--probes", type=_int_at_least(1), default=kashin.DEFAULT_PROBES)
-    p.add_argument("--iters", type=_int_at_least(1), default=kashin.DEFAULT_ITERS)
     p.set_defaults(func=_cmd_kashin_check)
 
     p = sub.add_parser("select-params", help="pick (theta, m) for a privacy budget")

@@ -14,11 +14,12 @@ metadata.
 
 Coefficients come from the iterative truncation of Lyubarskii and Vershynin
 ("Uncertainty principles and vector quantization", IEEE Trans. IT 2010):
-`iters` clipped passes shrink the residual by about 0.67 each and fix the
+PASSES clipped passes shrink the residual by about 0.67 each and fix the
 spread, then one unclipped step y += U.T @ (x - U @ y) removes what is left
 of the residual down to rounding, because U @ U.T = I_d. That last step
 moves each coefficient by at most the residual left after the clipped
-passes, about 1e-4 of ||x||_2 after the default 24.
+passes, about 1e-4 of ||x||_2 after 24. A frame certifies its level through
+the same passes, so no setting can spread past what it certified.
 """
 
 from __future__ import annotations
@@ -29,13 +30,10 @@ from math import sqrt
 import numpy as np
 
 BLOCKS = 2  # orthogonal d x d bases per frame, so D = BLOCKS * d
-DEFAULT_ITERS = 24  # clipped passes before the exact step
-DEFAULT_PROBES = 1000
+PASSES = 24  # clipped passes before the exact step
+PROBES = 1000  # Gaussian vectors that certify a frame's level
 LEVEL_SAFETY = 1.1
 RECONSTRUCT_TOL = 1e-12
-# truncation aggressiveness of the greedy coefficient search: each pass
-# clips its correction to ETA * ||residual||_2 / sqrt(D) per coefficient
-ETA = 1.0
 
 
 class ConvergenceError(RuntimeError):
@@ -71,42 +69,34 @@ def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def build_frame(
-    d: int,
-    rng: np.random.Generator,
-    iters: int = DEFAULT_ITERS,
-    probes: int = DEFAULT_PROBES,
-) -> KashinFrame:
+def build_frame(d: int, rng: np.random.Generator) -> KashinFrame:
     """Build a random tight frame and certify its spread level.
 
     The frame stacks BLOCKS independent Haar-orthogonal d x d bases scaled
     by 1/sqrt(BLOCKS), so U @ U.T = I_d and D = BLOCKS * d.
 
-    The certified level is the max spread over `probes` Gaussian probe
-    vectors times a 1.1 safety factor; represent_batch() checks every output
-    against it. The probes go through the same `iters` clipped passes and
-    exact step as represent_batch(), so pass it the same `iters`.
+    The certified level is the max spread of PROBES Gaussian probes, through
+    the same passes and exact step as represent_batch(), times LEVEL_SAFETY;
+    represent_batch() checks every output against it.
     """
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if iters < 1 or probes < 1:
-        raise ValueError(f"iters and probes must be at least 1, got {iters}, {probes}")
     big_d = BLOCKS * d
     u = np.hstack([_haar_orthogonal(d, rng) for _ in range(BLOCKS)])
     u /= sqrt(BLOCKS)
     frame = KashinFrame(u=u, level_k=np.inf)
-    x = rng.standard_normal((d, probes))
-    y = _represent_batch(x, frame, iters)
+    x = rng.standard_normal((d, PROBES))
+    y = _represent_batch(x, frame)
     with np.errstate(invalid="ignore"):
         spread = sqrt(big_d) * np.abs(y).max(axis=0) / np.linalg.norm(x, axis=0)
     level = float(spread.max()) * LEVEL_SAFETY
     return KashinFrame(u=u, level_k=level)
 
 
-def _represent_batch(x: np.ndarray, frame: KashinFrame, iters: int) -> np.ndarray:
+def _represent_batch(x: np.ndarray, frame: KashinFrame) -> np.ndarray:
     """Greedy truncation loop plus one exact step, over the columns of x (d x B).
 
-    `iters` clipped passes bound each coefficient; the final unclipped
+    PASSES clipped passes bound each coefficient; the final unclipped
     least-norm correction U.T @ (x - U @ y) then closes the residual, since
     U @ U.T = I_d.
     """
@@ -114,10 +104,10 @@ def _represent_batch(x: np.ndarray, frame: KashinFrame, iters: int) -> np.ndarra
     big_d = frame.big_d
     y = np.zeros((big_d, x.shape[1]))
     r = x.copy()
-    for _ in range(iters):
+    for _ in range(PASSES):
         a = u.T @ r
         # cap shrinks with the residual, so the caps sum geometrically
-        cap = ETA * np.linalg.norm(r, axis=0) / sqrt(big_d)
+        cap = np.linalg.norm(r, axis=0) / sqrt(big_d)
         np.clip(a, -cap, cap, out=a)
         y += a
         r -= u @ a
@@ -125,21 +115,19 @@ def _represent_batch(x: np.ndarray, frame: KashinFrame, iters: int) -> np.ndarra
     return y
 
 
-def represent_batch(
-    x: np.ndarray, frame: KashinFrame, iters: int = DEFAULT_ITERS
-) -> np.ndarray:
+def represent_batch(x: np.ndarray, frame: KashinFrame) -> np.ndarray:
     """Spread coefficients y (D, batch) with U @ y = x, column by column.
 
-    x has shape (d, batch). `iters` clipped passes fix the spread and one
+    x has shape (d, batch). PASSES clipped passes fix the spread and one
     exact step then closes the residual. Raises ConvergenceError if a
     residual is above RECONSTRUCT_TOL * ||x||_2 (a frame that is not tight)
-    or if a column's spread exceeds the frame's certified level (too few
-    passes for the level the frame was certified at).
+    or if a column's spread exceeds the frame's certified level (a frame
+    certified under other PASSES or PROBES than spread now).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != frame.d:
         raise ValueError(f"expected shape ({frame.d}, batch), got {x.shape}")
-    y = _represent_batch(x, frame, iters)
+    y = _represent_batch(x, frame)
     norms = np.linalg.norm(x, axis=0)
     live = norms > 0
     residual = np.linalg.norm(frame.u @ y - x, axis=0)

@@ -15,16 +15,17 @@ geometries, selected by whether MechanismParams carries a frame:
 Every function works on whole batches: clients are rows. sample_sums is
 the one binomial draw; counts lie in [0, m], so under the default modulus
 M > n*m its integer sums are the secure-aggregation sums. It has two exact
-kernels, picked by m at the measured crossover m = 32: above it, numpy's
-binomial sampler; up to it, m Bernoulli trials, each succeeding when a
-53-bit uniform k lies below T = ceil(p * 2**53), which has probability
-exactly T / 2**53, the same as the compare u < p of a float64 uniform
-(a multiple of 2**-53). The trial is settled on the top 16 bits of k, so
-one 64-bit random word serves four trials: a prefix below T's top 16 bits
-succeeds, one above fails, and only an equal prefix (probability 2**-16)
-needs the other 37 bits, drawn as one word per tie after all prefixes.
-Each (clients, coords) slab of prefixes is padded to whole words, so
-chunk boundaries fall on words and chunking leaves the stream unchanged.
+kernels, picked by m at a cap of 32 (set for an earlier kernel; the
+crossover is now near m = 128): above it, numpy's binomial sampler; up to
+it, m Bernoulli trials, each succeeding when a 53-bit uniform k lies below
+T = ceil(p * 2**53), which has probability exactly T / 2**53, the same as
+the compare u < p of a float64 uniform (a multiple of 2**-53). The trial
+is settled on the top 16 bits of k, so one 64-bit random word serves four
+trials: a prefix below T's top 16 bits succeeds, one above fails, and only
+an equal prefix (probability 2**-16) needs the other 37 bits, drawn as one
+word per tie after all prefixes. Each (clients, coords) slab of prefixes
+is padded to whole words, so chunk boundaries fall on words and chunking
+leaves the stream unchanged.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from numbers import Integral
 
 import numpy as np
 
-from . import secagg
+from . import accounting, secagg
 from .kashin import KashinFrame, represent_batch
 
 # cap on the entries of one draw (16-bit prefixes or binomials)
 _CHUNK_ENTRIES = 1_048_576
-# largest m drawn as m Bernoulli compares; above it rng.binomial is faster
+# largest m drawn as Bernoulli trials; not the crossover with rng.binomial,
+# which is near m = 128 (2 cores, numpy 2.4); raising it moves sgd bytes
 _COMPARE_MAX_M = 32
 
 
@@ -49,9 +51,9 @@ class MechanismParams:
     """Shared client/server configuration for one round.
 
     n: number of clients, d: input dimension, c: norm bound (L2 with a
-    frame, per-coordinate without), theta: encoding strength, m: binomial
-    trials per coordinate, frame: the shared spreading frame, or None for
-    direct encoding.
+    frame, per-coordinate without), theta: encoding strength in (0, 1/4],
+    m: binomial trials per coordinate (an integer >= 1), frame: the shared
+    spreading frame, or None for direct encoding.
     """
 
     n: int
@@ -66,10 +68,10 @@ class MechanismParams:
             raise ValueError(f"n and d must be positive, got n={self.n}, d={self.d}")
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
-        if not 0.0 <= self.theta <= 0.25:
-            raise ValueError(f"theta must lie in [0, 1/4], got {self.theta}")
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
+        if not 0.0 < self.theta <= 0.25:
+            raise ValueError(f"theta must lie in (0, 1/4], got {self.theta}")
+        if not isinstance(self.m, Integral) or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if self.frame is not None and self.frame.d != self.d:
             raise ValueError(
                 f"frame dimension {self.frame.d} does not match d = {self.d}"
@@ -234,8 +236,6 @@ def server_decode(
     lo, hi = (0, nm + 1) if window is None else window
     if agg_sum.min(initial=lo) < lo or agg_sum.max(initial=lo) >= hi:
         raise ValueError(f"aggregate outside [{lo}, {hi})")
-    if params.theta == 0:
-        raise ValueError("theta = 0 encodes no signal; the sum cannot be decoded")
     mu = params.c_prime / (nm * params.theta) * (agg_sum - nm / 2.0)
     if params.frame is not None:
         return mu @ params.frame.u.T
@@ -248,11 +248,18 @@ def mse_bound(params: MechanismParams) -> float:
     With the frame this also bounds the error after mapping back to R^d,
     since the frame map is non-expansive.
     """
-    if params.theta == 0:
-        raise ValueError("MSE is unbounded at theta = 0")
     return params.coords * params.c_prime**2 / (
         4.0 * params.n * params.m * params.theta**2
     )
+
+
+def rdp_curve(
+    params: MechanismParams, alphas=accounting.DEFAULT_ALPHAS
+) -> accounting.RdpCurve:
+    """Renyi curve of one round: coords independent copies of the exact
+    per-coordinate curve; the one place that composition is written."""
+    curve = accounting.pbm_exact_curve(params.n, params.m, params.theta, alphas)
+    return accounting.scale(curve, params.coords)
 
 
 def communication_bits(params: MechanismParams) -> int:

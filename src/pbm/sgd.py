@@ -29,6 +29,7 @@ from .mechanism import (
     MechanismParams,
     clip_rows,
     coordinate_probs,
+    rdp_curve,
     sample_sums,
     server_decode,
     spread,
@@ -53,6 +54,11 @@ class LossSpec:
             raise ValueError(f"loss kind must be 'quadratic', got {self.kind!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
+        if not (isfinite(self.smoothness) and self.smoothness > 0):
+            raise ValueError(f"smoothness must be finite and positive, got {self.smoothness}")
+        for name, value in (("radius", self.radius), ("shift", self.shift)):
+            if not (isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.data_seed < 0:
             raise ValueError(f"data_seed must be non-negative, got {self.data_seed}")
 
@@ -198,11 +204,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
         gamma = float(config.learning_rate)
 
     kappa = config.sampled / config.total_clients
-    # one full round, all coordinates, for the sampled cohort
-    per_round = accounting.scale(
-        accounting.pbm_exact_curve(config.sampled, config.m, config.theta),
-        params.coords,
-    )
+    per_round = rdp_curve(params)
     amplified = accounting.subsample_estimate(per_round, kappa)
     ledger = accounting.scale(amplified, config.rounds)
 

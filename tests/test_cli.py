@@ -212,15 +212,6 @@ def test_spread_above_certified_level_is_numerical_failure(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--iters", "0"), ("--iters", "-1"),
-                                        ("--probes", "0")])
-def test_kashin_check_rejects_non_positive_counts(flag, value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["kashin-check", "--d", "8", flag, value])
-    assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
-
-
 def _select_params_output(capsys, argv):
     assert main(["select-params", *argv]) == 0
     out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
@@ -470,6 +461,23 @@ def test_sgd_rejects_non_finite_clip(tmp_path, clip, capsys, monkeypatch):
     cfg.write_text(SGD_INI.replace("clip = 5.0", f"clip = {clip}"))
     assert main(["sgd", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert "clip must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("smoothness", "-1"), ("smoothness", "0"), ("smoothness", "nan"),
+    ("smoothness", "inf"), ("radius", "nan"), ("radius", "-1"),
+    ("shift", "inf"), ("shift", "-0.5"),
+])
+def test_sgd_rejects_bad_loss_values(tmp_path, key, value, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError(f"the run started with {key} = {value}")
+
+    monkeypatch.setattr(cli, "run_sgd", never)
+    cfg = tmp_path / "sgd.ini"
+    cfg.write_text(SGD_INI.replace(f"{key} = 1.0", f"{key} = {value}"))
+    assert main(["sgd", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and f"{key} must be finite" in err
 
 
 @pytest.mark.parametrize("text, load, want", [

@@ -8,6 +8,7 @@ from oracles import poisson_binomial_pmf
 from scipy.stats import chisquare
 
 from pbm import mechanism
+from pbm.accounting import DEFAULT_ALPHAS, pbm_exact_curve, scale
 from pbm.kashin import build_frame
 from pbm.mechanism import (
     MechanismParams,
@@ -15,6 +16,7 @@ from pbm.mechanism import (
     communication_bits,
     coordinate_probs,
     mse_bound,
+    rdp_curve,
     sample_sums,
     server_decode,
     spread,
@@ -38,8 +40,14 @@ def test_params_validation(frame8):
         MechanismParams(n=4, d=3, c=0.0, theta=0.1, m=1)
     with pytest.raises(ValueError):
         MechanismParams(n=4, d=3, c=1.0, theta=0.3, m=1)
+    # theta = 0 encodes no signal: its sums cannot be decoded
+    with pytest.raises(ValueError, match="theta"):
+        MechanismParams(n=4, d=3, c=1.0, theta=0.0, m=1)
     with pytest.raises(ValueError):
         MechanismParams(n=4, d=3, c=1.0, theta=0.1, m=0)
+    # a float m can be neither encoded nor priced
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        MechanismParams(n=10, d=4, c=1.0, theta=0.1, m=2.0)
     with pytest.raises(ValueError):
         MechanismParams(n=4, d=5, c=1.0, theta=0.1, m=1, frame=frame8)
 
@@ -84,11 +92,20 @@ def test_decode_validation():
         server_decode(np.array([1, 11]), params)
     with pytest.raises(ValueError):
         server_decode(np.array([-1, 2]), params)
-    frozen = MechanismParams(n=5, d=2, c=1.0, theta=0.0, m=2)
-    with pytest.raises(ValueError):
-        server_decode(np.array([1, 2]), frozen)
-    with pytest.raises(ValueError):
-        mse_bound(frozen)
+
+
+def test_rdp_curve(frame8):
+    # a round is coords independent copies of the per-coordinate curve
+    alphas = (1.5, 2.0, 8.0)
+    for params in (_plain(n=30, d=5, theta=0.2, m=3),
+                   MechanismParams(n=30, d=8, c=1.0, theta=0.1, m=2, frame=frame8)):
+        got = rdp_curve(params, alphas)
+        want = scale(pbm_exact_curve(params.n, params.m, params.theta, alphas),
+                     params.coords)
+        np.testing.assert_array_equal(got.alphas, want.alphas)
+        np.testing.assert_array_equal(got.epsilons, want.epsilons)
+        assert (got.kind, got.meta) == (want.kind, want.meta)
+    assert len(rdp_curve(_plain()).alphas) == len(DEFAULT_ALPHAS)
 
 
 def test_decode_window_for_lifted_sums():

@@ -64,18 +64,6 @@ def test_params_validation():
         _params(c=1.0, theta=0.1, m=0)
 
 
-def test_theta_zero_encodes_fair_coin():
-    params = _params(c=1.0, theta=0.0, m=1)
-    p = _probs([-1.0], params)[0]
-    assert p == 0.5
-    draws = np.random.default_rng(7).binomial(params.m, p, size=20000)
-    assert np.mean(draws) == pytest.approx(0.5, abs=0.02)
-    with pytest.raises(ValueError):
-        _decode([1], params)
-    with pytest.raises(ValueError):
-        mse_bound(params)
-
-
 def test_encode_matches_binomial_law():
     params = _params(c=1.0, theta=0.25, m=5)
     p = _probs([0.4], params)[0]

@@ -92,6 +92,14 @@ def test_loss_spec_validation():
         LossSpec(kind="logistic")
     with pytest.raises(ValueError):
         LossSpec(dimension=0)
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="smoothness"):
+            LossSpec(smoothness=bad)
+    for key in ("radius", "shift"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=key):
+                LossSpec(**{key: bad})
+        LossSpec(**{key: 0.0})
 
 
 # ---------------------------------------------------------------------------
