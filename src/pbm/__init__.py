@@ -28,7 +28,6 @@ from .kashin import KashinFrame, build_frame, represent_batch
 from .mechanism import (
     MechanismParams,
     clip_rows,
-    communication_bits,
     coordinate_probs,
     mse_bound,
     rdp_curve,

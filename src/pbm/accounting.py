@@ -30,6 +30,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from math import atanh, expm1, inf, isfinite, log
+from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -168,8 +169,8 @@ def pbm_exact_curve(
     log1p(sum q * expm1(b * log(p/q))) / (alpha - 1) with b = alpha and
     b = 1 - alpha. Cost O(n*m^2) time and O(n*m) memory.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"n and m must be positive, got n={n}, m={m}")
+    if not (isinstance(n, Integral) and isinstance(m, Integral) and n >= 1 and m >= 1):
+        raise ValueError(f"n and m must be positive integers, got n={n!r}, m={m!r}")
     if not 0.0 <= theta <= 0.25:
         raise ValueError(f"theta must lie in [0, 1/4], got {theta}")
     alphas = _orders(alphas)

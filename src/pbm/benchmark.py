@@ -2,9 +2,10 @@
 
 Sweeps (m, theta) points for a fixed client population, measures empirical
 MSE of the decoded mean under simulated secure aggregation, prices the
-uplink in bits, and attaches the privacy epsilon of each point (the exact
-accountant) plus a matched Gaussian baseline at equal MSE. Records land in
-a versioned CSV and an optional plotting-friendly JSON series file.
+uplink in bits of each row's modulus, and attaches the privacy epsilon of
+each point (the exact accountant) plus a matched Gaussian baseline at
+equal MSE. Records land in a versioned CSV and an optional
+plotting-friendly JSON series file.
 
 Trials are vectorized per parameter point and seeded per point, so results
 are byte-reproducible for a fixed seed regardless of the parallelism
@@ -26,8 +27,6 @@ from . import accounting, secagg
 from .kashin import build_frame
 from .mechanism import (
     MechanismParams,
-    clip_rows,
-    communication_bits,
     coordinate_probs,
     mse_bound,
     rdp_curve,
@@ -44,7 +43,6 @@ class ExperimentConfig:
     n: int = 50
     d: int = 16
     c: float = 1.0                    # L2 bound on client vectors
-    cinf: float | None = None         # per-coordinate bound; default c/sqrt(d)
     m_list: tuple[int, ...] = (2, 4, 6, 16)
     theta_list: tuple[float, ...] | None = (0.05, 0.1, 0.15, 0.2, 0.25)
     eps_list: tuple[float, ...] | None = None
@@ -71,11 +69,8 @@ class ExperimentConfig:
                 raise ValueError(f"theta_list entries must lie in (0, 1/4], got {theta}")
         if not 1.0 < self.alpha < inf:
             raise ValueError(f"alpha must be a finite order above 1, got {self.alpha}")
-        if self.cinf is None:
-            object.__setattr__(self, "cinf", self.c / sqrt(self.d))
-        for name, value in (("c", self.c), ("cinf", self.cinf)):
-            if not 0.0 < value < inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 < self.c < inf:
+            raise ValueError(f"c must be finite and positive, got {self.c}")
         if not 0.0 <= self.safety_c < inf:
             raise ValueError(f"safety_c must be finite and nonnegative, got {self.safety_c}")
 
@@ -105,9 +100,10 @@ CSV_HEADER = "# pbm-csv v1 dme\nm,theta,alpha,epsilon,mse,comm_bits,wraps,mechan
 
 
 def generate_clients(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    """n client vectors, i.i.d. uniform on the cinf cube, then L2-clipped to c."""
-    x = rng.uniform(-config.cinf, config.cinf, size=(config.n, config.d))
-    return clip_rows(x, config.c)
+    """n client vectors, i.i.d. uniform on the cube of half-width c/sqrt(d),
+    which lies inside the L2 ball of radius c that the frame needs."""
+    half = config.c / sqrt(config.d)
+    return rng.uniform(-half, half, size=(config.n, config.d))
 
 
 def _resolve_points(
@@ -147,35 +143,30 @@ def _point_records(
     """All records for one (m, theta) point: pbm plain, optional clipped, gaussian.
 
     y holds the spread client coefficients (n, coords); every trial draws
-    all n clients' shares at once.
+    all n clients' shares at once. Each pbm row aggregates the same sums
+    mod its modulus M and lifts them into its window [offset, offset + M):
+    the plain row uses the default M > n*m with offset 0, which no sum
+    leaves, and the clipped row the reduced group of secagg.clipped_spec.
     """
     n, coords = y.shape
     m, theta = params.m, params.theta
     probs = coordinate_probs(y, params)
     sums = sample_sums(probs, m, np.random.default_rng(seed), config.trials)
-
-    def decode_mse(agg: np.ndarray, window: tuple[int, int] | None = None) -> float:
-        err = server_decode(agg, params, window) - mu_true[None, :]
-        return float(np.mean(np.sum(err * err, axis=1)))
-
     eps_total = float(rdp_curve(params, [config.alpha]).epsilons[0])
-    records = [
-        TrialRecord(
-            m=m, theta=theta, alpha=config.alpha, epsilon=eps_total,
-            mse=decode_mse(sums), comm_bits=communication_bits(params), wraps=0,
-            mechanism="pbm", mode="plain",
-        )
-    ]
+    groups = [("plain", secagg.default_modulus(n, m), 0)]
     if config.clipping:
-        modulus, offset = secagg.clipped_spec(n, m, theta, config.safety_c)
+        groups.append(("clipped", *secagg.clipped_spec(n, m, theta, config.safety_c)))
+    records = []
+    for mode, modulus, offset in groups:
         lifted = secagg.lift_sum(sums, modulus, offset)
+        err = server_decode(lifted, params, (offset, offset + modulus)) - mu_true
         records.append(
             TrialRecord(
                 m=m, theta=theta, alpha=config.alpha, epsilon=eps_total,
-                mse=decode_mse(lifted, (offset, offset + modulus)),
+                mse=float(np.mean(np.sum(err * err, axis=1))),
                 comm_bits=coords * secagg.bits_per_coord(modulus),
                 wraps=secagg.count_wraps(sums, modulus, offset),
-                mechanism="pbm", mode="clipped",
+                mechanism="pbm", mode=mode,
             )
         )
     # Gaussian baseline matched to this point's MSE bound
@@ -207,7 +198,8 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     )
     # theta and m are set per sweep point; the spread depends on neither
     base = MechanismParams(
-        n=config.n, d=config.d, c=config.c if config.use_kashin else config.cinf,
+        n=config.n, d=config.d,
+        c=config.c if config.use_kashin else config.c / sqrt(config.d),
         theta=0.25, m=1, frame=frame,
     )
     y = spread(clients, base)

@@ -80,7 +80,7 @@ def _num_list(cast):
 
 
 _DME_KEYS = {
-    "n": int, "d": int, "c": float, "cinf": float, "m_list": _num_list(int),
+    "n": int, "d": int, "c": float, "m_list": _num_list(int),
     "theta_list": _num_list(float), "eps_list": _num_list(float), "alpha": float,
     "trials": int, "seed": int, "use_kashin": bool,
 }

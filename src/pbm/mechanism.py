@@ -10,7 +10,8 @@ geometries, selected by whether MechanismParams carries a frame:
 * a frame: inputs are L2 bounded by c; the shared tight frame spreads
   each vector into coords = D coefficients with per-coordinate bound
   c' = c * level_k / sqrt(D), and the server maps the decoded
-  coefficient mean back through the frame.
+  coefficient mean back through the frame, whose columns' squared norms
+  sum to d; so either way mse_bound charges d coordinates' error.
 
 Every function works on whole batches: clients are rows. sample_sums is
 the one binomial draw; counts lie in [0, m], so under the default modulus
@@ -31,12 +32,12 @@ leaves the stream unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from numbers import Integral
 
 import numpy as np
 
-from . import accounting, secagg
+from . import accounting
 from .kashin import KashinFrame, represent_batch
 
 # cap on the entries of one draw (16-bit prefixes or binomials)
@@ -66,8 +67,8 @@ class MechanismParams:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError(f"n and d must be positive, got n={self.n}, d={self.d}")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < inf:
+            raise ValueError(f"c must be finite and positive, got {self.c}")
         if not 0.0 < self.theta <= 0.25:
             raise ValueError(f"theta must lie in (0, 1/4], got {self.theta}")
         if not isinstance(self.m, Integral) or self.m < 1:
@@ -243,12 +244,14 @@ def server_decode(
 
 
 def mse_bound(params: MechanismParams) -> float:
-    """Worst-case decode MSE: coords * c'^2 / (4*n*m*theta^2).
+    """Worst-case decode MSE in R^d: d * c'^2 / (4*n*m*theta^2).
 
-    With the frame this also bounds the error after mapping back to R^d,
-    since the frame map is non-expansive.
+    Each decoded coefficient is independent with variance at most
+    c'^2 / (4*n*m*theta^2). Without a frame there are d of them; with one,
+    the error maps back through U, whose columns' squared norms sum to
+    trace(U @ U.T) = d.
     """
-    return params.coords * params.c_prime**2 / (
+    return params.d * params.c_prime**2 / (
         4.0 * params.n * params.m * params.theta**2
     )
 
@@ -260,9 +263,3 @@ def rdp_curve(
     per-coordinate curve; the one place that composition is written."""
     curve = accounting.pbm_exact_curve(params.n, params.m, params.theta, alphas)
     return accounting.scale(curve, params.coords)
-
-
-def communication_bits(params: MechanismParams) -> int:
-    """Uplink bits per client under the default power-of-two modulus."""
-    modulus = secagg.default_modulus(params.n, params.m)
-    return params.coords * secagg.bits_per_coord(modulus)

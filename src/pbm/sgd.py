@@ -6,7 +6,9 @@ plus per-coordinate binomial counts), and the server takes one descent
 step from the decoded mean. The privacy ledger composes the exact
 per-round curve of the sampled cohort across rounds after a kappa^2
 subsampling estimate (kappa = n/N); it is an estimate, not a certified
-bound, and the outputs say so.
+bound, and the outputs say so. The automatic learning rate and the
+convergence bound take the decoded gradient's second moment as
+c^2 + mechanism.mse_bound, so the decode error of the frame counts.
 
 The objective is a synthetic quadratic consensus problem (per-client
 anchors) with known smoothness L and exact gap D_F, the two constants of
@@ -17,7 +19,7 @@ for trajectory reporting, which a real federated server could not compute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -29,6 +31,7 @@ from .mechanism import (
     MechanismParams,
     clip_rows,
     coordinate_probs,
+    mse_bound,
     rdp_curve,
     sample_sums,
     server_decode,
@@ -144,15 +147,18 @@ class SgdResult:
     alphas: np.ndarray
     ledger: RdpCurve                  # final cumulative curve
     per_round: RdpCurve               # one round, all coordinates, pre-subsampling
+    params: MechanismParams           # the round's mechanism, frame included
     kappa: float
     learning_rate: float
     final_w: np.ndarray
     selection_counts: np.ndarray      # shape (N,): rounds each client was sampled
 
 
-def mechanism_sigma2(c: float, n: int, m: int, theta: float) -> float:
-    """Per-round second-moment proxy c^2 + c^2/(4*n*m*theta^2) used by the rate."""
-    return c * c + c * c / (4.0 * n * m * theta * theta)
+def mechanism_sigma2(params: MechanismParams) -> float:
+    """Bound c^2 + mse_bound(params) on the decoded mean gradient's second
+    moment: the squared norm of a mean of clipped gradients plus the
+    decode error, frame included."""
+    return params.c**2 + mse_bound(params)
 
 
 def auto_learning_rate(smoothness: float, d_f: float, sigma2: float, rounds: int) -> float:
@@ -167,17 +173,14 @@ def auto_learning_rate(smoothness: float, d_f: float, sigma2: float, rounds: int
     return min(base, sqrt(2.0 * d_f) / (sqrt(sigma2) * sqrt(smoothness * rounds)))
 
 
-def convergence_bound(
-    smoothness: float, d_f: float, c: float, rounds: int, n: int, m: int, theta: float
-) -> float:
+def convergence_bound(smoothness: float, d_f: float, sigma2: float, rounds: int) -> float:
     """Mean-squared-gradient guarantee at the automatic learning rate.
 
-    L*D_F/T + sqrt(8*sigma2*L*D_F/T), sigma2 = mechanism_sigma2(c, n, m, theta);
+    L*D_F/T + sqrt(8*sigma2*L*D_F/T), with sigma2 from mechanism_sigma2;
     applies to the average of ||grad F||^2 over a uniformly chosen round.
     """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    sigma2 = mechanism_sigma2(c, n, m, theta)
+    if not 0.0 <= sigma2 < inf:
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     return smoothness * d_f / rounds + sqrt(8.0 * sigma2 * smoothness * d_f / rounds)
 
 
@@ -198,7 +201,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
         n=config.sampled, d=d, c=config.clip, theta=config.theta, m=config.m, frame=frame
     )
     if config.learning_rate == "auto":
-        sigma2 = mechanism_sigma2(config.clip, config.sampled, config.m, config.theta)
+        sigma2 = mechanism_sigma2(params)
         gamma = auto_learning_rate(loss.smoothness, loss.gap(), sigma2, config.rounds)
     else:
         gamma = float(config.learning_rate)
@@ -235,7 +238,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     return SgdResult(
         rounds=t_axis, losses=losses, grad_norms_sq=grad_norms,
         eps_matrix=eps_matrix, alphas=per_round.alphas,
-        ledger=ledger, per_round=per_round, kappa=kappa,
+        ledger=ledger, per_round=per_round, params=params, kappa=kappa,
         learning_rate=gamma, final_w=w, selection_counts=selection_counts,
     )
 

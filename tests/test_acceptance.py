@@ -43,7 +43,14 @@ from pbm.secagg import (
     default_modulus,
     lift_sum,
 )
-from pbm.sgd import LossSpec, QuadraticLoss, SgdConfig, convergence_bound, run
+from pbm.sgd import (
+    LossSpec,
+    QuadraticLoss,
+    SgdConfig,
+    convergence_bound,
+    mechanism_sigma2,
+    run,
+)
 
 GRID = [
     (n, m, theta, alpha)
@@ -257,8 +264,7 @@ def test_criterion_10_training_loop_sanity(acceptance):
     loss_gap = abs(noisy.losses[-1] - clean.losses[-1]) / clean.losses[-1]
     loss = QuadraticLoss(config.loss, config.total_clients)
     bound = convergence_bound(
-        loss.smoothness, loss.gap(), config.clip, config.rounds,
-        config.sampled, config.m, config.theta,
+        loss.smoothness, loss.gap(), mechanism_sigma2(noisy.params), config.rounds
     )
     mean_grad_sq = float(noisy.grad_norms_sq.mean())
     rebuilt = scale(

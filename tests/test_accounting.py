@@ -185,6 +185,12 @@ def test_exact_validation():
         pbm_exact_curve(4, 0, 0.1)
 
 
+@pytest.mark.parametrize("n, m", [(10, 2.0), (10.0, 2), (10, 2.5)])
+def test_exact_curve_rejects_non_integer_n_and_m(n, m):
+    with pytest.raises(ValueError, match="positive integers"):
+        pbm_exact_curve(n, m, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian baseline
 

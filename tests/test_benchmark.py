@@ -37,27 +37,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(trials=0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        for key in ("c", "cinf"):
-            with pytest.raises(ValueError):
-                _small_config(**{key: bad})
+        with pytest.raises(ValueError):
+            _small_config(c=bad)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             _small_config(safety_c=bad)
     assert _small_config(safety_c=0.0).safety_c == 0.0
-    assert ExperimentConfig(n=10, d=16, c=2.0).cinf == pytest.approx(0.5)
 
 
 def test_generate_clients_bounds():
     config = _small_config(n=200, d=9, c=0.8)
     x = generate_clients(config, np.random.default_rng(3))
     assert x.shape == (200, 9)
-    assert np.abs(x).max() <= config.cinf
+    assert np.abs(x).max() <= config.c / sqrt(config.d)
     assert np.linalg.norm(x, axis=1).max() <= config.c * (1.0 + 1e-12)
-    # with a roomy cube the L2 clip must actually fire
-    loose = ExperimentConfig(n=200, d=9, c=0.8, cinf=0.5)
-    y = generate_clients(loose, np.random.default_rng(3))
-    assert np.linalg.norm(y, axis=1).max() <= loose.c * (1.0 + 1e-12)
-    assert np.abs(y).max() <= 0.5
 
 
 def test_run_deterministic_across_threads():
@@ -70,19 +63,22 @@ def test_run_deterministic_across_threads():
 
 
 def test_record_layout():
-    records = run_tradeoff(_small_config())
-    # one pbm row and one gaussian row per sweep point
-    assert len(records) == 2 * 2 * 2
-    by_mech = {}
-    for r in records:
-        by_mech.setdefault(r.mechanism, []).append(r)
-    assert len(by_mech["pbm"]) == 4
-    assert len(by_mech["gaussian"]) == 4
-    for r in by_mech["pbm"]:
-        assert r.mode == "plain"
-        bits = (default_modulus(20, r.m) - 1).bit_length()
-        assert r.comm_bits == 4 * bits
-        assert r.epsilon > 0 and r.mse > 0 and r.wraps == 0
+    # direct encoding sends d = 4 coordinates, the frame D = 2d = 8, each
+    # priced at the default modulus
+    for use_kashin, coords in ((False, 4), (True, 8)):
+        records = run_tradeoff(_small_config(use_kashin=use_kashin))
+        # one pbm row and one gaussian row per sweep point
+        assert len(records) == 2 * 2 * 2
+        by_mech = {}
+        for r in records:
+            by_mech.setdefault(r.mechanism, []).append(r)
+        assert len(by_mech["pbm"]) == 4
+        assert len(by_mech["gaussian"]) == 4
+        for r in by_mech["pbm"]:
+            assert r.mode == "plain"
+            bits = (default_modulus(20, r.m) - 1).bit_length()
+            assert r.comm_bits == coords * bits
+            assert r.epsilon > 0 and r.mse > 0 and r.wraps == 0
 
 
 def test_gaussian_rows_satisfy_identity():
@@ -101,7 +97,9 @@ def test_pbm_mse_within_bound():
     for r in run_tradeoff(config):
         if r.mechanism != "pbm":
             continue
-        bound = config.d * config.cinf**2 / (4.0 * config.n * r.m * r.theta**2)
+        # direct encoding: d coordinates, each bounded by c/sqrt(d)
+        cube = config.c / sqrt(config.d)
+        bound = config.d * cube**2 / (4.0 * config.n * r.m * r.theta**2)
         assert r.mse <= bound * (1.0 + 5.0 / sqrt(config.trials))
 
 

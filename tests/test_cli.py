@@ -129,6 +129,18 @@ def test_dme_rejects_k_mode_key(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_dme_rejects_cinf_key(tmp_path, capsys):
+    # direct encoding's coordinate bound is always c/sqrt(d), so the key
+    # that set it apart is gone
+    cfg = tmp_path / "cinf.ini"
+    cfg.write_text(DME_INI + "cinf = 0.5\n")
+    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                 "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "unknown keys" in err and "cinf" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sgd_happy_path(tmp_path, sgd_config, capsys):
     out = tmp_path / "traj.csv"
     code = main(["sgd", "--config", str(sgd_config), "--out", str(out)])
@@ -437,7 +449,7 @@ def test_sgd_rejects_bad_learning_rate(tmp_path, rate, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("c", "inf"), ("c", "nan"), ("cinf", "inf"), ("cinf", "nan"), ("safety_c", "inf"),
+    ("c", "inf"), ("c", "nan"), ("safety_c", "inf"),
 ])
 def test_dme_rejects_non_finite_values(tmp_path, key, value, capsys, monkeypatch):
     def never(*args, **kwargs):

@@ -13,7 +13,6 @@ from pbm.kashin import build_frame
 from pbm.mechanism import (
     MechanismParams,
     clip_rows,
-    communication_bits,
     coordinate_probs,
     mse_bound,
     rdp_curve,
@@ -38,6 +37,9 @@ def test_params_validation(frame8):
         MechanismParams(n=0, d=3, c=1.0, theta=0.1, m=1)
     with pytest.raises(ValueError):
         MechanismParams(n=4, d=3, c=0.0, theta=0.1, m=1)
+    # c = inf would set every probability to 1/2 and decode to +-inf
+    with pytest.raises(ValueError, match="c must be finite"):
+        MechanismParams(n=4, d=3, c=float("inf"), theta=0.1, m=1)
     with pytest.raises(ValueError):
         MechanismParams(n=4, d=3, c=1.0, theta=0.3, m=1)
     # theta = 0 encodes no signal: its sums cannot be decoded
@@ -189,15 +191,23 @@ def test_mse_bound_formula(frame8):
     spread = MechanismParams(
         n=100, d=8, c=1.0, theta=0.25, m=4, frame=frame8
     )
-    want = 16 * spread.c_prime**2 / (4.0 * 100 * 4 * 0.0625)
+    # the frame's D = 16 coefficient errors map back into d = 8 dimensions
+    want = 8 * spread.c_prime**2 / (4.0 * 100 * 4 * 0.0625)
     assert mse_bound(spread) == pytest.approx(want)
 
 
-def test_communication_bits(frame8):
-    assert communication_bits(_plain(n=1000, d=250, m=16)) == 250 * 14
-    assert communication_bits(_plain(n=1, d=1, m=1)) == 1
-    spread = MechanismParams(n=10, d=8, c=1.0, theta=0.2, m=1, frame=frame8)
-    assert communication_bits(spread) == 16 * 4  # modulus 16 over 16 coords
+@pytest.mark.parametrize("framed", [False, True])
+def test_mse_bound_is_attained_at_the_centre(framed, frame8):
+    # coefficients at 0 encode p = 1/2, where every count has its largest
+    # variance, so the decode MSE meets mse_bound in both geometries
+    n, d, trials = 20, 8, 4000
+    params = MechanismParams(
+        n=n, d=d, c=1.0, theta=0.25, m=4, frame=frame8 if framed else None
+    )
+    probs = coordinate_probs(np.zeros((n, params.coords)), params)
+    ests = server_decode(sample_sums(probs, 4, np.random.default_rng(8), trials), params)
+    emp_mse = float(np.mean(np.sum(ests**2, axis=1)))
+    assert emp_mse == pytest.approx(mse_bound(params), rel=5.0 * sqrt(2.0 / (d * trials)))
 
 
 @pytest.mark.parametrize("m", [2, 16, 32, 33, 300])

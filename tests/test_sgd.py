@@ -5,6 +5,16 @@ import numpy as np
 import pytest
 
 from pbm import accounting
+from pbm.kashin import build_frame
+from pbm.mechanism import (
+    MechanismParams,
+    clip_rows,
+    coordinate_probs,
+    mse_bound,
+    sample_sums,
+    server_decode,
+    spread,
+)
 from pbm.sgd import (
     LossSpec,
     QuadraticLoss,
@@ -33,10 +43,31 @@ def _quad_config(**overrides) -> SgdConfig:
 
 
 def test_mechanism_sigma2():
-    assert mechanism_sigma2(2.0, 10, 4, 0.25) == pytest.approx(4.4)
+    # c^2 plus d coordinates of c'^2 / (4*n*m*theta^2) = 0.4 each
+    params = MechanismParams(n=10, d=3, c=2.0, theta=0.25, m=4)
+    assert mechanism_sigma2(params) == pytest.approx(4.0 + 3 * 0.4)
+    framed = replace(params, d=8, frame=build_frame(8, np.random.default_rng(2)))
+    assert mechanism_sigma2(framed) == pytest.approx(4.0 + mse_bound(framed))
+    assert mse_bound(framed) == pytest.approx(8 * framed.c_prime**2 / 10.0)
     # the noise term vanishes as the count budget grows
-    huge = mechanism_sigma2(2.0, 10, 10**8, 0.25)
+    huge = mechanism_sigma2(replace(params, m=10**8))
     assert huge == pytest.approx(4.0, rel=1e-6)
+
+
+def test_mechanism_sigma2_covers_the_frame_decode_error():
+    # sgd_desk.ini's geometry: the frame's decode MSE is about K^2 / 100,
+    # above the c^2 / (4*n*m*theta^2) = 0.02 of a single coordinate at c = 4
+    n, d, c, trials = 50, 8, 4.0, 2000
+    frame = build_frame(d, np.random.default_rng(7))
+    params = MechanismParams(n=n, d=d, c=c, theta=0.25, m=64, frame=frame)
+    rng = np.random.default_rng(11)
+    grads = clip_rows(2.0 * c * rng.standard_normal((n, d)), c)
+    probs = coordinate_probs(spread(grads, params), params)
+    ests = server_decode(sample_sums(probs, 64, rng, trials), params)
+    noise = float(np.mean(np.sum((ests - grads.mean(axis=0)) ** 2, axis=1)))
+    assert noise > 0.04
+    slack = 1.0 + 5.0 * sqrt(2.0 / (d * trials))
+    assert noise <= (mechanism_sigma2(params) - c * c) * slack
 
 
 def test_auto_learning_rate():
@@ -49,17 +80,15 @@ def test_auto_learning_rate():
 
 
 def test_convergence_bound():
-    val = convergence_bound(1.0, 1.0, 1.0, 100, 10**9, 1, 0.25)
-    assert val == pytest.approx(0.01 + sqrt(0.08), rel=1e-6)
-    # more rounds help, more clients help
-    assert convergence_bound(1.0, 1.0, 1.0, 400, 50, 4, 0.25) < convergence_bound(
-        1.0, 1.0, 1.0, 100, 50, 4, 0.25
-    )
-    assert convergence_bound(1.0, 1.0, 1.0, 100, 200, 4, 0.25) < convergence_bound(
-        1.0, 1.0, 1.0, 100, 50, 4, 0.25
-    )
-    with pytest.raises(ValueError):
-        convergence_bound(1.0, 1.0, 1.0, 100, 50, 4, 0.0)
+    assert convergence_bound(1.0, 1.0, 1.0, 100) == pytest.approx(0.01 + sqrt(0.08))
+    # more rounds help, more clients (a smaller sigma2) help
+    assert convergence_bound(1.0, 1.0, 1.0, 400) < convergence_bound(1.0, 1.0, 1.0, 100)
+    few = mechanism_sigma2(MechanismParams(n=50, d=1, c=1.0, theta=0.25, m=4))
+    many = mechanism_sigma2(MechanismParams(n=200, d=1, c=1.0, theta=0.25, m=4))
+    assert convergence_bound(1.0, 1.0, many, 100) < convergence_bound(1.0, 1.0, few, 100)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            convergence_bound(1.0, 1.0, bad, 100)
 
 
 # ---------------------------------------------------------------------------
