@@ -21,7 +21,6 @@ from .accounting import (
     rdp_to_dp,
     select_params,
     select_params_approx_dp,
-    subsample_estimate,
 )
 from .benchmark import ExperimentConfig, TrialRecord, run_tradeoff
 from .kashin import KashinFrame, build_frame, represent_batch

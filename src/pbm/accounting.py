@@ -16,9 +16,8 @@ mass; a valid log-pmf has logsumexp == 0. The exact curve sums its
 divergence on the log-likelihood ratio with log1p/expm1, which keeps its
 relative precision as epsilon shrinks.
 
-Also here: the Gaussian baseline, composition of identical copies and
-subsampling on curves, conversion to (eps, delta), and parameter selection
-for a target budget.
+Also here: the Gaussian baseline, composition of identical copies,
+conversion to (eps, delta), and parameter selection for a target budget.
 Selection charges m trials as m composed copies of the one-trial exact
 curve, so every (theta, m) it returns meets its budget on that
 certificate, and no budget reaches the O(n*m^2) curve at large m.
@@ -233,7 +232,7 @@ def gaussian_curve(
 
 
 # ---------------------------------------------------------------------------
-# curves: composition, subsampling, conversion
+# curves: composition, conversion
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,7 @@ class RdpCurve:
 
 
 def scale(curve: RdpCurve, times: int) -> RdpCurve:
-    """Compose `times` identical copies (e.g. independent coordinates)."""
+    """Compose `times` identical copies: coordinates, trials or rounds."""
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
     meta = dict(curve.meta)
@@ -274,21 +273,6 @@ def scale(curve: RdpCurve, times: int) -> RdpCurve:
         alphas=curve.alphas, epsilons=curve.epsilons * times,
         kind="composed", meta=meta,
     )
-
-
-def subsample_estimate(curve: RdpCurve, kappa: float) -> RdpCurve:
-    """Order-level amplification estimate under client sampling rate kappa.
-
-    Scales the curve by kappa^2 (never above the original). This mirrors
-    the known small-order behavior with constant 1; it is a planning
-    estimate, not a certified bound, and degrades at large orders.
-    """
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    eps = np.minimum(curve.epsilons, kappa * kappa * curve.epsilons)
-    meta = dict(curve.meta)
-    meta.update({"kappa": kappa, "estimate": "kappa^2, uncertified"})
-    return RdpCurve(alphas=curve.alphas, epsilons=eps, kind="subsampled-estimate", meta=meta)
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
@@ -343,71 +327,77 @@ def _select(
     n: int,
     d: int,
     alphas: Sequence[float],
-    fits: Callable[[RdpCurve], bool],
+    certify: Callable[[RdpCurve], float],
+    target: float,
     what: str,
-) -> tuple[float, int]:
-    """(theta, m) whose d*m copies of the one-trial curve pass fits.
+) -> tuple[float, int, float]:
+    """(theta, m, certify(curve)) for the d*m copies of the one-trial curve
+    whose certified value is at most target.
 
     The m trials of a client are m independent one-trial releases, so RDP
     composition gives eps(n, m, theta) <= m * eps(n, 1, theta) at every
     order, and only the O(n) curve at m = 1 is evaluated. If theta = 1/4
     fits at m = 1, theta stays there and m is the largest count that fits,
     by doubling and then bisection; otherwise m = 1 and theta is the
-    largest that fits.
+    largest that fits. The value returned is the one the search accepted.
     """
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be positive, got n={n}, d={d}")
-    quarter = pbm_exact_curve(n, 1, 0.25, alphas)
+    certified = {}
 
-    def fits_quarter(m):
+    def fits(theta, m, one_trial):
         try:
-            return fits(scale(quarter, d * m))
+            certified[theta, m] = certify(scale(one_trial, d * m))
         except OverflowError:  # d * m copies past the float range cannot be charged
             return False
+        return certified[theta, m] <= target
 
-    if not fits_quarter(1):
+    quarter = pbm_exact_curve(n, 1, 0.25, alphas)
+    if not fits(0.25, 1, quarter):
         theta = largest_theta(
-            lambda t: fits(scale(pbm_exact_curve(n, 1, t, alphas), d)), what
+            lambda t: fits(t, 1, pbm_exact_curve(n, 1, t, alphas)), what
         )
-        return theta, 1
+        return theta, 1, certified[theta, 1]
     lo, hi = 1, 2
-    while fits_quarter(hi):
+    while fits(0.25, hi, quarter):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fits_quarter(mid):
+        if fits(0.25, mid, quarter):
             lo = mid
         else:
             hi = mid
-    return 0.25, lo
+    return 0.25, lo, certified[0.25, lo]
 
 
-def select_params(n: int, d: int, alpha: float, eps_budget: float) -> tuple[float, int]:
+def select_params(
+    n: int, d: int, alpha: float, eps_budget: float
+) -> tuple[float, int, float]:
     """Pick (theta, m) with d * m * pbm_exact_rdp(n, 1, theta, alpha) <= eps_budget.
 
-    The left side bounds the exact loss of d coordinates with m trials each;
-    see _select for the search.
+    The left side bounds the exact loss of d coordinates with m trials each
+    and is returned third; see _select for the search.
     """
     _check_target("eps_budget", eps_budget)
     return _select(
-        n, d, [alpha], lambda curve: curve.epsilons[0] <= eps_budget,
+        n, d, [alpha], lambda curve: float(curve.epsilons[0]), eps_budget,
         f"the budget {eps_budget} at d = {d}",
     )
 
 
 def select_params_approx_dp(
     n: int, d: int, eps_dp: float, delta: float
-) -> tuple[float, int]:
+) -> tuple[float, int, float]:
     """Pick (theta, m) whose certified (eps, delta) is at most (eps_dp, delta).
 
-    The certificate is rdp_to_dp of d * m copies of the one-trial exact
-    curve on DEFAULT_ALPHAS; see _select for the search.
+    The certificate, returned third, is rdp_to_dp of d * m copies of the
+    one-trial exact curve on DEFAULT_ALPHAS; see _select for the search.
     """
     _check_target("eps_dp", eps_dp)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return _select(
-        n, d, DEFAULT_ALPHAS, lambda curve: rdp_to_dp(curve, delta) <= eps_dp,
+        n, d, DEFAULT_ALPHAS, lambda curve: rdp_to_dp(curve, delta), eps_dp,
         f"the target ({eps_dp}, {delta}) at d = {d}",
     )
 

@@ -67,6 +67,9 @@ class ExperimentConfig:
         for theta in self.theta_list or ():
             if not 0.0 < theta <= 0.25:
                 raise ValueError(f"theta_list entries must lie in (0, 1/4], got {theta}")
+        for eps in self.eps_list or ():
+            if not 0.0 < eps < inf:
+                raise ValueError(f"eps_list entries must be finite and positive, got {eps}")
         if not 1.0 < self.alpha < inf:
             raise ValueError(f"alpha must be a finite order above 1, got {self.alpha}")
         if not 0.0 < self.c < inf:
@@ -123,8 +126,6 @@ def _invert_eps(
     config: ExperimentConfig, base: MechanismParams, m: int, eps_target: float
 ) -> float:
     """Largest theta <= 1/4 whose total epsilon stays within eps_target."""
-    if eps_target <= 0:
-        raise ValueError(f"epsilon targets must be positive, got {eps_target}")
 
     def fits(theta):
         curve = rdp_curve(replace(base, m=m, theta=theta), [config.alpha])

@@ -120,17 +120,17 @@ def _cmd_select_params(args) -> int:
     if rdp_mode == approx_mode:
         raise ValueError("pass exactly one of --eps-budget/--alpha or --eps-dp/--delta")
     # both forms certify d * m composed copies of the one-trial exact curve
+    # and print the value that the search accepted
     if rdp_mode:
-        theta, m = accounting.select_params(args.n, args.d, args.alpha, args.eps_budget)
-        eps_one = accounting.pbm_exact_rdp(args.n, 1, theta, args.alpha)
-        label, value = "bound_total", args.d * m * eps_one
+        label = "bound_total"
+        theta, m, value = accounting.select_params(
+            args.n, args.d, args.alpha, args.eps_budget
+        )
     else:
-        theta, m = accounting.select_params_approx_dp(
+        label = "achieved_eps_dp"
+        theta, m, value = accounting.select_params_approx_dp(
             args.n, args.d, args.eps_dp, args.delta
         )
-        one_trial = accounting.pbm_exact_curve(args.n, 1, theta)
-        composed = accounting.scale(one_trial, args.d * m)
-        label, value = "achieved_eps_dp", accounting.rdp_to_dp(composed, args.delta)
     print(f"theta={theta!r}")
     print(f"m={m}")
     print(f"{label}={value!r}")

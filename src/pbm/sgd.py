@@ -3,12 +3,15 @@
 Each round samples n of N clients; every sampled client clips its gradient
 to L2 norm c, encodes it with the vector mechanism (tight-frame spreading
 plus per-coordinate binomial counts), and the server takes one descent
-step from the decoded mean. The privacy ledger composes the exact
-per-round curve of the sampled cohort across rounds after a kappa^2
-subsampling estimate (kappa = n/N); it is an estimate, not a certified
-bound, and the outputs say so. The automatic learning rate and the
-convergence bound take the decoded gradient's second moment as
-c^2 + mechanism.mse_bound, so the decode error of the frame counts.
+step from the decoded mean. The privacy ledger is a certified bound:
+rounds copies of the exact per-round curve, composed by scale like the
+coordinates of a round, with no subsampling credit. The cohort draw does
+not depend on the data and E_Q[(P/Q)^alpha] is jointly convex, so a
+round's mixture over cohorts is no worse than the unsampled curve, and
+adaptive RDP composition adds the rounds; at configs/sgd_desk.ini,
+eps(2) = 5,610. The automatic learning rate and the convergence bound
+take the decoded gradient's second moment as c^2 + mechanism.mse_bound,
+so the decode error of the frame counts.
 
 The objective is a synthetic quadratic consensus problem (per-client
 anchors) with known smoothness L and exact gap D_F, the two constants of
@@ -19,7 +22,7 @@ for trajectory reporting, which a real federated server could not compute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isfinite, sqrt
+from math import isfinite, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -38,7 +41,7 @@ from .mechanism import (
     spread,
 )
 
-LEDGER_NOTE = "kappa^2 subsampling estimate, not a certified bound"
+LEDGER_NOTE = "certified bound: rounds x exact per-round curve, no subsampling credit"
 
 
 @dataclass(frozen=True)
@@ -146,9 +149,8 @@ class SgdResult:
     eps_matrix: np.ndarray            # shape (T, len(alphas)), cumulative
     alphas: np.ndarray
     ledger: RdpCurve                  # final cumulative curve
-    per_round: RdpCurve               # one round, all coordinates, pre-subsampling
+    per_round: RdpCurve               # one round, all coordinates
     params: MechanismParams           # the round's mechanism, frame included
-    kappa: float
     learning_rate: float
     final_w: np.ndarray
     selection_counts: np.ndarray      # shape (N,): rounds each client was sampled
@@ -161,12 +163,20 @@ def mechanism_sigma2(params: MechanismParams) -> float:
     return params.c**2 + mse_bound(params)
 
 
+def _check_rate_args(smoothness: float, d_f: float, sigma2: float, rounds: int) -> None:
+    """The arguments of auto_learning_rate and convergence_bound, by name."""
+    if not (isfinite(smoothness) and smoothness > 0):
+        raise ValueError(f"smoothness must be finite and positive, got {smoothness}")
+    for name, value in (("d_f", d_f), ("sigma2", sigma2)):
+        if not (isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if not (isinstance(rounds, Integral) and rounds >= 1):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+
+
 def auto_learning_rate(smoothness: float, d_f: float, sigma2: float, rounds: int) -> float:
     """min(1/L, sqrt(2*D_F) / (sigma * sqrt(L*T)))."""
-    if smoothness <= 0 or rounds < 1:
-        raise ValueError("smoothness must be positive and rounds >= 1")
-    if sigma2 < 0 or d_f < 0:
-        raise ValueError("sigma2 and d_f must be nonnegative")
+    _check_rate_args(smoothness, d_f, sigma2, rounds)
     base = 1.0 / smoothness
     if sigma2 == 0.0:
         return base
@@ -179,8 +189,7 @@ def convergence_bound(smoothness: float, d_f: float, sigma2: float, rounds: int)
     L*D_F/T + sqrt(8*sigma2*L*D_F/T), with sigma2 from mechanism_sigma2;
     applies to the average of ||grad F||^2 over a uniformly chosen round.
     """
-    if not 0.0 <= sigma2 < inf:
-        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
+    _check_rate_args(smoothness, d_f, sigma2, rounds)
     return smoothness * d_f / rounds + sqrt(8.0 * sigma2 * smoothness * d_f / rounds)
 
 
@@ -206,17 +215,16 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     else:
         gamma = float(config.learning_rate)
 
-    kappa = config.sampled / config.total_clients
     per_round = rdp_curve(params)
-    amplified = accounting.subsample_estimate(per_round, kappa)
-    ledger = accounting.scale(amplified, config.rounds)
+    ledger = accounting.scale(per_round, config.rounds)
 
     w = loss.w0.copy()
     t_axis = np.arange(1, config.rounds + 1)
     losses = np.empty(config.rounds)
     grad_norms = np.empty(config.rounds)
     selection_counts = np.zeros(config.total_clients, dtype=np.int64)
-    eps_matrix = t_axis[:, None] * amplified.epsilons[None, :]
+    # row t is the ledger after t rounds: t copies of the per-round curve
+    eps_matrix = t_axis[:, None] * per_round.epsilons[None, :]
     for t, rseed in enumerate(round_root.spawn(config.rounds)):
         sample_seed, mech_root = rseed.spawn(2)
         idx = np.random.default_rng(sample_seed).choice(
@@ -238,7 +246,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     return SgdResult(
         rounds=t_axis, losses=losses, grad_norms_sq=grad_norms,
         eps_matrix=eps_matrix, alphas=per_round.alphas,
-        ledger=ledger, per_round=per_round, params=params, kappa=kappa,
+        ledger=ledger, per_round=per_round, params=params,
         learning_rate=gamma, final_w=w, selection_counts=selection_counts,
     )
 

@@ -8,9 +8,10 @@ the accountant.
 from __future__ import annotations
 
 import itertools
-from math import log, sqrt
+from math import comb, log, sqrt
 
 import numpy as np
+from scipy.special import logsumexp
 from scipy.stats import binom
 
 
@@ -146,3 +147,66 @@ def rdp_to_dp_simple(curve, delta: float) -> float:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     rho = float((curve.epsilons / curve.alphas).max())
     return rho + 2.0 * sqrt(rho * log(1.0 / delta))
+
+
+def _sum_pmf(ps, m: int) -> np.ndarray:
+    """pmf of a sum of independent Binom(m, p) draws; equal p's are merged,
+    since k draws of Binom(m, p) sum to Binom(k*m, p)."""
+    out = np.ones(1)
+    for p, k in zip(*np.unique(ps, return_counts=True)):
+        out = np.convolve(out, binom.pmf(np.arange(k * m + 1), k * m, p))
+    return out
+
+
+def _log_moment(p: np.ndarray, q: np.ndarray, j: float) -> float:
+    """log sum p^j q^(1-j) over the outcomes where neither pmf underflows.
+
+    The dropped terms are nonnegative, so the value can only come out low.
+    """
+    mask = (p > 0) & (q > 0)
+    return float(logsumexp(j * np.log(p[mask]) + (1.0 - j) * np.log(q[mask])))
+
+
+def realizable_pair_rdp(probs, alt, m: int, alpha: float, gamma: float = 1.0) -> float:
+    """Exact D_alpha of one round's sums for a concrete neighbouring pair.
+
+    probs (n, coords) are the clients' success probabilities; the
+    neighbour replaces row 0 by alt (coords,). Each coordinate sums n
+    independent Binom(m, p) counts, so P (probs) and Q (alt in row 0) are
+    products over coordinates. With gamma = 1 the value is the larger of
+    sum_i D_alpha(P_i || Q_i) and sum_i D_alpha(Q_i || P_i).
+
+    With gamma < 1 the pair is (gamma*P + (1 - gamma)*Q, Q): the cohort is
+    drawn without replacement from a population in which every client but
+    the replaced one sits at alt, so the cohort holds row 0 with
+    probability gamma = n/N and every other row must equal alt. At an
+    integer order E_Q[(1 - gamma + gamma*P/Q)^alpha] expands binomially
+    into moments E_Q[(P/Q)^j] that factor over coordinates; at alpha = 2
+    it is log(1 + gamma^2 * (prod_i (1 + chi2(P_i || Q_i)) - 1)).
+
+    Outcomes where a pmf underflows are dropped, which only lowers the
+    value, so it stays a lower bound on the true divergence of the pair.
+    """
+    probs = np.asarray(probs, dtype=float)
+    pairs = []
+    for i in range(probs.shape[1]):
+        rest = _sum_pmf(probs[1:, i], m)
+        pairs.append(
+            (np.convolve(rest, binom.pmf(np.arange(m + 1), m, probs[0, i])),
+             np.convolve(rest, binom.pmf(np.arange(m + 1), m, alt[i])))
+        )
+    if gamma == 1.0:
+        forward = sum(_log_moment(p, q, alpha) for p, q in pairs)
+        backward = sum(_log_moment(q, p, alpha) for p, q in pairs)
+        return max(forward, backward) / (alpha - 1.0)
+    if not (0.0 < gamma < 1.0 and alpha == int(alpha) and alpha >= 2):
+        raise ValueError("a subsampled pair needs gamma in (0, 1) and an integer order")
+    if not np.all(probs[1:] == alt):
+        raise ValueError("a subsampled pair needs every row but row 0 at alt")
+    k = int(alpha)
+    terms = [
+        log(comb(k, j)) + (k - j) * np.log1p(-gamma) + j * log(gamma)
+        + sum(_log_moment(p, q, j) for p, q in pairs)
+        for j in range(k + 1)
+    ]
+    return float(logsumexp(terms)) / (alpha - 1.0)

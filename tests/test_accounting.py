@@ -8,7 +8,9 @@ from oracles import (
     brute_force_extreme_rdp,
     exhaustive_k_curve,
     mpmath_endpoint_curve,
+    poisson_binomial_pmf,
     rdp_to_dp_simple,
+    realizable_pair_rdp,
 )
 from pbm import accounting
 from pbm.accounting import (
@@ -26,7 +28,6 @@ from pbm.accounting import (
     scale,
     select_params,
     select_params_approx_dp,
-    subsample_estimate,
     write_curve_csv,
 )
 
@@ -113,6 +114,39 @@ def test_endpoint_matches_exhaustive_k_search():
                 got = pbm_exact_curve(n, m, theta, alphas).epsilons
                 want = exhaustive_k_curve(n, m, theta, alphas)
                 np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_realizable_pair_at_the_endpoint_is_the_exact_curve():
+    # the replaced client at 1/2 - theta against 1/2 + theta, every other
+    # client at 1/2 + theta, is the accountant's worst case, on each of
+    # three coordinates
+    n, m, theta = 6, 3, 0.2
+    lo, hi = 0.5 - theta, 0.5 + theta
+    probs = np.full((n, 3), hi)
+    probs[0] = lo
+    for alpha in (1.5, 2.0, 4.0):
+        got = realizable_pair_rdp(probs, np.full(3, hi), m, alpha)
+        assert got == pytest.approx(3 * pbm_exact_rdp(n, m, theta, alpha), rel=1e-9)
+
+
+def test_realizable_subsampled_pair_matches_the_joint_mixture():
+    # two coordinates, enumerated jointly: D_alpha(gamma*P + (1-gamma)*Q || Q)
+    m, gamma = 2, 0.3
+    probs = np.array([[0.3, 0.65], [0.6, 0.4], [0.6, 0.4]])
+    alt = probs[1]
+    joint = {}
+    for name, first in (("p", probs[0]), ("q", alt)):
+        margins = [poisson_binomial_pmf([first[i], alt[i], alt[i]], m) for i in (0, 1)]
+        joint[name] = np.outer(*margins).ravel()
+    mixture = gamma * joint["p"] + (1 - gamma) * joint["q"]
+    for alpha in (2, 3, 5):
+        want = np.log(np.sum(mixture**alpha * joint["q"] ** (1 - alpha))) / (alpha - 1)
+        got = realizable_pair_rdp(probs, alt, m, alpha, gamma)
+        assert got == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError):
+        realizable_pair_rdp(probs, alt, m, 2.5, gamma)
+    with pytest.raises(ValueError):
+        realizable_pair_rdp(probs, probs[0], m, 2, gamma)
 
 
 def test_exact_curve_matches_mpmath_at_small_theta():
@@ -266,18 +300,6 @@ def test_scale_matches_repeated_compose():
         scale(a, 0)
 
 
-def test_subsample_estimate():
-    a = pbm_exact_curve(5, 1, 0.2, DEFAULT_ALPHAS)
-    np.testing.assert_array_equal(subsample_estimate(a, 1.0).epsilons, a.epsilons)
-    np.testing.assert_allclose(
-        subsample_estimate(a, 0.1).epsilons, 0.01 * a.epsilons, rtol=1e-15
-    )
-    with pytest.raises(ValueError):
-        subsample_estimate(a, 0.0)
-    with pytest.raises(ValueError):
-        subsample_estimate(a, 1.5)
-
-
 # ---------------------------------------------------------------------------
 # conversion to (eps, delta)
 
@@ -321,7 +343,9 @@ def test_conversion_validation():
 # under composition, and at m = 1 theta + 1e-10 overshoots.
 
 
-def _assert_rdp_selection(n, d, alpha, budget, theta, m):
+def _assert_rdp_selection(n, d, alpha, budget, theta, m, bound):
+    # the returned bound is the d * m composed copies the search accepted
+    assert bound == d * m * pbm_exact_rdp(n, 1, theta, alpha) <= budget
     assert d * pbm_exact_rdp(n, m, theta, alpha) <= budget
     if theta == 0.25:
         assert d * (m + 1) * pbm_exact_rdp(n, 1, theta, alpha) > budget
@@ -336,17 +360,17 @@ def _approx_dp(n, d, theta, m, delta):
 
 def test_select_params_large_budget_branch():
     n, d, alpha, budget = 100, 1, 2.0, 0.4
-    theta, m = select_params(n, d, alpha, budget)
+    theta, m, bound = select_params(n, d, alpha, budget)
     assert (theta, m) == (0.25, 29)
-    _assert_rdp_selection(n, d, alpha, budget, theta, m)
+    _assert_rdp_selection(n, d, alpha, budget, theta, m, bound)
 
 
 def test_select_params_small_budget_branch():
     n, d, alpha, budget = 50, 20, 3.0, 0.01
-    theta, m = select_params(n, d, alpha, budget)
+    theta, m, bound = select_params(n, d, alpha, budget)
     assert m == 1
     assert 0.0 < theta < 0.25
-    _assert_rdp_selection(n, d, alpha, budget, theta, m)
+    _assert_rdp_selection(n, d, alpha, budget, theta, m, bound)
 
 
 def test_select_params_branch_boundary():
@@ -354,7 +378,7 @@ def test_select_params_branch_boundary():
     unit = pbm_exact_rdp(n, 1, 0.25, alpha)
     just_over = select_params(n, 1, alpha, unit * 1.0001)
     just_under = select_params(n, 1, alpha, unit * 0.9999)
-    assert just_over == (0.25, 1)
+    assert just_over[:2] == (0.25, 1)
     _assert_rdp_selection(n, 1, alpha, unit * 1.0001, *just_over)
     assert just_under[1] == 1 and just_under[0] < 0.25
     assert just_under[0] == pytest.approx(0.25, rel=1e-3)
@@ -373,17 +397,17 @@ def test_select_params_infeasible():
 def test_select_params_huge_budget_stays_in_float_range():
     # the trial count stops where d * m copies would pass the float range
     n, d, alpha, budget = 100, 4, 2.0, 1e308
-    theta, m = select_params(n, d, alpha, budget)
+    theta, m, bound = select_params(n, d, alpha, budget)
     assert theta == 0.25
-    assert d * m * pbm_exact_rdp(n, 1, theta, alpha) <= budget
+    assert bound == d * m * pbm_exact_rdp(n, 1, theta, alpha) <= budget
 
 
 def test_select_params_approx_dp_frozen():
     n, d, delta = 1000, 250, 1e-5
-    theta, m = select_params_approx_dp(n, d, 1.0, delta)
+    theta, m, achieved = select_params_approx_dp(n, d, 1.0, delta)
     assert m == 1
     assert theta == pytest.approx(0.119028, rel=1e-5)
-    assert _approx_dp(n, d, theta, m, delta) <= 1.0
+    assert achieved == _approx_dp(n, d, theta, m, delta) <= 1.0
     assert _approx_dp(n, d, theta + 1e-10, m, delta) > 1.0
 
 

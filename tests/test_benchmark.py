@@ -1,10 +1,12 @@
 import json
 from dataclasses import replace
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import realizable_pair_rdp
 from pbm.benchmark import (
     CSV_HEADER,
     ExperimentConfig,
@@ -14,7 +16,12 @@ from pbm.benchmark import (
     write_records_csv,
     write_series_json,
 )
+from pbm.config import load_dme_config
+from pbm.kashin import build_frame
+from pbm.mechanism import MechanismParams, coordinate_probs, spread
 from pbm.secagg import default_modulus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _small_config(**overrides) -> ExperimentConfig:
@@ -134,6 +141,37 @@ def test_eps_list_inversion():
         assert r.epsilon <= target * (1.0 + 1e-6)
         # either the budget binds or theta hit its cap
         assert r.theta == 0.25 or r.epsilon >= target * 0.999
+
+
+@pytest.mark.parametrize("load", [
+    lambda: load_dme_config(ROOT / "configs" / "desk.ini"),
+    lambda: _small_config(use_kashin=True, m_list=(2, 8), theta_list=(0.02, 0.25)),
+], ids=["desk-direct", "small-framed"])
+def test_pbm_rows_cover_a_realizable_pair(load):
+    # the run's own clients, the one of largest norm moved to its antipode
+    # and spread through the run's own frame: every pbm row's epsilon is at
+    # least that pair's exact divergence, in both orders
+    config = load()
+    client_seed, frame_seed, _ = np.random.SeedSequence(config.seed).spawn(3)
+    clients = generate_clients(config, np.random.default_rng(client_seed))
+    j = int(np.argmax(np.linalg.norm(clients, axis=1)))
+    moved = np.vstack([clients[j], -clients[j], np.delete(clients, j, axis=0)])
+    frame = (
+        build_frame(config.d, np.random.default_rng(frame_seed))
+        if config.use_kashin else None
+    )
+    base = MechanismParams(
+        n=config.n, d=config.d,
+        c=config.c if config.use_kashin else config.c / sqrt(config.d),
+        theta=0.25, m=1, frame=frame,
+    )
+    y = spread(moved, base)
+    rows = [r for r in run_tradeoff(config) if r.mechanism == "pbm"]
+    assert rows
+    for r in rows:
+        probs = coordinate_probs(y, replace(base, theta=r.theta, m=r.m))
+        lower = realizable_pair_rdp(np.delete(probs, 1, axis=0), probs[1], r.m, r.alpha)
+        assert 0.0 < lower <= r.epsilon
 
 
 def test_matched_budget_gap_shrinks_with_m():

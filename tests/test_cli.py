@@ -147,7 +147,8 @@ def test_sgd_happy_path(tmp_path, sgd_config, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "final loss" in stdout
-    assert "ledger eps(2) = " in stdout and "subsampling estimate" in stdout
+    assert "ledger eps(2) = " in stdout and "certified bound" in stdout
+    assert "estimate" not in stdout
     lines = out.read_text().splitlines()
     assert lines[0] == "# pbm-csv v1 sgd"
     assert len(lines) == 3 + 5
@@ -416,15 +417,19 @@ def test_sgd_rejects_theta_outside_range(tmp_path, theta, capsys):
     ("dme", DME_INI.replace("theta_list = 0.1 0.25", "theta_list = 0.3"), "theta_list"),
     ("dme", DME_INI.replace("theta_list = 0.1 0.25", "theta_list = 0.0 0.1"),
      "theta_list"),
+    ("dme", DME_INI.replace("theta_list = 0.1 0.25", "eps_list = 1 nan"), "eps_list"),
+    ("dme", DME_INI.replace("theta_list = 0.1 0.25", "eps_list = -1"), "eps_list"),
+    ("dme", DME_INI.replace("theta_list = 0.1 0.25", "eps_list = inf"), "eps_list"),
     ("sgd", SGD_INI.replace("m = 4", "m = 0"), "m must be a positive integer"),
-], ids=["dme-m-zero", "dme-theta-above-quarter", "dme-theta-zero", "sgd-m-zero"])
+], ids=["dme-m-zero", "dme-theta-above-quarter", "dme-theta-zero", "dme-eps-nan",
+        "dme-eps-negative", "dme-eps-inf", "sgd-m-zero"])
 def test_sweep_point_out_of_range_fails_at_load(
     tool, text, key, tmp_path, capsys, monkeypatch
 ):
-    # a bad m or theta is named with its file before any frame, accounting
-    # or draw runs
+    # a bad m, theta or epsilon target is named with its file before any
+    # frame, accounting or draw runs
     def never(*args, **kwargs):
-        raise AssertionError("the run started with a bad m or theta")
+        raise AssertionError("the run started with a bad sweep value")
 
     monkeypatch.setattr(cli, {"dme": "run_tradeoff", "sgd": "run_sgd"}[tool], never)
     cfg = tmp_path / "cfg.ini"

@@ -1,10 +1,13 @@
 from dataclasses import replace
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbm import accounting
+from oracles import realizable_pair_rdp
+from pbm import accounting, cli
+from pbm.config import load_sgd_config
 from pbm.kashin import build_frame
 from pbm.mechanism import (
     MechanismParams,
@@ -25,6 +28,9 @@ from pbm.sgd import (
     run,
     write_trajectory_csv,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _quad_config(**overrides) -> SgdConfig:
@@ -89,6 +95,30 @@ def test_convergence_bound():
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             convergence_bound(1.0, 1.0, bad, 100)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("fn", [auto_learning_rate, convergence_bound])
+@pytest.mark.parametrize("args, name", [
+    ((0.0, 1.0, 1.0, 10), "smoothness"),
+    ((-1.0, 1.0, 1.0, 10), "smoothness"),
+    ((NAN, 1.0, 1.0, 10), "smoothness"),
+    ((INF, 1.0, 1.0, 10), "smoothness"),
+    ((1.0, -1.0, 1.0, 10), "d_f"),
+    ((1.0, NAN, 1.0, 10), "d_f"),
+    ((1.0, INF, 1.0, 10), "d_f"),
+    ((1.0, 1.0, -1.0, 10), "sigma2"),
+    ((1.0, 1.0, NAN, 10), "sigma2"),
+    ((1.0, 1.0, INF, 10), "sigma2"),
+    ((1.0, 1.0, 1.0, 0), "rounds"),
+    ((1.0, 1.0, 1.0, -3), "rounds"),
+    ((1.0, 1.0, 1.0, 2.5), "rounds"),
+])
+def test_rate_and_bound_reject_bad_arguments_by_name(fn, args, name):
+    with pytest.raises(ValueError, match=name):
+        fn(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +215,56 @@ def test_sampling_uniform_and_paired():
 
 
 def test_ledger_structure():
+    # subsampling 20 of 80 clients takes no credit: the ledger is rounds
+    # copies of the cohort's per-round curve
     config = _quad_config(total_clients=80, sampled=20, rounds=12)
     result = run(config, disable_mechanism=True)
-    kappa = 20 / 80
-    assert result.kappa == pytest.approx(kappa)
     d = config.loss.dimension
     per_coord = accounting.pbm_exact_curve(20, config.m, config.theta, result.alphas)
     np.testing.assert_allclose(
         result.per_round.epsilons, d * per_coord.epsilons, rtol=1e-15
     )
-    np.testing.assert_allclose(
-        result.ledger.epsilons, 12 * kappa**2 * result.per_round.epsilons, rtol=1e-15
+    np.testing.assert_array_equal(
+        result.ledger.epsilons, 12 * result.per_round.epsilons
     )
-    np.testing.assert_allclose(
-        result.eps_matrix[0], kappa**2 * result.per_round.epsilons, rtol=1e-15
-    )
-    np.testing.assert_allclose(result.eps_matrix[-1], result.ledger.epsilons, rtol=1e-15)
     assert result.eps_matrix.shape == (12, len(result.alphas))
+    for t in range(1, 13):
+        np.testing.assert_array_equal(
+            result.eps_matrix[t - 1], t * result.per_round.epsilons
+        )
+
+
+def test_ledger_covers_a_realizable_pair(tmp_path):
+    # N - 1 clients send -x and one sends x, with ||x||_2 = clip, through
+    # the run's own frame; a cohort holds the one with probability
+    # gamma = n/N, and the rounds' exact D_2 of that pair lower-bounds any
+    # certified ledger (the best of 50 random x reaches 117.6)
+    path = ROOT / "configs" / "sgd_desk.ini"
+    out = tmp_path / "traj.csv"
+    assert cli.main(["sgd", "--config", str(path), "--out", str(out)]) == 0
+    header, *rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+    printed = float(rows[-1][header.index("eps_at_2")])
+
+    config = load_sgd_config(path)
+    d, n = config.loss.dimension, config.sampled
+    frame_seed = np.random.SeedSequence(config.seed).spawn(2)[0]
+    params = MechanismParams(
+        n=n, d=d, c=config.clip, theta=config.theta, m=config.m,
+        frame=build_frame(d, np.random.default_rng(frame_seed)),
+    )
+    rng = np.random.default_rng(0)
+    realizable = 0.0
+    for _ in range(50):
+        u = rng.standard_normal(d)
+        x = config.clip * u / np.linalg.norm(u)
+        p_x, p_minus = coordinate_probs(spread(np.stack([x, -x]), params), params)
+        probs = np.vstack([p_x, np.tile(p_minus, (n - 1, 1))])
+        one_round = realizable_pair_rdp(
+            probs, p_minus, config.m, 2.0, gamma=n / config.total_clients
+        )
+        realizable = max(realizable, config.rounds * one_round)
+    assert realizable > 100.0
+    assert printed >= realizable
 
 
 def test_mechanism_noise_scales_inversely_with_m():
@@ -250,8 +313,11 @@ def test_trajectory_csv(tmp_path):
     write_trajectory_csv(result, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "# pbm-csv v1 sgd"
-    # the ledger columns say in the file that they are an estimate
-    assert lines[1].startswith("# eps_at_* columns:") and "not a certified bound" in lines[1]
+    # the ledger columns say in the file how they are certified
+    assert lines[1] == (
+        "# eps_at_* columns: certified bound: rounds x exact per-round curve, "
+        "no subsampling credit"
+    )
     cols = lines[2].split(",")
     assert cols[:3] == ["round", "loss", "grad_norm_sq"]
     assert cols[3] == "eps_at_1.25"
