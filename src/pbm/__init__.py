@@ -17,7 +17,6 @@ from .accounting import (
     gaussian_mse,
     gaussian_rdp,
     pbm_exact_curve,
-    pbm_exact_rdp,
     rdp_to_dp,
     select_params,
     select_params_approx_dp,

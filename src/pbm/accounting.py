@@ -187,11 +187,6 @@ def pbm_exact_curve(
     return RdpCurve(alphas=alphas, epsilons=eps, kind="exact", meta=meta)
 
 
-def pbm_exact_rdp(n: int, m: int, theta: float, alpha: float) -> float:
-    """Exact epsilon at a single order; see pbm_exact_curve."""
-    return float(pbm_exact_curve(n, m, theta, [alpha]).epsilons[0])
-
-
 # ---------------------------------------------------------------------------
 # Gaussian baseline
 
@@ -295,22 +290,20 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
 def largest_theta(fits: Callable[[float], bool], what: str) -> float:
     """Largest theta <= 1/4 with fits(theta), for fits true up to a threshold.
 
-    Returns 1/4 if it fits; otherwise bisects [0, 1/4] with at most 50
-    halvings, stopping at width 1e-10, and returns the end that fits.
+    Returns 1/4 if it fits; otherwise bisects [0, 1/4] until its width is
+    below 1e-10 (32 halvings) and returns the end that fits.
     Raises InfeasibleBudget if no theta > 0 was found to fit; `what` names
     the budget in the message.
     """
     if fits(0.25):
         return 0.25
     lo, hi = 0.0, 0.25
-    for _ in range(50):
+    while hi - lo >= 1e-10:
         mid = 0.5 * (lo + hi)
         if fits(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-10:
-            break
     if lo == 0.0:
         raise InfeasibleBudget(f"no theta > 0 meets {what}")
     return lo
@@ -336,34 +329,33 @@ def _select(
 
     The m trials of a client are m independent one-trial releases, so RDP
     composition gives eps(n, m, theta) <= m * eps(n, 1, theta) at every
-    order, and only the O(n) curve at m = 1 is evaluated. If theta = 1/4
-    fits at m = 1, theta stays there and m is the largest count that fits,
-    by doubling and then bisection; otherwise m = 1 and theta is the
-    largest that fits. The value returned is the one the search accepted.
+    order, and only the O(n) curve at m = 1 is evaluated, once per theta.
+    theta is the largest that fits at m = 1; if that is 1/4, m is the
+    largest count that fits there, by doubling and then bisection. The
+    value returned is the one the search accepted.
     """
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be positive, got n={n}, d={d}")
-    certified = {}
+    curves, certified = {}, {}
 
-    def fits(theta, m, one_trial):
+    def fits(theta, m=1):
+        if theta not in curves:
+            curves[theta] = pbm_exact_curve(n, 1, theta, alphas)
         try:
-            certified[theta, m] = certify(scale(one_trial, d * m))
+            certified[theta, m] = certify(scale(curves[theta], d * m))
         except OverflowError:  # d * m copies past the float range cannot be charged
             return False
         return certified[theta, m] <= target
 
-    quarter = pbm_exact_curve(n, 1, 0.25, alphas)
-    if not fits(0.25, 1, quarter):
-        theta = largest_theta(
-            lambda t: fits(t, 1, pbm_exact_curve(n, 1, t, alphas)), what
-        )
+    theta = largest_theta(fits, what)
+    if theta < 0.25:
         return theta, 1, certified[theta, 1]
     lo, hi = 1, 2
-    while fits(0.25, hi, quarter):
+    while fits(0.25, hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fits(0.25, mid, quarter):
+        if fits(0.25, mid):
             lo = mid
         else:
             hi = mid
@@ -373,10 +365,11 @@ def _select(
 def select_params(
     n: int, d: int, alpha: float, eps_budget: float
 ) -> tuple[float, int, float]:
-    """Pick (theta, m) with d * m * pbm_exact_rdp(n, 1, theta, alpha) <= eps_budget.
+    """Pick (theta, m) with d * m * eps(n, 1, theta) <= eps_budget at order alpha.
 
-    The left side bounds the exact loss of d coordinates with m trials each
-    and is returned third; see _select for the search.
+    eps is the one-trial pbm_exact_curve. The left side bounds the exact
+    loss of d coordinates with m trials each and is returned third; see
+    _select for the search.
     """
     _check_target("eps_budget", eps_budget)
     return _select(
@@ -394,8 +387,6 @@ def select_params_approx_dp(
     one-trial exact curve on DEFAULT_ALPHAS; see _select for the search.
     """
     _check_target("eps_dp", eps_dp)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return _select(
         n, d, DEFAULT_ALPHAS, lambda curve: rdp_to_dp(curve, delta), eps_dp,
         f"the target ({eps_dp}, {delta}) at d = {d}",

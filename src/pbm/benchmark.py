@@ -55,6 +55,9 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("n", "d", "trials", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.d < 1 or self.trials < 1:
             raise ValueError("n, d, trials must all be positive")
         if self.seed < 0:

@@ -21,7 +21,7 @@ import numpy as np
 from . import accounting, kashin
 from .accounting import InfeasibleBudget
 from .benchmark import run_tradeoff, write_records_csv, write_series_json
-from .config import ConfigError, load_dme_config, load_sgd_config
+from .config import load_dme_config, load_sgd_config
 from .kashin import ConvergenceError
 from .sgd import run as run_sgd
 from .sgd import LEDGER_NOTE, write_trajectory_csv
@@ -208,16 +208,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfeasibleBudget as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

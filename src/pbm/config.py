@@ -7,7 +7,7 @@ Backed by configparser, so files look like
     m_list = 2 4 6 16
 
 Unknown sections and keys are rejected (they are usually typos) and every
-parse or validation problem is raised as ConfigError, naming the file,
+parse or validation problem is raised as a ValueError naming the file,
 which the CLI maps to its config-error exit code.
 """
 
@@ -20,10 +20,6 @@ from .benchmark import ExperimentConfig
 from .sgd import LossSpec, SgdConfig
 
 
-class ConfigError(Exception):
-    """A config file could not be parsed or validated."""
-
-
 def _read(path, sections: tuple[str, ...]) -> configparser.ConfigParser:
     """Parse path; a section other than the given ones raises."""
     parser = configparser.ConfigParser()
@@ -31,13 +27,13 @@ def _read(path, sections: tuple[str, ...]) -> configparser.ConfigParser:
         with open(path) as fh:
             parser.read_file(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         # configparser errors carry line numbers in their message
-        raise ConfigError(f"bad config {path}: {exc}") from exc
+        raise ValueError(f"bad config {path}: {exc}") from exc
     unknown = ", ".join(f"[{s}]" for s in parser.sections() if s not in sections)
     if unknown:
-        raise ConfigError(f"{path}: unknown sections {unknown}")
+        raise ValueError(f"{path}: unknown sections {unknown}")
     return parser
 
 
@@ -51,12 +47,12 @@ def _section(parser, section: str, casts: dict, path, required=()) -> dict:
         return {}
     unknown = set(parser[section]) - set(casts)
     if unknown:
-        raise ConfigError(
+        raise ValueError(
             f"{path}: unknown keys in [{section}]: {', '.join(sorted(unknown))}"
         )
     for key in required:
         if not parser.has_option(section, key):
-            raise ConfigError(f"{path}: missing required key {key!r} in [{section}]")
+            raise ValueError(f"{path}: missing required key {key!r} in [{section}]")
     values = {}
     for key, cast in casts.items():
         if not parser.has_option(section, key):
@@ -65,7 +61,7 @@ def _section(parser, section: str, casts: dict, path, required=()) -> dict:
         try:
             values[key] = parser.getboolean(section, key) if cast is bool else cast(raw)
         except (ValueError, AttributeError) as exc:
-            raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
+            raise ValueError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
     return values
 
 
@@ -90,7 +86,7 @@ _CLIP_KEYS = {"enabled": bool, "safety_c": float}
 def load_dme_config(path) -> ExperimentConfig:
     parser = _read(path, ("experiment", "clipping"))
     if not parser.has_section("experiment"):
-        raise ConfigError(f"{path}: missing [experiment] section")
+        raise ValueError(f"{path}: missing [experiment] section")
     kwargs = _section(parser, "experiment", _DME_KEYS, path, ("n", "d", "m_list"))
     clipping = _section(parser, "clipping", _CLIP_KEYS, path)
     # a file names its sweep; the dataclass's default theta grid is not used
@@ -100,7 +96,7 @@ def load_dme_config(path) -> ExperimentConfig:
     try:
         return ExperimentConfig(**kwargs, **clipping)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _learning_rate(raw: str):
@@ -127,11 +123,11 @@ _LOSS_KEYS = {
 def load_sgd_config(path) -> SgdConfig:
     parser = _read(path, ("sgd", "loss"))
     if not parser.has_section("sgd"):
-        raise ConfigError(f"{path}: missing [sgd] section")
+        raise ValueError(f"{path}: missing [sgd] section")
     required = ("total_clients", "sampled", "rounds")
     kwargs = _section(parser, "sgd", _SGD_KEYS, path, required)
     loss_kwargs = _section(parser, "loss", _LOSS_KEYS, path)
     try:
         return SgdConfig(**kwargs, loss=LossSpec(**loss_kwargs))
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc

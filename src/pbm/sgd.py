@@ -58,6 +58,9 @@ class LossSpec:
     def __post_init__(self):
         if self.kind != "quadratic":
             raise ValueError(f"loss kind must be 'quadratic', got {self.kind!r}")
+        for name in ("dimension", "data_seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
         if not (isfinite(self.smoothness) and self.smoothness > 0):
@@ -116,6 +119,9 @@ class SgdConfig:
     loss: LossSpec = field(default_factory=LossSpec)
 
     def __post_init__(self):
+        for name in ("total_clients", "sampled", "rounds", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.sampled <= self.total_clients:
             raise ValueError(
                 f"need 1 <= sampled <= total_clients, got "

@@ -21,7 +21,6 @@ from pbm.accounting import (
     RdpCurve,
     gaussian_rdp,
     pbm_exact_curve,
-    pbm_exact_rdp,
     rdp_to_dp,
     scale,
 )
@@ -64,7 +63,7 @@ def test_criterion_01_exact_accountant_matches_brute_force(acceptance):
     t0 = time.perf_counter()
     worst = 0.0
     for n, m, theta, alpha in GRID:
-        got = pbm_exact_rdp(n, m, theta, alpha)
+        got = pbm_exact_curve(n, m, theta, [alpha]).epsilons[0]
         want = brute_force_extreme_rdp(n, m, theta, alpha)
         worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0
@@ -80,7 +79,7 @@ def test_criterion_01_exact_accountant_matches_brute_force(acceptance):
 def test_criterion_02_interior_assignments_never_beat_extremes(acceptance):
     t0 = time.perf_counter()
     grid_max = interior_grid_max_rdp(0.25, 2.0, 0.05)
-    extreme = pbm_exact_rdp(3, 1, 0.25, 2.0)
+    extreme = pbm_exact_curve(3, 1, 0.25, [2.0]).epsilons[0]
     elapsed = time.perf_counter() - t0
     ok = grid_max <= extreme + 1e-10 and elapsed < 5.0
     acceptance(
@@ -108,7 +107,8 @@ def test_criterion_03_per_trial_subadditivity(acceptance):
     worst_violation = -np.inf
     worst_multi = (-np.inf, None)
     for n, m, theta, alpha in GRID:
-        gap = pbm_exact_rdp(n, m, theta, alpha) - m * pbm_exact_rdp(n, 1, theta, alpha)
+        one_trial = pbm_exact_curve(n, 1, theta, [alpha]).epsilons[0]
+        gap = pbm_exact_curve(n, m, theta, [alpha]).epsilons[0] - m * one_trial
         worst_violation = max(worst_violation, gap)
         if m > 1:
             worst_multi = max(worst_multi, (gap, (n, m, theta)))
@@ -134,7 +134,7 @@ def test_criterion_04_approaches_equal_mse_gaussian_budget(acceptance):
     ladder = [(4, 0.25), (16, 0.125), (64, 0.0625), (256, 0.03125)]
     gaps = []
     for m, theta in ladder:
-        eps = pbm_exact_rdp(n, m, theta, alpha)
+        eps = pbm_exact_curve(n, m, theta, [alpha]).epsilons[0]
         sigma = sqrt(c * c / (4.0 * n * m * theta * theta))
         eps_gauss = gaussian_rdp(c, n, sigma, alpha)
         gaps.append(abs(eps - eps_gauss) / eps_gauss)

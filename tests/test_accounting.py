@@ -23,7 +23,6 @@ from pbm.accounting import (
     gaussian_mse,
     gaussian_rdp,
     pbm_exact_curve,
-    pbm_exact_rdp,
     rdp_to_dp,
     scale,
     select_params,
@@ -94,14 +93,16 @@ def test_convolve_merges_same_probability():
 
 def test_exact_rdp_closed_form_anchors():
     # n=2, m=1, theta=1/4, alpha=2: worst ordering gives log(29/15)
-    assert pbm_exact_rdp(2, 1, 0.25, 2.0) == pytest.approx(log(29.0 / 15.0), rel=1e-12)
+    (eps,) = pbm_exact_curve(2, 1, 0.25, [2.0]).epsilons
+    assert eps == pytest.approx(log(29.0 / 15.0), rel=1e-12)
     # n=1 reduces to Binom(1, 1/4) vs Binom(1, 3/4): log(7/3)
-    assert pbm_exact_rdp(1, 1, 0.25, 2.0) == pytest.approx(log(7.0 / 3.0), rel=1e-12)
+    (eps,) = pbm_exact_curve(1, 1, 0.25, [2.0]).epsilons
+    assert eps == pytest.approx(log(7.0 / 3.0), rel=1e-12)
 
 
 def test_exact_rdp_matches_brute_force():
     for n, m, theta, alpha in [(3, 1, 0.2, 2.5), (2, 2, 0.25, 1.5), (4, 1, 0.1, 4.0)]:
-        got = pbm_exact_rdp(n, m, theta, alpha)
+        got = pbm_exact_curve(n, m, theta, [alpha]).epsilons[0]
         want = brute_force_extreme_rdp(n, m, theta, alpha)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -126,7 +127,8 @@ def test_realizable_pair_at_the_endpoint_is_the_exact_curve():
     probs[0] = lo
     for alpha in (1.5, 2.0, 4.0):
         got = realizable_pair_rdp(probs, np.full(3, hi), m, alpha)
-        assert got == pytest.approx(3 * pbm_exact_rdp(n, m, theta, alpha), rel=1e-9)
+        want = 3 * pbm_exact_curve(n, m, theta, [alpha]).epsilons[0]
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_realizable_subsampled_pair_matches_the_joint_mixture():
@@ -175,15 +177,15 @@ def test_exact_curve_monotone_in_alpha():
 
 
 def test_exact_monotone_in_theta_and_m():
-    eps_t = [pbm_exact_rdp(5, 2, t, 2.0) for t in (0.05, 0.15, 0.25)]
+    eps_t = [pbm_exact_curve(5, 2, t, [2.0]).epsilons[0] for t in (0.05, 0.15, 0.25)]
     assert eps_t[0] < eps_t[1] < eps_t[2]
-    eps_m = [pbm_exact_rdp(5, m, 0.2, 2.0) for m in (1, 2, 4)]
+    eps_m = [pbm_exact_curve(5, m, 0.2, [2.0]).epsilons[0] for m in (1, 2, 4)]
     assert eps_m[0] < eps_m[1] < eps_m[2]
 
 
 def test_exact_decays_like_one_over_n():
     ns = [8, 16, 32, 64, 128, 256]
-    eps = np.array([pbm_exact_rdp(n, 1, 0.25, 2.0) for n in ns])
+    eps = np.array([pbm_exact_curve(n, 1, 0.25, [2.0]).epsilons[0] for n in ns])
     assert np.all(np.diff(eps) < 0)
     scaled = eps * np.array(ns)
     assert scaled.max() / scaled.min() < 3.0
@@ -191,10 +193,10 @@ def test_exact_decays_like_one_over_n():
 
 def test_exact_subadditive_in_m():
     n, theta, alpha = 5, 0.25, 2.0
-    e1 = pbm_exact_rdp(n, 1, theta, alpha)
-    e2 = pbm_exact_rdp(n, 2, theta, alpha)
-    e3 = pbm_exact_rdp(n, 3, theta, alpha)
-    e4 = pbm_exact_rdp(n, 4, theta, alpha)
+    e1 = pbm_exact_curve(n, 1, theta, [alpha]).epsilons[0]
+    e2 = pbm_exact_curve(n, 2, theta, [alpha]).epsilons[0]
+    e3 = pbm_exact_curve(n, 3, theta, [alpha]).epsilons[0]
+    e4 = pbm_exact_curve(n, 4, theta, [alpha]).epsilons[0]
     assert e3 <= e1 + e2 + 1e-12
     assert e4 <= 2.0 * e2 + 1e-12
 
@@ -345,13 +347,13 @@ def test_conversion_validation():
 
 def _assert_rdp_selection(n, d, alpha, budget, theta, m, bound):
     # the returned bound is the d * m composed copies the search accepted
-    assert bound == d * m * pbm_exact_rdp(n, 1, theta, alpha) <= budget
-    assert d * pbm_exact_rdp(n, m, theta, alpha) <= budget
+    assert bound == d * m * pbm_exact_curve(n, 1, theta, [alpha]).epsilons[0] <= budget
+    assert d * pbm_exact_curve(n, m, theta, [alpha]).epsilons[0] <= budget
     if theta == 0.25:
-        assert d * (m + 1) * pbm_exact_rdp(n, 1, theta, alpha) > budget
+        assert d * (m + 1) * pbm_exact_curve(n, 1, theta, [alpha]).epsilons[0] > budget
     else:
         assert m == 1
-        assert d * pbm_exact_rdp(n, 1, theta + 1e-10, alpha) > budget
+        assert d * pbm_exact_curve(n, 1, theta + 1e-10, [alpha]).epsilons[0] > budget
 
 
 def _approx_dp(n, d, theta, m, delta):
@@ -374,15 +376,26 @@ def test_select_params_small_budget_branch():
 
 
 def test_select_params_branch_boundary():
-    n, alpha = 100, 2.0
-    unit = pbm_exact_rdp(n, 1, 0.25, alpha)
-    just_over = select_params(n, 1, alpha, unit * 1.0001)
-    just_under = select_params(n, 1, alpha, unit * 0.9999)
-    assert just_over[:2] == (0.25, 1)
-    _assert_rdp_selection(n, 1, alpha, unit * 1.0001, *just_over)
-    assert just_under[1] == 1 and just_under[0] < 0.25
-    assert just_under[0] == pytest.approx(0.25, rel=1e-3)
-    _assert_rdp_selection(n, 1, alpha, unit * 0.9999, *just_under)
+    # targets just above and just below the certificate of theta = 1/4, m = 1,
+    # in both forms: (select(target), certificate(theta, m))
+    n, alpha, delta = 100, 2.0, 1e-6
+    forms = [
+        (lambda target: select_params(n, 1, alpha, target),
+         lambda theta, m: m * pbm_exact_curve(n, 1, theta, [alpha]).epsilons[0]),
+        (lambda target: select_params_approx_dp(n, 1, target, delta),
+         lambda theta, m: rdp_to_dp(scale(pbm_exact_curve(n, 1, theta), m), delta)),
+    ]
+    for select, certificate in forms:
+        unit = certificate(0.25, 1)
+        theta, m, value = select(unit * 1.0001)
+        assert (theta, m) == (0.25, 1)
+        assert value == unit
+        assert certificate(0.25, 2) > unit * 1.0001
+        theta, m, value = select(unit * 0.9999)
+        assert m == 1 and theta < 0.25
+        assert theta == pytest.approx(0.25, rel=1e-3)
+        assert value == certificate(theta, 1) <= unit * 0.9999
+        assert certificate(theta + 1e-10, 1) > unit * 0.9999
 
 
 def test_select_params_infeasible():
@@ -399,7 +412,7 @@ def test_select_params_huge_budget_stays_in_float_range():
     n, d, alpha, budget = 100, 4, 2.0, 1e308
     theta, m, bound = select_params(n, d, alpha, budget)
     assert theta == 0.25
-    assert bound == d * m * pbm_exact_rdp(n, 1, theta, alpha) <= budget
+    assert bound == d * m * pbm_exact_curve(n, 1, theta, [alpha]).epsilons[0] <= budget
 
 
 def test_select_params_approx_dp_frozen():
@@ -419,6 +432,25 @@ def test_select_params_approx_dp_monotone():
     assert ms[-1] > 1
     thetas = [select_params_approx_dp(100, 50, e, 1e-6)[0] for e in (0.5, 4.0)]
     assert all(t <= 0.25 for t in thetas)
+
+
+def test_select_evaluates_each_theta_once(monkeypatch):
+    # one bisection over theta, and one over m at theta = 1/4
+    exact_curve, seen = accounting.pbm_exact_curve, []
+
+    def spy(n, m, theta, alphas):
+        seen.append(theta)
+        return exact_curve(n, m, theta, alphas)
+
+    monkeypatch.setattr(accounting, "pbm_exact_curve", spy)
+    for select, args, on_theta in [
+        (select_params, (1000, 250, 64.0, 0.01), True),
+        (select_params_approx_dp, (100, 50, 16.0, 1e-6), False),
+    ]:
+        seen.clear()
+        theta, m, _ = select(*args)
+        assert (theta < 0.25) == on_theta and (m > 1) != on_theta
+        assert 0.25 in seen and len(seen) == len(set(seen))
 
 
 def test_achieved_approx_dp_orders_with_theta():

@@ -43,6 +43,9 @@ def test_config_validation():
             _small_config(alpha=alpha)
     with pytest.raises(ValueError):
         _small_config(trials=0)
+    for name in ("n", "d", "trials", "seed"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            _small_config(**{name: 2.5})
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             _small_config(c=bad)

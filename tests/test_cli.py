@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from pbm import accounting, cli, kashin
-from pbm.accounting import pbm_exact_curve, pbm_exact_rdp, rdp_to_dp, scale
+from pbm.accounting import pbm_exact_curve, rdp_to_dp, scale
 from pbm.benchmark import ExperimentConfig
 from pbm.cli import main
 from pbm.config import load_dme_config, load_sgd_config
@@ -237,9 +237,9 @@ def test_select_params_rdp_mode(capsys):
         capsys, ["--n", "100", "--d", "4", "--alpha", "2", "--eps-budget", "1.0"]
     )
     assert (theta, m) == (0.25, 18)
-    eps_one = pbm_exact_rdp(n, 1, theta, alpha)
+    eps_one = pbm_exact_curve(n, 1, theta, [alpha]).epsilons[0]
     assert float(out["bound_total"]) == d * m * eps_one <= budget
-    assert d * pbm_exact_rdp(n, m, theta, alpha) <= budget
+    assert d * pbm_exact_curve(n, m, theta, [alpha]).epsilons[0] <= budget
     assert d * (m + 1) * eps_one > budget
 
 
@@ -267,8 +267,8 @@ def test_select_params_large_order_meets_budget(capsys):
     )
     assert m == 1
     assert theta == pytest.approx(0.0088372, rel=1e-4)
-    assert 250 * pbm_exact_rdp(1000, 1, theta, 64.0) <= 0.01
-    assert 250 * pbm_exact_rdp(1000, 1, theta + 1e-10, 64.0) > 0.01
+    assert 250 * pbm_exact_curve(1000, 1, theta, [64.0]).epsilons[0] <= 0.01
+    assert 250 * pbm_exact_curve(1000, 1, theta + 1e-10, [64.0]).epsilons[0] > 0.01
     assert float(out["bound_total"]) <= 0.01
 
 
@@ -277,7 +277,7 @@ def test_select_params_large_budget_spends_it(capsys):
         capsys, ["--n", "1000", "--d", "1", "--eps-budget", "1"]
     )
     assert (theta, m) == (0.25, 748)
-    eps_one = pbm_exact_rdp(1000, 1, 0.25, 2.0)
+    eps_one = pbm_exact_curve(1000, 1, 0.25, [2.0]).epsilons[0]
     assert m * eps_one <= 1.0 < (m + 1) * eps_one
     assert float(out["bound_total"]) == m * eps_one
 

@@ -151,6 +151,9 @@ def test_loss_spec_validation():
         LossSpec(kind="logistic")
     with pytest.raises(ValueError):
         LossSpec(dimension=0)
+    for name in ("dimension", "data_seed"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            LossSpec(**{name: 2.5})
     for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="smoothness"):
             LossSpec(smoothness=bad)
@@ -296,6 +299,10 @@ def test_config_validation():
         _quad_config(sampled=50, total_clients=40)
     with pytest.raises(ValueError):
         _quad_config(rounds=0)
+    for name, bad in [("total_clients", 10.0), ("sampled", 5.5), ("sampled", 2.5),
+                      ("rounds", 2.5), ("seed", 2.5)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            _quad_config(**{name: bad})
     for clip in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             _quad_config(clip=clip)
