@@ -15,7 +15,6 @@ degree.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import inf, sqrt
 from numbers import Integral
@@ -214,6 +213,9 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
         for (m, theta), seed in zip(points, seeds)
     ]
     if config.threads > 1 and len(tasks) > 1:
+        # imported here: the process pool costs start-up to runs that never use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.threads, len(tasks))) as pool:
             per_point = list(pool.map(_point_task, tasks))
     else:

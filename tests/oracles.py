@@ -104,6 +104,22 @@ def mpmath_endpoint_curve(n: int, m: int, theta: float, alphas, dps: int = 40):
     return np.array(out)
 
 
+def mpmath_binomial_logpmf(trials: int, p: float, ks, dps: int = 40) -> np.ndarray:
+    """log C(trials, k) + k log p + (trials - k) log(1 - p) in dps-digit mpmath."""
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    big_p = ctx.mpf(p)
+    log_p, log_q = ctx.log(big_p), ctx.log(1 - big_p)
+    log_n = ctx.loggamma(trials + 1)
+    return np.array([
+        float(log_n - ctx.loggamma(k + 1) - ctx.loggamma(trials - k + 1)
+              + k * log_p + (trials - k) * log_q)
+        for k in ks
+    ])
+
+
 def interior_grid_max_rdp(theta: float, alpha: float, step: float) -> float:
     """Max D_alpha over a full grid of 3-client probability assignments.
 

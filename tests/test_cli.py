@@ -1,9 +1,13 @@
 import configparser
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pbm
 from pbm import accounting, cli, kashin
 from pbm.accounting import pbm_exact_curve, rdp_to_dp, scale
 from pbm.benchmark import ExperimentConfig
@@ -654,3 +658,51 @@ def test_select_params_evaluates_only_the_one_trial_curve(monkeypatch, capsys):
                    ["--eps-dp", "1.0"], ["--eps-dp", "50.0"]):
         assert main(["select-params", "--n", "1000", "--d", "4", *budget]) == 0
     assert trials and set(trials) == {1}
+
+
+# Runs every command with scipy blocked: sys.modules["scipy"] = None makes
+# any import of scipy or a submodule raise ImportError.
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import pbm.cli
+root = sys.argv[1]
+commands = [
+    ["rdp-curve", "--n", "1000", "--m", "4", "--theta", "0.25", "--mode", "exact",
+     "--out", "curve.csv"],
+    ["rdp-curve", "--n", "1000", "--mode", "gaussian", "--sigma", "0.02", "--c", "1.0",
+     "--out", "gauss.csv"],
+    ["select-params", "--n", "1000", "--d", "250", "--alpha", "2", "--eps-budget", "1.0"],
+    ["select-params", "--n", "1000", "--d", "250", "--eps-dp", "1.0", "--delta", "1e-5"],
+    ["dme", "--config", root + "/configs/desk.ini", "--threads", "1",
+     "--out", "dme.csv", "--json", "dme.json"],
+    ["sgd", "--config", root + "/configs/sgd_desk.ini", "--out", "trajectory.csv"],
+    ["kashin-check", "--d", "64"],
+]
+codes = [pbm.cli.main(argv) for argv in commands]
+assert codes == [0] * len(commands), codes
+"""
+
+LOADED_SCIPY = """
+import sys
+import pbm.cli
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def _python(code, *args, cwd):
+    env = dict(os.environ)
+    src = str(Path(pbm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_no_command_needs_scipy(tmp_path):
+    run = _python(NO_SCIPY, str(ROOT), cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    run = _python(LOADED_SCIPY, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
