@@ -185,10 +185,6 @@ def _point_records(
     return records
 
 
-def _point_task(args) -> list[TrialRecord]:
-    return _point_records(*args)
-
-
 def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     """Run the sweep; deterministic for a fixed seed at any thread count."""
     root = np.random.SeedSequence(config.seed)
@@ -217,9 +213,9 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(config.threads, len(tasks))) as pool:
-            per_point = list(pool.map(_point_task, tasks))
+            per_point = list(pool.map(_point_records, *zip(*tasks)))
     else:
-        per_point = [_point_task(t) for t in tasks]
+        per_point = [_point_records(*t) for t in tasks]
     return [rec for recs in per_point for rec in recs]
 
 

@@ -84,24 +84,22 @@ def build_frame(d: int, rng: np.random.Generator) -> KashinFrame:
     big_d = BLOCKS * d
     u = np.hstack([_haar_orthogonal(d, rng) for _ in range(BLOCKS)])
     u /= sqrt(BLOCKS)
-    frame = KashinFrame(u=u, level_k=np.inf)
     x = rng.standard_normal((d, PROBES))
-    y = _represent_batch(x, frame)
+    y = _represent_batch(x, u)
     with np.errstate(invalid="ignore"):
         spread = sqrt(big_d) * np.abs(y).max(axis=0) / np.linalg.norm(x, axis=0)
     level = float(spread.max()) * LEVEL_SAFETY
     return KashinFrame(u=u, level_k=level)
 
 
-def _represent_batch(x: np.ndarray, frame: KashinFrame) -> np.ndarray:
+def _represent_batch(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Greedy truncation loop plus one exact step, over the columns of x (d x B).
 
     PASSES clipped passes bound each coefficient; the final unclipped
     least-norm correction U.T @ (x - U @ y) then closes the residual, since
     U @ U.T = I_d.
     """
-    u = frame.u
-    big_d = frame.big_d
+    big_d = u.shape[1]
     y = np.zeros((big_d, x.shape[1]))
     r = x.copy()
     for _ in range(PASSES):
@@ -127,7 +125,7 @@ def represent_batch(x: np.ndarray, frame: KashinFrame) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != frame.d:
         raise ValueError(f"expected shape ({frame.d}, batch), got {x.shape}")
-    y = _represent_batch(x, frame)
+    y = _represent_batch(x, frame.u)
     norms = np.linalg.norm(x, axis=0)
     live = norms > 0
     residual = np.linalg.norm(frame.u @ y - x, axis=0)

@@ -53,8 +53,8 @@ class MechanismParams:
 
     n: number of clients, d: input dimension, c: norm bound (L2 with a
     frame, per-coordinate without), theta: encoding strength in (0, 1/4],
-    m: binomial trials per coordinate (an integer >= 1), frame: the shared
-    spreading frame, or None for direct encoding.
+    m: binomial trials per coordinate, frame: the shared spreading frame,
+    or None for direct encoding. n, d and m are integers >= 1.
     """
 
     n: int
@@ -65,14 +65,14 @@ class MechanismParams:
     frame: KashinFrame | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"n and d must be positive, got n={self.n}, d={self.d}")
+        for name in ("n", "d", "m"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.c < inf:
             raise ValueError(f"c must be finite and positive, got {self.c}")
         if not 0.0 < self.theta <= 0.25:
             raise ValueError(f"theta must lie in (0, 1/4], got {self.theta}")
-        if not isinstance(self.m, Integral) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if self.frame is not None and self.frame.d != self.d:
             raise ValueError(
                 f"frame dimension {self.frame.d} does not match d = {self.d}"

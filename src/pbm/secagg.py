@@ -43,6 +43,9 @@ def clipped_spec(
     that window and the server lifts each aggregate residue into
     [offset, offset + modulus); sums landing outside the window wrap and
     decode incorrectly. Larger safety_c trades bits for wrap probability.
+    Where that window is at least default_modulus(n, m) wide (at the
+    default safety_c, only for n*m <= 31), the default group
+    (default_modulus(n, m), 0) is returned instead: it holds every sum.
     """
     if theta <= 0 or theta > 0.25:
         raise ValueError(f"theta must lie in (0, 1/4], got {theta}")
@@ -50,6 +53,9 @@ def clipped_spec(
         raise ValueError(f"safety_c must be nonnegative, got {safety_c}")
     nm = n * m
     modulus = ceil(nm * theta + safety_c * sqrt(nm)) + 1
+    full = default_modulus(n, m)
+    if modulus >= full:
+        return full, 0
     offset = floor(nm * (1.0 - theta) / 2.0 - safety_c * sqrt(nm / 4.0))
     return modulus, offset
 

@@ -706,3 +706,22 @@ def test_no_command_needs_scipy(tmp_path):
     run = _python(LOADED_SCIPY, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+LOADED_PBM = """
+import importlib
+import sys
+importlib.import_module(sys.argv[1])
+print(sorted(m for m in sys.modules if m == "pbm" or m.startswith("pbm.")))
+"""
+
+
+def test_one_layer_imports_alone(tmp_path):
+    # the package re-exports nothing, so importing it or one layer loads no
+    # other layer
+    run = _python(LOADED_PBM, "pbm", cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['pbm']"
+    run = _python(LOADED_PBM, "pbm.accounting", cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['pbm', 'pbm.accounting']"

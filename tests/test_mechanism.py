@@ -50,6 +50,11 @@ def test_params_validation(frame8):
     # a float m can be neither encoded nor priced
     with pytest.raises(ValueError, match="m must be a positive integer"):
         MechanismParams(n=10, d=4, c=1.0, theta=0.1, m=2.0)
+    # a float n would fail later, inside secagg.default_modulus
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        MechanismParams(n=2.5, d=3, c=1.0, theta=0.25, m=2)
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        MechanismParams(n=3, d=2.0, c=1.0, theta=0.25, m=2)
     with pytest.raises(ValueError):
         MechanismParams(n=4, d=5, c=1.0, theta=0.1, m=1, frame=frame8)
 

@@ -67,6 +67,18 @@ def test_clipped_spec_formula():
         clipped_spec(30, 3, 0.1, -1.0)
 
 
+def test_clipped_modulus_never_above_default():
+    # at small n*m the clipped window is wider than the default group, which
+    # already holds every sum, so the default group is used instead
+    for nm in range(1, 65):
+        for theta in (0.01, 0.1, 0.25):
+            modulus, offset = clipped_spec(nm, 1, theta)
+            assert modulus <= default_modulus(nm, 1)
+            if modulus == default_modulus(nm, 1):
+                assert offset == 0
+    assert clipped_spec(1, 2, 0.25) == (4, 0)
+
+
 def test_lift_recovers_sums_inside_window():
     modulus, offset = clipped_spec(10, 2, 0.25, 2.0)
     assert (modulus, offset) == (15, 3)
