@@ -18,18 +18,21 @@ PASSES clipped passes shrink the residual by about 0.67 each and fix the
 spread, then one unclipped step y += U.T @ (x - U @ y) removes what is left
 of the residual down to rounding, because U @ U.T = I_d. That last step
 moves each coefficient by at most the residual left after the clipped
-passes, about 1e-4 of ||x||_2 after 24. A frame certifies its level through
-the same passes, so no setting can spread past what it certified.
+passes, about 1e-4 of ||x||_2 after 24. The passes track the residual
+through its coefficients in the first basis, which halves their flops (see
+_represent_batch); the exact step works on x itself, in float64 like the
+rest. A frame certifies its level through the same passes, so no setting
+can spread past what it certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
-BLOCKS = 2  # orthogonal d x d bases per frame, so D = BLOCKS * d
 PASSES = 24  # clipped passes before the exact step
 PROBES = 1000  # Gaussian vectors that certify a frame's level
 LEVEL_SAFETY = 1.1
@@ -72,18 +75,18 @@ def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 def build_frame(d: int, rng: np.random.Generator) -> KashinFrame:
     """Build a random tight frame and certify its spread level.
 
-    The frame stacks BLOCKS independent Haar-orthogonal d x d bases scaled
-    by 1/sqrt(BLOCKS), so U @ U.T = I_d and D = BLOCKS * d.
+    The frame stacks two independent Haar-orthogonal d x d bases scaled
+    by 1/sqrt(2), so U @ U.T = I_d and D = 2d.
 
     The certified level is the max spread of PROBES Gaussian probes, through
     the same passes and exact step as represent_batch(), times LEVEL_SAFETY;
     represent_batch() checks every output against it.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    big_d = BLOCKS * d
-    u = np.hstack([_haar_orthogonal(d, rng) for _ in range(BLOCKS)])
-    u /= sqrt(BLOCKS)
+    if not isinstance(d, Integral) or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d!r}")
+    big_d = 2 * d
+    u = np.hstack([_haar_orthogonal(d, rng) for _ in range(2)])
+    u /= sqrt(2)
     x = rng.standard_normal((d, PROBES))
     y = _represent_batch(x, u)
     with np.errstate(invalid="ignore"):
@@ -95,20 +98,37 @@ def build_frame(d: int, rng: np.random.Generator) -> KashinFrame:
 def _represent_batch(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Greedy truncation loop plus one exact step, over the columns of x (d x B).
 
-    PASSES clipped passes bound each coefficient; the final unclipped
-    least-norm correction U.T @ (x - U @ y) then closes the residual, since
-    U @ U.T = I_d.
+    The clipped passes run on the residual's coefficients c = U.T @ r rather
+    than on r. With U = [U1 U2] = [Q1 Q2] / sqrt(2), c = (c1, 2 V.T @ c1)
+    for V = U1.T @ U2, and ||r||^2 = 2 ||c1||^2, so a pass needs only c1:
+    it clips c to a, adds a to y, and takes U1.T @ U @ a = a1 / 2 + V @ a2
+    from c1, two d x d products where the residual form needs two d x D
+    ones. c1 is U1.T @ r in an orthonormal basis, so it shrinks with r and
+    keeps its relative precision. The final unclipped least-norm correction
+    U.T @ (x - U @ y) then closes the residual, since U @ U.T = I_d.
     """
-    big_d = u.shape[1]
-    y = np.zeros((big_d, x.shape[1]))
-    r = x.copy()
+    d = u.shape[0]
+    u1 = u[:, :d]
+    v = u1.T @ u[:, d:]
+    w = 2.0 * v.T
+    c1 = u1.T @ x
+    a = np.empty((u.shape[1], x.shape[1]))
+    a1, a2 = a[:d], a[d:]
+    y = np.zeros_like(a)
     for _ in range(PASSES):
-        a = u.T @ r
-        # cap shrinks with the residual, so the caps sum geometrically
-        cap = np.linalg.norm(r, axis=0) / sqrt(big_d)
-        np.clip(a, -cap, cap, out=a)
+        # cap = ||r|| / sqrt(D) shrinks with the residual, so the caps sum
+        # geometrically
+        cap = np.sqrt((c1 * c1).sum(axis=0) / d)
+        a1[...] = c1
+        np.matmul(w, c1, out=a2)
+        # two ufuncs, not np.clip, whose wrapper costs more than both at the
+        # sgd's small batches
+        np.minimum(a, cap, out=a)
+        np.maximum(a, -cap, out=a)
         y += a
-        r -= u @ a
+        a1 *= 0.5
+        c1 -= a1
+        c1 -= v @ a2
     y += u.T @ (x - u @ y)
     return y
 

@@ -16,17 +16,20 @@ geometries, selected by whether MechanismParams carries a frame:
 Every function works on whole batches: clients are rows. sample_sums is
 the one binomial draw; counts lie in [0, m], so under the default modulus
 M > n*m its integer sums are the secure-aggregation sums. It has two exact
-kernels, picked by m at a cap of 32 (set for an earlier kernel; the
-crossover is now near m = 128): above it, numpy's binomial sampler; up to
-it, m Bernoulli trials, each succeeding when a 53-bit uniform k lies below
+kernels, picked by m at a cap of 32 (not the crossover; see
+_COMPARE_MAX_M): above it, numpy's binomial sampler; up to it, m Bernoulli
+trials, each succeeding when a 53-bit uniform k lies below
 T = ceil(p * 2**53), which has probability exactly T / 2**53, the same as
 the compare u < p of a float64 uniform (a multiple of 2**-53). The trial
-is settled on the top 16 bits of k, so one 64-bit random word serves four
-trials: a prefix below T's top 16 bits succeeds, one above fails, and only
-an equal prefix (probability 2**-16) needs the other 37 bits, drawn as one
-word per tie after all prefixes. Each (clients, coords) slab of prefixes
-is padded to whole words, so chunk boundaries fall on words and chunking
-leaves the stream unchanged.
+is settled on the top 8 bits of k, so one 64-bit random word serves eight
+trials: a prefix below T's top 8 bits succeeds, one above fails, and only
+an equal prefix (probability 2**-8) needs the other 45 bits, drawn as one
+word per tie after all prefixes, by trial and then entry. Successes and
+ties are counted per (trial, entry) in uint8 while a draw of at most 1 MB
+of words is hot in cache, so ties are located once per count, not once
+per prefix. Each (clients, coords) slab of prefixes is padded to whole
+words, so chunk boundaries fall on words and chunking leaves the stream
+unchanged.
 """
 
 from __future__ import annotations
@@ -40,10 +43,14 @@ import numpy as np
 from . import accounting
 from .kashin import KashinFrame, represent_batch
 
-# cap on the entries of one draw (16-bit prefixes or binomials)
+# cap on the entries of one draw (8-bit prefixes or binomials): its 1 MB of
+# random words stays in L2 while the compares read it
 _CHUNK_ENTRIES = 1_048_576
-# largest m drawn as Bernoulli trials; not the crossover with rng.binomial,
-# which is near m = 128 (2 cores, numpy 2.4); raising it moves sgd bytes
+# largest m drawn as Bernoulli trials; raising it moves sgd bytes. Not the
+# crossover with rng.binomial: on a 2-core Xeon (numpy 2.4) the compare
+# kernel took 0.94x its time at m = 128 and 1.39x at m = 192 for (1000, 500)
+# probabilities and 15 trials (the dme sweep), and 0.73x at m = 64 and
+# 1.03x at m = 96 for (50, 16) and one trial (an sgd round)
 _COMPARE_MAX_M = 32
 
 
@@ -135,28 +142,28 @@ def coordinate_probs(y: np.ndarray, params: MechanismParams) -> np.ndarray:
 
 
 def _prefix_thresholds(probs: np.ndarray) -> np.ndarray:
-    """hi = (max(T, 1) - 1) >> 37 as uint16 for T = ceil(p * 2**53).
+    """hi = (max(T, 1) - 1) >> 45 as uint8 for T = ceil(p * 2**53).
 
-    Computed as max(ceil(p * 2**16), 1) - 1, which is exact in float64
+    Computed as max(ceil(p * 2**8), 1) - 1, which is exact in float64
     (scaling by a power of two is) and needs no uint64 copy of T.
     """
-    hi = np.multiply(probs, 2.0**16)
+    hi = np.multiply(probs, 2.0**8)
     np.ceil(hi, out=hi)
     np.maximum(hi, 1.0, out=hi)
     hi -= 1.0
-    return hi.astype(np.uint16)
+    return hi.astype(np.uint8)
 
 
 def _split_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each T = ceil(p * 2**53) as hi * 2**37 + lo, hi from _prefix_thresholds.
+    """Each T = ceil(p * 2**53) as hi * 2**45 + lo, hi from _prefix_thresholds.
 
-    lo lies in [0, 2**37] (uint64). For a 53-bit integer k, k < T exactly
-    when k >> 37 < hi, or k >> 37 == hi and k mod 2**37 < lo; and k < T
+    lo lies in [0, 2**45] (uint64). For a 53-bit integer k, k < T exactly
+    when k >> 45 < hi, or k >> 45 == hi and k mod 2**45 < lo; and k < T
     exactly when k * 2**-53 < p, the compare of a float64 uniform with p.
     """
     hi = _prefix_thresholds(probs)
     t = np.ceil(np.multiply(probs, 2.0**53)).astype(np.uint64)
-    return hi, t - (hi.astype(np.uint64) << 37)
+    return hi, t - (hi.astype(np.uint64) << 45)
 
 
 def sample_sums(
@@ -168,14 +175,18 @@ def sample_sums(
     Bernoulli trials, each succeeding with probability exactly
     ceil(p * 2**53) / 2**53, as the compare u < p of a float64 uniform
     would (_split_thresholds). The trials read one trial-major stream of
-    16-bit prefixes, four to a 64-bit word, in (clients, coords) slabs each
+    8-bit prefixes, eight to a 64-bit word, in (clients, coords) slabs each
     padded to whole words; after the last prefix, one word per tied prefix,
-    in stream order, supplies the 37 bits below it. Larger m uses
+    by trial, then entry, supplies the 45 bits below it. Larger m uses
     rng.binomial. Either way a draw holds at most _CHUNK_ENTRIES entries
     (or one slab), and chunking does not change the stream.
     """
     if not isinstance(m, Integral) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    if not isinstance(trials, Integral) or trials < 0:
+        raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
+    if np.ndim(probs) != 2:
+        raise ValueError(f"probs must be 2-D (clients, coords), got shape {np.shape(probs)}")
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1] and not be NaN")
     n, coords = probs.shape
@@ -189,31 +200,38 @@ def sample_sums(
     flat = probs.ravel()
     hi = _prefix_thresholds(flat)
     entries = n * coords
-    words = -(-entries // 4)  # four 16-bit prefixes per word, slabs padded
-    tie_trials, tie_entries = [], []
+    words = -(-entries // 8)  # eight 8-bit prefixes per word, slabs padded
+    tied = []  # per chunk: first trial, trials, each tie's (trial, entry) index
     # whole trials per draw while m slabs fit, else one trial in slab groups
     chunk = max(1, slabs // max(m, 1))
     for lo in range(0, trials, chunk):
         t = min(chunk, trials - lo)
-        counts = np.zeros((t, entries), dtype=np.uint8)
+        # per (trial, entry): prefixes below hi, and prefixes equal to it
+        wins = np.zeros((t, entries), dtype=np.uint8)
+        ties = np.zeros((t, entries), dtype=np.uint8)
+        hit = np.empty((t, entries), dtype=np.bool_)
         for k in range(0, m, slabs):
             size = (t, min(slabs, m - k), words)
             # full 64-bit words with any bit generator (random_raw is not)
             raw = rng.integers(0, 2**64, size=size, dtype=np.uint64)
             # little-endian lanes, so the prefixes do not depend on the platform
-            prefix = raw.astype("<u8", copy=False).view("<u2")[..., :entries]
-            counts += np.sum(prefix < hi, axis=1, dtype=np.uint8)
-            tied = np.flatnonzero(prefix == hi)
-            if tied.size:
-                trial, _, entry = np.unravel_index(tied, prefix.shape)
-                tie_trials.append(lo + trial)
-                tie_entries.append(entry)
-        sums[lo : lo + t] = counts.reshape(t, n, coords).sum(axis=1, dtype=np.int64)
-    if tie_trials:
-        trial, entry = np.concatenate(tie_trials), np.concatenate(tie_entries)
-        raw = rng.integers(0, 2**64, size=trial.size, dtype=np.uint64)
-        rest = _split_thresholds(flat[entry])[1]
-        np.add.at(sums, (trial, entry % coords), (raw >> 27) < rest)
+            prefix = raw.astype("<u8", copy=False).view(np.uint8)[..., :entries]
+            for j in range(size[1]):
+                np.less(prefix[:, j], hi, out=hit)
+                wins += hit.view(np.uint8)
+                np.equal(prefix[:, j], hi, out=hit)
+                ties += hit.view(np.uint8)
+        sums[lo : lo + t] = wins.reshape(t, n, coords).sum(axis=1, dtype=np.int64)
+        index = np.flatnonzero(ties != 0)
+        tied.append((lo, t, np.repeat(index, ties.ravel()[index])))
+    # after the last prefix, one word per tie, by trial, then entry
+    for lo, t, index in tied:
+        if index.size:
+            raw = rng.integers(0, 2**64, size=index.size, dtype=np.uint64)
+            trial, entry = np.divmod(index, entries)
+            won = (raw >> 19) < _split_thresholds(flat[entry])[1]
+            cell = (trial * coords + entry % coords)[won]
+            sums[lo : lo + t] += np.bincount(cell, minlength=t * coords).reshape(t, coords)
     return sums
 
 

@@ -226,3 +226,51 @@ def realizable_pair_rdp(probs, alt, m: int, alpha: float, gamma: float = 1.0) ->
         for j in range(k + 1)
     ]
     return float(logsumexp(terms)) / (alpha - 1.0)
+
+
+def represent_residual_passes(x: np.ndarray, u: np.ndarray, passes: int) -> np.ndarray:
+    """Frame coefficients by the clipped passes on the residual r itself.
+
+    Each pass clips a = U.T @ r to +-||r|| / sqrt(D), adds a to y and takes
+    U @ a from r, two d x D products; one unclipped step
+    y += U.T @ (x - U @ y) ends the loop. This is the textbook form of
+    Lyubarskii and Vershynin's truncation, which kashin._represent_batch
+    runs in the residual's coefficients instead.
+    """
+    big_d = u.shape[1]
+    y = np.zeros((big_d, x.shape[1]))
+    r = x.copy()
+    for _ in range(passes):
+        a = u.T @ r
+        cap = np.linalg.norm(r, axis=0) / sqrt(big_d)
+        np.clip(a, -cap, cap, out=a)
+        y += a
+        r -= u @ a
+    y += u.T @ (x - u @ y)
+    return y
+
+
+def decode_error_moments(probs, m: int, scale: float, u=None) -> tuple[float, float]:
+    """Mean and variance of one trial's squared decode error ||x_hat - x_bar||^2.
+
+    probs (n, coords) are the clients' success probabilities, each count
+    Binom(m, p); scale = c' / (n*m*theta) is the decoder's gain, and u the
+    frame (d, coords), or None for direct encoding. The decoded coefficient
+    mu_k = scale * (S_k - n*m/2) has mean y_bar_k (the decoder is unbiased
+    while no probability is clamped), and its error e_k has variance
+    v_k = scale^2 * m * sum_i p_ik (1 - p_ik) and fourth cumulant
+    scale^4 * m * sum_i p_ik (1 - p_ik) (1 - 6 p_ik (1 - p_ik)),
+    independently across k. The squared error is e.T @ G @ e with
+    G = u.T @ u (the identity without a frame), whose mean is
+    sum_k ||u_k||^2 v_k and whose variance is
+    2 sum_kl G_kl^2 v_k v_l + sum_k G_kk^2 kappa_k.
+    """
+    probs = np.asarray(probs, dtype=float)
+    pq = probs * (1.0 - probs)
+    var = scale**2 * m * pq.sum(axis=0)
+    kappa = scale**4 * m * (pq * (1.0 - 6.0 * pq)).sum(axis=0)
+    gram = np.eye(probs.shape[1]) if u is None else np.asarray(u).T @ np.asarray(u)
+    diag = np.diag(gram)
+    mean = float(diag @ var)
+    variance = float(2.0 * var @ (gram**2) @ var + (diag**2) @ kappa)
+    return mean, variance

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import realizable_pair_rdp
+from oracles import decode_error_moments, realizable_pair_rdp
+
+from pbm import benchmark, mechanism
 from pbm.benchmark import (
     CSV_HEADER,
     ExperimentConfig,
@@ -111,6 +113,59 @@ def test_pbm_mse_within_bound():
         cube = config.c / sqrt(config.d)
         bound = config.d * cube**2 / (4.0 * config.n * r.m * r.theta**2)
         assert r.mse <= bound * (1.0 + 5.0 / sqrt(config.trials))
+
+
+# two-sided: a row's mse may sit this many standard deviations from its
+# exact expectation; each row is a mean over trials of independent errors
+MSE_Z = 5.0
+
+
+def _mse_z_scores(config: ExperimentConfig) -> dict:
+    """(m, theta) -> z-score of each pbm plain row's mse against
+    oracles.decode_error_moments at the run's own clients."""
+    client_seed = np.random.SeedSequence(config.seed).spawn(3)[0]
+    clients = generate_clients(config, np.random.default_rng(client_seed))
+    base = MechanismParams(
+        n=config.n, d=config.d, c=config.c / sqrt(config.d), theta=0.25, m=1
+    )
+    z = {}
+    for r in run_tradeoff(config):
+        if (r.mechanism, r.mode) != ("pbm", "plain"):
+            continue
+        params = replace(base, theta=r.theta, m=r.m)
+        probs = coordinate_probs(spread(clients, params), params)
+        gain = params.c_prime / (config.n * r.m * r.theta)
+        mean, var = decode_error_moments(probs, r.m, gain)
+        z[(r.m, r.theta)] = (r.mse - mean) / sqrt(var / config.trials)
+    return z
+
+
+def test_pbm_mse_matches_its_exact_expectation():
+    # every pbm plain row of desk.ini, from both sides: a kernel or decoder
+    # that adds too little noise fails here, where mse <= bound passes it
+    config = load_dme_config(ROOT / "configs" / "desk.ini")
+    z = _mse_z_scores(config)
+    assert len(z) == len(config.m_list) * len(config.theta_list)
+    assert max(abs(v) for v in z.values()) <= MSE_Z, z
+
+
+@pytest.mark.parametrize("plant", ["m - 1 trials", "decode x 0.9", "decode x 1.1"])
+def test_mse_check_catches_planted_faults(plant, monkeypatch):
+    config = load_dme_config(ROOT / "configs" / "desk.ini")
+    if plant == "m - 1 trials":
+        def draw(probs, m, rng, trials):
+            return mechanism.sample_sums(probs, m - 1, rng, trials)
+
+        monkeypatch.setattr(benchmark, "sample_sums", draw)
+    else:
+        gain = float(plant.split()[-1])
+
+        def decode(sums, params, window=None):
+            return gain * mechanism.server_decode(sums, params, window)
+
+        monkeypatch.setattr(benchmark, "server_decode", decode)
+    z = _mse_z_scores(config)
+    assert max(abs(v) for v in z.values()) > MSE_Z, z
 
 
 def test_clipped_rows_match_plain_without_wraps():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import represent_residual_passes
 
 from pbm import kashin
 from pbm.kashin import ConvergenceError, KashinFrame, build_frame, represent_batch
@@ -98,7 +99,28 @@ def test_default_pass_count_matches_sixty_passes(d, monkeypatch):
     assert err.max() <= 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 8, 64, 250])
+def test_coefficient_passes_match_the_residual_passes(d):
+    # the passes on c1 = U1.T @ r are the passes on r in another basis, so
+    # both give the same coefficients up to rounding
+    frame = build_frame(d, np.random.default_rng(d + 2))
+    x = np.random.default_rng(d + 3).standard_normal((d, 300))
+    x[:, 0] = 0.0
+    got = kashin._represent_batch(x, frame.u)
+    want = represent_residual_passes(x, frame.u, kashin.PASSES)
+    gap = np.abs(got - want).max(axis=0)
+    assert gap[0] == 0.0
+    assert np.all(gap[1:] <= 1e-12 * np.linalg.norm(x[:, 1:], axis=0))
+
+
 def test_build_frame_validation():
     with pytest.raises(ValueError):
         build_frame(0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("d", [2.5, 4.0])
+def test_build_frame_rejects_a_float_dimension(d):
+    # 2.5 used to reach numpy as a shape and raise its TypeError
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        build_frame(d, np.random.default_rng(0))
 

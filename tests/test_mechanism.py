@@ -246,6 +246,20 @@ def test_sample_sums_rejects_bad_input(m):
     assert sample_sums(good, np.int64(m), rng, 3).shape == (3, 2)
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, -1])
+def test_sample_sums_rejects_bad_trials(trials):
+    # a float count used to reach numpy as a shape and raise its TypeError
+    with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
+        sample_sums(np.full((2, 2), 0.5), 4, np.random.default_rng(0), trials)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+def test_sample_sums_rejects_probs_that_are_not_2d(shape):
+    # one client's 1-D row used to fail with a tuple-unpacking error
+    with pytest.raises(ValueError, match="probs must be 2-D"):
+        sample_sums(np.full(shape, 0.5), 4, np.random.default_rng(0), 3)
+
+
 @pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64])
 def test_sample_sums_distribution(m):
     # each column's sum over clients is Poisson-binomial; chi-square its
@@ -267,25 +281,25 @@ def test_sample_sums_distribution(m):
 
 
 def test_split_thresholds_is_the_float_compare():
-    # for every 53-bit k, the prefix compare with a tie on the remainder
-    # decides k < T = ceil(p * 2**53), which is the old u < p compare of the
-    # float64 uniform u = k * 2**-53
+    # for every 53-bit k, the 8-bit prefix compare with a tie on the 45-bit
+    # remainder decides k < T = ceil(p * 2**53), which is the u < p compare
+    # of the float64 uniform u = k * 2**-53
     rng = np.random.default_rng(61)
     ulp = 2.0**-53
-    edges = [j * 2.0**-16 for j in (1, 2, 3, 4097, 32767, 32768, 32769, 65535)]
+    edges = [j * 2.0**-8 for j in (1, 2, 3, 17, 127, 128, 129, 255)]
     probs = [0.0, ulp, 0.5 - ulp, 0.5, 1.0 - ulp, 1.0]
     probs += [e + s for e in edges for s in (-ulp, 0.0, ulp) if e + s <= 1.0]
     probs += list(rng.uniform(0.0, 1.0, size=40))
     hi, lo = mechanism._split_thresholds(np.array(probs))
-    assert hi.dtype == np.uint16 and lo.dtype == np.uint64
+    assert hi.dtype == np.uint8 and lo.dtype == np.uint64
     for p, h, r in zip(probs, hi.tolist(), lo.tolist()):
         t = ceil(Fraction(p) * 2**53)
-        assert h == (max(t, 1) - 1) >> 37 and r == t - (h << 37)
-        assert 0 <= r <= 2**37
-        ks = [0, t - 1, t, t + 1, (h << 37) - 1, h << 37, (h + 1) << 37, 2**53 - 1]
+        assert h == (max(t, 1) - 1) >> 45 and r == t - (h << 45)
+        assert 0 <= r <= 2**45
+        ks = [0, t - 1, t, t + 1, (h << 45) - 1, h << 45, (h + 1) << 45, 2**53 - 1]
         ks += [int(k) for k in rng.integers(0, 2**53, size=8)]
         for k in (k for k in ks if 0 <= k < 2**53):
-            prefix, rest = k >> 37, k & (2**37 - 1)
+            prefix, rest = k >> 45, k & (2**45 - 1)
             decided = prefix < h or (prefix == h and rest < r)
             assert decided == (k < t) == (k * ulp < p), (p, k)
 
@@ -307,32 +321,35 @@ class _WordStream:
 
 
 def _tied_prefix_words(probs, m, trials):
-    # every prefix lane equals its entry's hi; the padding lanes too
+    # every 8-bit prefix lane equals its entry's hi; the padding lanes too
     hi = mechanism._split_thresholds(probs.ravel())[0]
-    lanes = np.resize(hi, -(-hi.size // 4) * 4)
-    return np.tile(lanes.astype("<u2"), trials * m).view("<u8")
+    lanes = np.resize(hi, -(-hi.size // 8) * 8)
+    return np.tile(lanes.astype("<u1"), trials * m).view("<u8")
 
 
 @pytest.mark.parametrize("per_chunk", [None, 1, 2])
 def test_sample_sums_tie_path(per_chunk, monkeypatch):
-    # ties are too rare (2**-16 per trial) for the distribution test; tie
-    # every prefix and pick the words that settle the ties
-    n, coords, m, trials = 3, 3, 3, 4  # 9 entries, padded to 12 per slab
+    # ties are too rare (2**-8 per trial) to pin each one in the
+    # distribution test; tie every prefix and pick the words that settle them
+    n, coords, m, trials = 3, 3, 3, 4  # 9 entries, padded to 16 per slab
     probs = np.random.default_rng(8).uniform(0.0, 1.0, size=(n, coords))
     lo = mechanism._split_thresholds(probs.ravel())[1]
-    ties = trials * m * n * coords
-    # random words, plus the remainders just below and at each threshold
-    tie_words = np.random.default_rng(9).integers(0, 2**64, size=ties, dtype=np.uint64)
-    tie_words[: n * coords] = (lo - 1) << 27
-    tie_words[n * coords : 2 * n * coords] = lo << 27
+    # one word per tie, by trial, then entry, then the entry's m ties
+    tie_words = np.random.default_rng(9).integers(
+        0, 2**64, size=(trials, n * coords, m), dtype=np.uint64
+    )
+    # the remainders just below and at each threshold
+    tie_words[0, :, 0] = (lo - 1) << 19
+    tie_words[0, :, 1] = lo << 19
     if per_chunk is not None:
         monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
     prefix = _tied_prefix_words(probs, m, trials)
-    stream = _WordStream(np.concatenate([prefix, tie_words]))
+    stream = _WordStream(np.concatenate([prefix, tie_words.ravel()]))
     sums = sample_sums(probs, m, stream, trials)
     assert stream.used == stream.words.size
-    hits = (tie_words >> 27) < np.tile(lo, trials * m)
-    expected = hits.reshape(trials, m, n, coords).sum(axis=(1, 2))
+    hits = (tie_words >> 19) < lo[:, None]
+    assert hits[0, :, 0].all() and not hits[0, :, 1].any()
+    expected = hits.reshape(trials, n, coords, m).sum(axis=(1, 3))
     np.testing.assert_array_equal(sums, expected)
 
 
