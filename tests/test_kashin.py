@@ -120,7 +120,7 @@ def test_build_frame_validation():
 
 @pytest.mark.parametrize("d", [2.5, 4.0])
 def test_build_frame_rejects_a_float_dimension(d):
-    # 2.5 used to reach numpy as a shape and raise its TypeError
+    # unchecked, a float d reaches numpy as a shape and raises its TypeError
     with pytest.raises(ValueError, match="d must be a positive integer"):
         build_frame(d, np.random.default_rng(0))
 

@@ -248,14 +248,14 @@ def test_sample_sums_rejects_bad_input(m):
 
 @pytest.mark.parametrize("trials", [2.5, 3.0, -1])
 def test_sample_sums_rejects_bad_trials(trials):
-    # a float count used to reach numpy as a shape and raise its TypeError
+    # unchecked, a float count reaches numpy as a shape and raises its TypeError
     with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
         sample_sums(np.full((2, 2), 0.5), 4, np.random.default_rng(0), trials)
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
 def test_sample_sums_rejects_probs_that_are_not_2d(shape):
-    # one client's 1-D row used to fail with a tuple-unpacking error
+    # unchecked, a 1-D row fails in tuple unpacking, naming no argument
     with pytest.raises(ValueError, match="probs must be 2-D"):
         sample_sums(np.full(shape, 0.5), 4, np.random.default_rng(0), 3)
 
