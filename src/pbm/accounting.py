@@ -9,7 +9,10 @@ clients at 1/2 - theta, the rest at 1/2 + theta, with both orderings of
 the pair. Mirror symmetry maps k to n - 1 - k, and the endpoint k = 0
 attains the maximum; the test suite checks that against an exhaustive
 search over every k and every assignment. At the endpoint the likelihood
-ratio is a hypergeometric mean, so one curve costs O(n*m^2).
+ratio is a hypergeometric mean, O(n*m^2) on half the outcomes. A curve
+convolves log P in O(window * m) only on the far tail where P/Q <= 1/2
+(every outcome past m = 400; none at small theta), and sums each order's
+divergence in O(n*m) on the outcomes where Q does not underflow.
 
 log-pmfs are plain float arrays indexed by outcome, with -inf for zero
 mass; a valid log-pmf has logsumexp == 0. The binomial log-pmf is Loader's
@@ -163,23 +166,16 @@ _HYPERGEOM_MAX_M = 400
 _EXPM1_LIMIT = 700.0
 
 
-def _endpoint_llr(n: int, m: int, theta: float, log_ratio: np.ndarray) -> np.ndarray:
-    """log(P/Q) on {0, ..., n*m} for the endpoint pair of pbm_exact_curve.
+def _endpoint_delta(n: int, m: int, log_rho: float) -> np.ndarray:
+    """P/Q - 1 on {0, ..., n*m} for the endpoint pair, for n >= 2.
 
-    log_ratio is log P - log Q from the two log-pmfs, which is precise
-    where P/Q is far from 1 but not near it. Given the total j under Q,
-    the differing client's count I is Hypergeom(n*m, m, j), so
-    P/Q(j) - 1 = E[expm1((m - 2I) * log(rho))] with
-    rho = (1/2 + theta)/(1/2 - theta), which keeps its precision at small
-    theta. The weights of I come from the product-of-ratios recurrence in
-    i, normalised per j, over the columns j <= n*m/2; column n*m - j is
-    column j with I -> m - I. log_ratio is kept where P/Q < 1/2.
+    Given the total j under Q, the differing client's count I is
+    Hypergeom(n*m, m, j), so P/Q(j) - 1 = E[expm1((m - 2I) * log(rho))]
+    with rho = (1/2 + theta)/(1/2 - theta), which keeps its precision at
+    small theta. The weights of I come from the product-of-ratios
+    recurrence in i, normalised per j, over the columns j <= n*m/2;
+    column n*m - j is column j with I -> m - I. O(n*m^2) time.
     """
-    log_rho = 2.0 * atanh(2.0 * theta)
-    if n == 1:
-        return (m - 2.0 * np.arange(m + 1)) * log_rho
-    if m > _HYPERGEOM_MAX_M:
-        return log_ratio
     big_n = n * m
     half = big_n // 2
     j = np.arange(half + 1, dtype=float)
@@ -198,15 +194,68 @@ def _endpoint_llr(n: int, m: int, theta: float, log_ratio: np.ndarray) -> np.nda
     def columns(lower, upper):
         return np.concatenate([lower, upper[: big_n - half][::-1]])
 
-    delta = columns(d_lo, d_hi) / columns(total, total)
-    return np.where(delta > -0.5, np.log1p(np.maximum(delta, -0.5)), log_ratio)
+    return columns(d_lo, d_hi) / columns(total, total)
 
 
-def _log_mean_exp(q: np.ndarray, logq: np.ndarray, t: np.ndarray) -> float:
-    """log E_Q[exp(t)], as log1p of an expm1 sum unless t nears overflow."""
-    if np.max(np.abs(t)) < _EXPM1_LIMIT:
-        return float(np.log1p(np.dot(q, np.expm1(t))))
-    return _logsumexp(logq + t)
+def _endpoint_llr(n: int, m: int, theta: float, logq: np.ndarray) -> np.ndarray:
+    """log(P/Q) on {0, ..., n*m} for the endpoint pair of pbm_exact_curve.
+
+    logq is the log-pmf of Q. log1p(P/Q - 1) from _endpoint_delta is
+    precise where P/Q > 1/2. Where P/Q <= 1/2, log P - log Q is precise
+    instead, so log P is convolved for those columns alone: on the window
+    that spans them, from the Binom(m*(n-1), 1/2 + theta) log-pmf on the
+    window widened by m, in O(window * m) time. P/Q is at least rho^-m,
+    so where rho^m < 2 (small theta or small m) no column qualifies and
+    nothing is convolved. Past _HYPERGEOM_MAX_M, log P is convolved on
+    every column.
+    """
+    lo, hi = 0.5 - theta, 0.5 + theta
+    log_rho = 2.0 * atanh(2.0 * theta)
+    if n == 1:
+        return (m - 2.0 * np.arange(m + 1)) * log_rho
+    if m > _HYPERGEOM_MAX_M:
+        logp = convolve_logpmf(binomial_logpmf(m, lo), binomial_logpmf(m * (n - 1), hi))
+        return logp - logq
+    delta = _endpoint_delta(n, m, log_rho)
+    far = np.flatnonzero(~(delta > -0.5))
+    # in place: the log-pmf below is the peak of memory
+    llr = np.log1p(np.maximum(delta, -0.5, out=delta), out=delta)
+    if len(far) == 0:
+        return llr
+    # log P on columns [start, stop) reads the rest's log-pmf on
+    # [start - m, stop). A slice longer than the (m + 1)-point kernel keeps
+    # convolve_logpmf looping over the kernel, as on the whole support, so
+    # each entry adds its m + 1 terms in the same order; at n = 2 the rest
+    # is no longer than the kernel and is passed whole.
+    rest = binomial_logpmf(m * (n - 1), hi)
+    start, stop = far[0], far[-1] + 1
+    first, last = max(start - m, 0), min(stop, len(rest))
+    if last - first < m + 2:
+        last = min(first + m + 2, len(rest))
+        first = max(last - m - 2, 0)
+    logp = convolve_logpmf(binomial_logpmf(m, lo), rest[first:last])
+    llr[far] = logp[far - first] - logq[far]
+    return llr
+
+
+def _log_mean_exp(
+    q: np.ndarray, logq: np.ndarray, llr: np.ndarray, b: float,
+    llr_max: float, live: slice,
+) -> float:
+    """log E_Q[exp(b * llr)], as log1p of an expm1 sum unless it nears overflow.
+
+    llr_max is max|llr|; rounding is monotone, so |b| * llr_max is
+    max|b * llr|. The expm1 sum forms b * llr and its expm1 only on `live`,
+    the columns where q > 0, and dots q with zeros elsewhere, which adds
+    the same products in the same order as on every column. Near overflow
+    the logsumexp runs on every column, where an underflowed q can still
+    carry weight.
+    """
+    if abs(b) * llr_max < _EXPM1_LIMIT:
+        e = np.zeros(len(q))
+        e[live] = np.expm1(b * llr[live])
+        return float(np.log1p(np.dot(q, e)))
+    return _logsumexp(logq + b * llr)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -233,7 +282,11 @@ def pbm_exact_curve(
     with every client at the bottom. The curve is the larger of
     D_alpha(P || Q) and D_alpha(Q || P), each computed as
     log1p(sum q * expm1(b * log(p/q))) / (alpha - 1) with b = alpha and
-    b = 1 - alpha. Cost O(n*m^2) time and O(n*m) memory.
+    b = 1 - alpha. Time O(n*m^2), for the hypergeometric mean of
+    _endpoint_delta on half the outcomes; its log-space convolution runs
+    only on the far-tail window where P/Q <= 1/2 (on every outcome past
+    m = 400), and each order's expm1 sum only where q > 0 (the logsumexp
+    near overflow on every outcome). Memory O(n*m).
     """
     if not (isinstance(n, Integral) and isinstance(m, Integral) and n >= 1 and m >= 1):
         raise ValueError(f"n and m must be positive integers, got n={n!r}, m={m!r}")
@@ -242,13 +295,17 @@ def pbm_exact_curve(
     alphas = _orders(alphas)
     eps = np.zeros(len(alphas))
     if theta > 0.0:
-        lo, hi = 0.5 - theta, 0.5 + theta
-        logq = binomial_logpmf(n * m, hi)
-        logp = convolve_logpmf(binomial_logpmf(m, lo), binomial_logpmf(m * (n - 1), hi))
-        llr = _endpoint_llr(n, m, theta, logp - logq)
+        logq = binomial_logpmf(n * m, 0.5 + theta)
+        llr = _endpoint_llr(n, m, theta, logq)
         q = np.exp(logq)
+        support = np.flatnonzero(q)
+        live = slice(support[0], support[-1] + 1)
+        llr_max = np.max(np.abs(llr))
         for i, alpha in enumerate(alphas):
-            d = max(_log_mean_exp(q, logq, b * llr) for b in (alpha, 1.0 - alpha))
+            d = max(
+                _log_mean_exp(q, logq, llr, b, llr_max, live)
+                for b in (alpha, 1.0 - alpha)
+            )
             eps[i] = max(d / (alpha - 1.0), 0.0)
     meta = {"mechanism": "pbm-exact", "n": n, "m": m, "theta": theta}
     return RdpCurve(alphas=alphas, epsilons=eps, kind="exact", meta=meta)

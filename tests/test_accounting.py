@@ -1,7 +1,10 @@
+import json
 from math import exp, log, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import binom as scipy_binom
 
 from oracles import (
@@ -236,6 +239,50 @@ def test_exact_curve_beyond_hypergeometric_range(monkeypatch):
     monkeypatch.setattr(accounting, "_HYPERGEOM_MAX_M", 0)
     log_space = [pbm_exact_curve(n, 8, 0.25, alphas).epsilons for n in (2, 12)]
     np.testing.assert_allclose(hypergeom, log_space, rtol=1e-12)
+
+
+def test_exact_curve_bytes_match_the_golden_table():
+    # repr'd epsilons written by tests/make_curve_golden.py when log P was
+    # convolved on every outcome; a reordered sum moves the last digit
+    rows = json.loads((Path(__file__).parent / "curve_golden.json").read_text())
+    assert len(rows) == 56
+    for row in rows:
+        curve = pbm_exact_curve(row["n"], row["m"], row["theta"])
+        got = [repr(float(e)) for e in curve.epsilons]
+        assert got == row["epsilons"], (row["n"], row["m"], row["theta"])
+
+
+def _far_columns(n, m, theta):
+    """How many totals j have P/Q(j) <= 1/2, from scipy's log-pmfs."""
+    lo, hi = 0.5 - theta, 0.5 + theta
+    j = np.arange(n * m + 1)
+    logq = scipy_binom.logpmf(j, n * m, hi)
+    logp = scipy_logsumexp(
+        [scipy_binom.logpmf(i, m, lo) + scipy_binom.logpmf(j - i, m * (n - 1), hi)
+         for i in range(m + 1)], axis=0,
+    )
+    # a little slack, so a column at the edge counts either way
+    return int(np.count_nonzero(logp - logq <= log(0.5) + 1e-9))
+
+
+def test_exact_curve_convolves_only_the_far_window(monkeypatch):
+    operands = []
+
+    def spy(a, b):
+        operands.append((len(a), len(b)))
+        return convolve_logpmf(a, b)
+
+    monkeypatch.setattr(accounting, "convolve_logpmf", spy)
+    # P/Q >= rho^-m stays near 1 at small theta: nothing to convolve
+    pbm_exact_curve(2000, 4, 1e-5)
+    assert operands == []
+    n, m, theta = 1000, 16, 0.17
+    pbm_exact_curve(n, m, theta)
+    far = _far_columns(n, m, theta)
+    assert 0 < far < n * m // 2
+    assert len(operands) == 1
+    assert min(operands[0]) == m + 1
+    assert max(operands[0]) <= far + m + 2
 
 
 def test_exact_curve_monotone_in_alpha():
