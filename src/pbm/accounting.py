@@ -9,10 +9,14 @@ clients at 1/2 - theta, the rest at 1/2 + theta, with both orderings of
 the pair. Mirror symmetry maps k to n - 1 - k, and the endpoint k = 0
 attains the maximum; the test suite checks that against an exhaustive
 search over every k and every assignment. At the endpoint the likelihood
-ratio is a hypergeometric mean, O(n*m^2) on half the outcomes. A curve
-convolves log P in O(window * m) only on the far tail where P/Q <= 1/2
-(every outcome past m = 400; none at small theta), and sums each order's
-divergence in O(n*m) on the outcomes where Q does not underflow.
+ratio is a hypergeometric mean, O(m) per outcome. A curve runs only on
+the outcomes of Q's Hoeffding window, O(sqrt(n*m * (100 + m*alpha*log(rho))))
+of the n*m + 1, and adds a bound on the part of each sum outside it, so
+epsilon stays an upper bound; it costs O(window * m) time and O(window)
+memory, and a cost guard refuses, before it starts, a curve over its
+budget of cells or bytes. Within the window, log P is convolved only on the
+far tail where P/Q <= 1/2 (every column past m = 400; none at small
+theta), and each order's divergence is summed where Q does not underflow.
 
 log-pmfs are plain float arrays indexed by outcome, with -inf for zero
 mass; a valid log-pmf has logsumexp == 0. The binomial log-pmf is Loader's
@@ -27,7 +31,7 @@ Also here: the Gaussian baseline, composition of identical copies,
 conversion to (eps, delta), and parameter selection for a target budget.
 Selection charges m trials as m composed copies of the one-trial exact
 curve, so every (theta, m) it returns meets its budget on that
-certificate, and no budget reaches the O(n*m^2) curve at large m.
+certificate, and no budget reaches the O(window * m) curve at large m.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from math import atanh, expm1, inf, isfinite, log, pi
+from math import atanh, ceil, exp, expm1, floor, inf, isfinite, log, pi, sqrt
 from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
@@ -66,67 +70,78 @@ _STIRLING_TABLE = np.array([
 
 
 def _stirling_error(k: np.ndarray) -> np.ndarray:
-    """s(k) on k = 1, 2, ..., n, given as floats."""
-    s = np.empty(len(k))
-    head = min(len(k), len(_STIRLING_TABLE))
-    s[:head] = _STIRLING_TABLE[:head]
-    tail = k[head:]
-    inv = np.square(tail)
+    """s(k) on consecutive integers k = k0, k0 + 1, ..., k0 >= 1, as floats."""
+    inv = np.square(k)
     np.divide(1.0, inv, out=inv)
-    series = s[head:]
-    np.multiply(inv, 1 / 1188, out=series)
+    s = inv * (1 / 1188)
     for c in (1 / 1680, 1 / 1260, 1 / 360):
-        np.subtract(c, series, out=series)
-        series *= inv
-    np.subtract(1 / 12, series, out=series)
-    series /= tail
+        np.subtract(c, s, out=s)
+        s *= inv
+    np.subtract(1 / 12, s, out=s)
+    s /= k
+    if len(k):
+        table = _STIRLING_TABLE[int(k[0]) - 1 :][: len(k)]
+        s[: len(table)] = table
     return s
 
 
-def binomial_logpmf(trials: int, p: float) -> np.ndarray:
-    """log-pmf of Binom(trials, p) on {0, ..., trials}.
+def binomial_logpmf(
+    trials: int, p: float, first: int = 0, last: int | None = None
+) -> np.ndarray:
+    """log-pmf of Binom(trials, p) on {first, ..., last} (default the support).
 
     The saddle-point form of Loader (2000): with s the Stirling error,
     log pmf(k) = s(N) - s(k) - s(N-k) - D(k) + log(N / (2 pi k (N-k))) / 2,
     D(k) = k log1p((k - Np)/Np) + (N-k) log1p((Np - k)/Nq). No term grows
     like log(N!), so the error stays near rounding of D; k = 0 and k = N
-    are N log q and N log p.
+    are N log q and N log p. Each entry is the same float operations
+    whatever the range, so a range is a slice of the whole support.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    last = trials if last is None else last
+    if not 0 <= first <= last <= trials:
+        raise ValueError(f"need 0 <= first <= last <= {trials}, got {first}, {last}")
     if trials == 0:
         return np.zeros(1)
+    out = np.empty(last - first + 1)
     if p == 0.0 or p == 1.0:
-        out = np.full(trials + 1, -np.inf)
-        out[0 if p == 0.0 else -1] = 0.0
+        out.fill(-np.inf)
+        mode = 0 if p == 0.0 else trials
+        if first <= mode <= last:
+            out[mode - first] = 0.0
         return out
-    out = np.empty(trials + 1)
-    out[0] = trials * np.log1p(-p)
-    out[-1] = trials * log(p)
-    if trials > 1:
-        # k = 1..N-1, where N - k is k reversed; D(k) is summed in place
+    if first == 0:
+        out[0] = trials * np.log1p(-p)
+    if last == trials:
+        out[-1] = trials * log(p)
+    k0, k1 = max(first, 1), min(last, trials - 1)
+    if k0 <= k1:
+        # k = k0..k1, where D(k) is summed in place, and N - k reversed
         n_p, n_q = trials * p, trials * (1.0 - p)
-        k_all = np.arange(1, trials + 1, dtype=float)
-        s = _stirling_error(k_all)
-        k = k_all[:-1]
-        dev = out[1:-1]
+        k = np.arange(k0, k1 + 1, dtype=float)
+        rev = np.arange(trials - k1, trials - k0 + 1, dtype=float)
+        dev = out[k0 - first : k1 - first + 1]
         np.subtract(k, n_p, out=dev)
         buf = dev / n_p
         np.log1p(buf, out=buf)
         buf *= k
         dev /= -n_q
         np.log1p(dev, out=dev)
-        dev *= k[::-1]
+        dev *= rev[::-1]
         dev += buf
-        # g(k) = s(k) + log(k)/2, so the k- and (N-k)-terms are g + g reversed
+        # g(k) = s(k) + log(k)/2, once for k and once for N - k
         np.log(k, out=buf)
         buf *= 0.5
-        buf += s[:-1]
+        buf += _stirling_error(k)
         dev += buf
-        dev += buf[::-1]
-        np.subtract(s[-1] + 0.5 * log(trials / (2.0 * pi)), dev, out=dev)
+        g = _stirling_error(rev)
+        g += 0.5 * np.log(rev)
+        dev += g[::-1]
+        s_n = _stirling_error(np.array([float(trials)]))[0]
+        np.subtract(s_n + 0.5 * log(trials / (2.0 * pi)), dev, out=dev)
     return out
 
 
@@ -165,82 +180,150 @@ _HYPERGEOM_MAX_M = 400
 # the divergence is summed with logsumexp instead
 _EXPM1_LIMIT = 700.0
 
+# the Hoeffding window is wide enough that the bound added for the outcomes
+# outside it is at most exp(-_WINDOW_LOG_TAIL) at every order
+_WINDOW_LOG_TAIL = 100.0
 
-def _endpoint_delta(n: int, m: int, log_rho: float) -> np.ndarray:
-    """P/Q - 1 on {0, ..., n*m} for the endpoint pair, for n >= 2.
+# the cost guard: window columns * (m + 1) recurrence or convolution cells
+# (about 9 s at (200, 2000, 1/4), 5.4e8 cells, on a 2-core x86_64 host),
+# and the bytes of the float64 work arrays, twelve per column (58-73 bytes
+# a column measured)
+_MAX_CELLS = 10**9
+_MAX_BYTES = 2 * 10**9
+_COLUMN_BYTES = 96
+
+
+def _window(n: int, m: int, theta: float, b_max: float) -> tuple[int, int, float]:
+    """Columns [first, last] that carry Q, and log of Q's mass outside them.
+
+    Q = Binom(N, p) with N = n*m, p = 1/2 + theta; the window is
+    [N*p - t, N*p + t] within [0, N], with
+    t = sqrt(N/2 * (E + m*b_max*log(rho) + log 2)), E = _WINDOW_LOG_TAIL.
+    By Hoeffding (1963) Q's mass outside is at most 2*exp(-2*t^2/N), which
+    is exp(-E - m*b_max*log(rho)); P/Q <= rho^m, so the outside part of
+    E_Q[(P/Q)^b] is at most exp(-E) at |b| <= b_max. The log mass is -inf
+    where the window is the whole support.
+    """
+    big_n = n * m
+    log_rho = 2.0 * atanh(2.0 * theta)
+    log_out = -(_WINDOW_LOG_TAIL + m * b_max * log_rho)
+    t = sqrt(big_n / 2.0 * (log(2.0) - log_out))
+    centre = big_n * (0.5 + theta)
+    first, last = max(floor(centre - t), 0), min(ceil(centre + t), big_n)
+    if first == 0 and last == big_n:
+        log_out = -inf
+    return first, last, log_out
+
+
+def _check_cost(n: int, m: int, columns: int) -> None:
+    """Raise ValueError if a curve on `columns` window columns is over budget."""
+    cells, size = columns * (m + 1), columns * _COLUMN_BYTES
+    if cells > _MAX_CELLS or size > _MAX_BYTES:
+        raise ValueError(
+            f"the exact curve at n={n}, m={m} needs {columns:,} outcomes x "
+            f"(m + 1) = {cells:.3g} cells and about {size / 1e9:.3g} GB; "
+            f"the budget is {_MAX_CELLS:.0e} cells and {_MAX_BYTES / 1e9:g} GB"
+        )
+
+
+def _endpoint_delta(n: int, m: int, log_rho: float, first: int, last: int) -> np.ndarray:
+    """P/Q - 1 on columns {first, ..., last} for the endpoint pair, for n >= 2.
 
     Given the total j under Q, the differing client's count I is
     Hypergeom(n*m, m, j), so P/Q(j) - 1 = E[expm1((m - 2I) * log(rho))]
     with rho = (1/2 + theta)/(1/2 - theta), which keeps its precision at
     small theta. The weights of I come from the product-of-ratios
-    recurrence in i, normalised per j, over the columns j <= n*m/2;
-    column n*m - j is column j with I -> m - I. O(n*m^2) time.
+    recurrence in i, normalised per j, over the columns j <= n*m/2; a
+    column j above n*m/2 reads its mirror n*m - j with I -> m - I. The
+    recurrence runs once on the span of columns the window reads.
+    O(window * m) time.
     """
     big_n = n * m
     half = big_n // 2
-    j = np.arange(half + 1, dtype=float)
-    w = np.ones(half + 1)
+    # columns read directly, and those read at their mirror; each may be empty
+    low = (first, min(last, half))
+    high = (big_n - last, big_n - max(first, half + 1))
+    spans = [s for s in (low, high) if s[0] <= s[1]]
+    c0, c1 = min(s[0] for s in spans), max(s[1] for s in spans)
+    # j - i and n*m - m + 1 + i - j at step i, kept in place; exact integers
+    num = np.arange(c0, c1 + 1, dtype=float)
+    den = (big_n - m + 1) - num
+    w, step = np.ones(len(num)), np.empty(len(num))
     # weight totals, and expm1 sums of rho^(m-2i) (column j) and of
-    # rho^(2i-m) (column n*m - j)
-    total, d_lo, d_hi = np.zeros((3, half + 1))
+    # rho^(2i-m) (column n*m - j), each only where a column reads it
+    total = np.zeros(len(num))
+    d_lo = np.zeros(len(num)) if low[0] <= low[1] else None
+    d_hi = np.zeros(len(num)) if high[0] <= high[1] else None
     for i in range(m + 1):
         x = (m - 2 * i) * log_rho
         total += w
-        d_lo += expm1(x) * w
-        d_hi += expm1(-x) * w
+        for d, e in ((d_lo, expm1(x)), (d_hi, expm1(-x))):
+            if d is not None:
+                d += np.multiply(w, e, out=step)
         if i < m:
-            w *= (m - i) / (i + 1) * (j - i) / (big_n - m + 1 + i - j)
+            np.multiply(num, (m - i) / (i + 1), out=step)
+            step /= den
+            w *= step
+            num -= 1.0
+            den += 1.0
+    # the window's columns in order: low ones as they are, high ones reversed
+    parts = [(d, slice(s[0] - c0, s[1] - c0 + 1), order)
+             for d, s, order in ((d_lo, low, 1), (d_hi, high, -1)) if d is not None]
+    return (np.concatenate([d[cols][::order] for d, cols, order in parts])
+            / np.concatenate([total[cols][::order] for _, cols, order in parts]))
 
-    def columns(lower, upper):
-        return np.concatenate([lower, upper[: big_n - half][::-1]])
 
-    return columns(d_lo, d_hi) / columns(total, total)
+def _log_p(n: int, m: int, theta: float, start: int, stop: int) -> np.ndarray:
+    """log P on columns [start, stop), convolved in log space.
 
-
-def _endpoint_llr(n: int, m: int, theta: float, logq: np.ndarray) -> np.ndarray:
-    """log(P/Q) on {0, ..., n*m} for the endpoint pair of pbm_exact_curve.
-
-    logq is the log-pmf of Q. log1p(P/Q - 1) from _endpoint_delta is
-    precise where P/Q > 1/2. Where P/Q <= 1/2, log P - log Q is precise
-    instead, so log P is convolved for those columns alone: on the window
-    that spans them, from the Binom(m*(n-1), 1/2 + theta) log-pmf on the
-    window widened by m, in O(window * m) time. P/Q is at least rho^-m,
-    so where rho^m < 2 (small theta or small m) no column qualifies and
-    nothing is convolved. Past _HYPERGEOM_MAX_M, log P is convolved on
-    every column.
+    P is Binom(m, 1/2 - theta) * Binom(m*(n-1), 1/2 + theta); the columns
+    read the second log-pmf on [start - m, stop) only, O((stop - start) * m)
+    time. A slice longer than the (m + 1)-point kernel keeps
+    convolve_logpmf looping over the kernel, as on the whole support, so
+    each entry adds its m + 1 terms in the same order; at n = 2 the rest is
+    no longer than the kernel and is passed whole.
     """
-    lo, hi = 0.5 - theta, 0.5 + theta
+    rest = m * (n - 1)
+    first, last = max(start - m, 0), min(stop, rest + 1)
+    if last - first < m + 2:
+        last = min(first + m + 2, rest + 1)
+        first = max(last - m - 2, 0)
+    logp = convolve_logpmf(
+        binomial_logpmf(m, 0.5 - theta), binomial_logpmf(rest, 0.5 + theta, first, last - 1)
+    )
+    return logp[start - first : stop - first]
+
+
+def _endpoint_llr(
+    n: int, m: int, theta: float, first: int, last: int, logq: np.ndarray
+) -> np.ndarray:
+    """log(P/Q) on columns {first, ..., last} for the endpoint pair.
+
+    logq is the log-pmf of Q there. log1p(P/Q - 1) from _endpoint_delta is
+    precise where P/Q > 1/2. Where P/Q <= 1/2, log P - log Q is precise
+    instead, so log P is convolved (_log_p) for those columns alone, on
+    the window that spans them. P/Q is at least rho^-m, so where
+    rho^m < 2 (small theta or small m) no column qualifies and nothing is
+    convolved. Past _HYPERGEOM_MAX_M, log P is convolved on every column.
+    """
     log_rho = 2.0 * atanh(2.0 * theta)
     if n == 1:
-        return (m - 2.0 * np.arange(m + 1)) * log_rho
+        return (m - 2.0 * np.arange(first, last + 1)) * log_rho
     if m > _HYPERGEOM_MAX_M:
-        logp = convolve_logpmf(binomial_logpmf(m, lo), binomial_logpmf(m * (n - 1), hi))
-        return logp - logq
-    delta = _endpoint_delta(n, m, log_rho)
+        return _log_p(n, m, theta, first, last + 1) - logq
+    delta = _endpoint_delta(n, m, log_rho, first, last)
     far = np.flatnonzero(~(delta > -0.5))
-    # in place: the log-pmf below is the peak of memory
     llr = np.log1p(np.maximum(delta, -0.5, out=delta), out=delta)
-    if len(far) == 0:
-        return llr
-    # log P on columns [start, stop) reads the rest's log-pmf on
-    # [start - m, stop). A slice longer than the (m + 1)-point kernel keeps
-    # convolve_logpmf looping over the kernel, as on the whole support, so
-    # each entry adds its m + 1 terms in the same order; at n = 2 the rest
-    # is no longer than the kernel and is passed whole.
-    rest = binomial_logpmf(m * (n - 1), hi)
-    start, stop = far[0], far[-1] + 1
-    first, last = max(start - m, 0), min(stop, len(rest))
-    if last - first < m + 2:
-        last = min(first + m + 2, len(rest))
-        first = max(last - m - 2, 0)
-    logp = convolve_logpmf(binomial_logpmf(m, lo), rest[first:last])
-    llr[far] = logp[far - first] - logq[far]
+    if len(far):
+        start, stop = far[0], far[-1] + 1
+        logp = _log_p(n, m, theta, first + start, first + stop)
+        llr[far] = logp[far - start] - logq[far]
     return llr
 
 
 def _log_mean_exp(
     q: np.ndarray, logq: np.ndarray, llr: np.ndarray, b: float,
-    llr_max: float, live: slice,
+    llr_max: float, live: slice, log_out: float, tilt: float,
 ) -> float:
     """log E_Q[exp(b * llr)], as log1p of an expm1 sum unless it nears overflow.
 
@@ -250,12 +333,24 @@ def _log_mean_exp(
     the same products in the same order as on every column. Near overflow
     the logsumexp runs on every column, where an underflowed q can still
     carry weight.
+
+    Outside the columns, Q's mass is at most exp(log_out) (-inf: none)
+    and |b * llr| at most tilt, so their part of the expm1 sum is at most
+    exp(log_out) * expm1(tilt), added before the log; logsumexp takes
+    log_out + tilt as one more term.
     """
     if abs(b) * llr_max < _EXPM1_LIMIT:
         e = np.zeros(len(q))
         e[live] = np.expm1(b * llr[live])
-        return float(np.log1p(np.dot(q, e)))
-    return _logsumexp(logq + b * llr)
+        s = np.dot(q, e)
+        if log_out > -inf:
+            # expm1(tilt) * exp(log_out), without overflow or underflow first
+            s += -expm1(-tilt) * exp(log_out + tilt)
+        return float(np.log1p(s))
+    a = logq + b * llr
+    if log_out > -inf:
+        a = np.append(a, log_out + tilt)
+    return _logsumexp(a)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -282,11 +377,22 @@ def pbm_exact_curve(
     with every client at the bottom. The curve is the larger of
     D_alpha(P || Q) and D_alpha(Q || P), each computed as
     log1p(sum q * expm1(b * log(p/q))) / (alpha - 1) with b = alpha and
-    b = 1 - alpha. Time O(n*m^2), for the hypergeometric mean of
-    _endpoint_delta on half the outcomes; its log-space convolution runs
-    only on the far-tail window where P/Q <= 1/2 (on every outcome past
+    b = 1 - alpha.
+
+    Every stage runs on the columns [first, last] of _window, where Q
+    keeps all but Q_out <= exp(-100 - m*b_max*log(rho)) of its mass, with
+    b_max the largest order. P/Q lies in [rho^-m, rho^m], so the columns
+    outside add at most Q_out * expm1(m*|b|*log(rho)) to the expm1 sum,
+    and that is added before the log (log Q_out + m*|b|*log(rho) as one
+    more logsumexp term near overflow). Where the window is the whole
+    support nothing is added, and the curve is the untruncated one bit
+    for bit. Time O(window * m): the hypergeometric mean of
+    _endpoint_delta on the window's columns; its log-space convolution
+    runs only on the far tail where P/Q <= 1/2 (on every column past
     m = 400), and each order's expm1 sum only where q > 0 (the logsumexp
-    near overflow on every outcome). Memory O(n*m).
+    near overflow on every column). Memory O(window). Raises ValueError,
+    before any of it runs, if window * (m + 1) or the work arrays' bytes
+    exceed the budget of _check_cost.
     """
     if not (isinstance(n, Integral) and isinstance(m, Integral) and n >= 1 and m >= 1):
         raise ValueError(f"n and m must be positive integers, got n={n!r}, m={m!r}")
@@ -295,15 +401,18 @@ def pbm_exact_curve(
     alphas = _orders(alphas)
     eps = np.zeros(len(alphas))
     if theta > 0.0:
-        logq = binomial_logpmf(n * m, 0.5 + theta)
-        llr = _endpoint_llr(n, m, theta, logq)
+        first, last, log_out = _window(n, m, theta, alphas[-1])
+        _check_cost(n, m, last - first + 1)
+        logq = binomial_logpmf(n * m, 0.5 + theta, first, last)
+        llr = _endpoint_llr(n, m, theta, first, last, logq)
         q = np.exp(logq)
         support = np.flatnonzero(q)
         live = slice(support[0], support[-1] + 1)
         llr_max = np.max(np.abs(llr))
+        rho_m = m * 2.0 * atanh(2.0 * theta)
         for i, alpha in enumerate(alphas):
             d = max(
-                _log_mean_exp(q, logq, llr, b, llr_max, live)
+                _log_mean_exp(q, logq, llr, b, llr_max, live, log_out, abs(b) * rho_m)
                 for b in (alpha, 1.0 - alpha)
             )
             eps[i] = max(d / (alpha - 1.0), 0.0)

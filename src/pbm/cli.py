@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -147,7 +148,9 @@ def _int_at_least(low: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="pbm",
         description="Distributed mean estimation with binomial noise: "

@@ -2,17 +2,23 @@
 
 Everything here works in plain probability space with scipy.stats and
 np.convolve, or in mpmath at 40 digits, deliberately sharing no code with
-the accountant.
+the accountant. The exception is full_support_curve at the end: the
+accountant's own float operations on every outcome, without the window,
+which pins the window's bytes and error.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, log, sqrt
+from math import atanh, comb, expm1, log, sqrt
 
 import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import binom
+
+from pbm.accounting import (
+    _EXPM1_LIMIT, _HYPERGEOM_MAX_M, _logsumexp, _stirling_error, convolve_logpmf,
+)
 
 
 def poisson_binomial_pmf(ps, m: int) -> np.ndarray:
@@ -274,3 +280,123 @@ def decode_error_moments(probs, m: int, scale: float, u=None) -> tuple[float, fl
     mean = float(diag @ var)
     variance = float(2.0 * var @ (gram**2) @ var + (diag**2) @ kappa)
     return mean, variance
+
+
+# ---------------------------------------------------------------------------
+# the accountant's curve on every outcome, without the Hoeffding window
+
+
+def _full_binomial_logpmf(trials: int, p: float) -> np.ndarray:
+    """accounting.binomial_logpmf on {0, ..., trials}, 0 < p < 1, as one
+    pass: the (N - k)-terms are the k-terms reversed."""
+    out = np.empty(trials + 1)
+    out[0] = trials * np.log1p(-p)
+    out[-1] = trials * log(p)
+    if trials > 1:
+        n_p, n_q = trials * p, trials * (1.0 - p)
+        k_all = np.arange(1, trials + 1, dtype=float)
+        s = _stirling_error(k_all)
+        k = k_all[:-1]
+        dev = out[1:-1]
+        np.subtract(k, n_p, out=dev)
+        buf = dev / n_p
+        np.log1p(buf, out=buf)
+        buf *= k
+        dev /= -n_q
+        np.log1p(dev, out=dev)
+        dev *= k[::-1]
+        dev += buf
+        np.log(k, out=buf)
+        buf *= 0.5
+        buf += s[:-1]
+        dev += buf
+        dev += buf[::-1]
+        np.subtract(s[-1] + 0.5 * log(trials / (2.0 * np.pi)), dev, out=dev)
+    return out
+
+
+def _full_endpoint_delta(n: int, m: int, log_rho: float) -> np.ndarray:
+    """P/Q - 1 on {0, ..., n*m}: the hypergeometric recurrence on the
+    columns j <= n*m/2, column n*m - j read as column j with I -> m - I."""
+    big_n = n * m
+    half = big_n // 2
+    j = np.arange(half + 1, dtype=float)
+    w = np.ones(half + 1)
+    total, d_lo, d_hi = np.zeros((3, half + 1))
+    for i in range(m + 1):
+        x = (m - 2 * i) * log_rho
+        total += w
+        d_lo += expm1(x) * w
+        d_hi += expm1(-x) * w
+        if i < m:
+            w *= (m - i) / (i + 1) * (j - i) / (big_n - m + 1 + i - j)
+
+    def columns(lower, upper):
+        return np.concatenate([lower, upper[: big_n - half][::-1]])
+
+    return columns(d_lo, d_hi) / columns(total, total)
+
+
+def _full_endpoint_llr(n: int, m: int, theta: float, logq: np.ndarray) -> np.ndarray:
+    """log(P/Q) on {0, ..., n*m}: log1p of the recurrence's P/Q - 1, and
+    log P convolved on the far window where P/Q <= 1/2 (on every column
+    past m = 400)."""
+    lo, hi = 0.5 - theta, 0.5 + theta
+    log_rho = 2.0 * atanh(2.0 * theta)
+    if n == 1:
+        return (m - 2.0 * np.arange(m + 1)) * log_rho
+    if m > _HYPERGEOM_MAX_M:
+        logp = convolve_logpmf(
+            _full_binomial_logpmf(m, lo), _full_binomial_logpmf(m * (n - 1), hi)
+        )
+        return logp - logq
+    delta = _full_endpoint_delta(n, m, log_rho)
+    far = np.flatnonzero(~(delta > -0.5))
+    llr = np.log1p(np.maximum(delta, -0.5, out=delta), out=delta)
+    if len(far) == 0:
+        return llr
+    rest = _full_binomial_logpmf(m * (n - 1), hi)
+    start, stop = far[0], far[-1] + 1
+    first, last = max(start - m, 0), min(stop, len(rest))
+    if last - first < m + 2:
+        last = min(first + m + 2, len(rest))
+        first = max(last - m - 2, 0)
+    logp = convolve_logpmf(_full_binomial_logpmf(m, lo), rest[first:last])
+    llr[far] = logp[far - first] - logq[far]
+    return llr
+
+
+def full_support_terms(n: int, m: int, theta: float):
+    """(q, log q, log(P/Q)) of the endpoint pair on {0, ..., n*m}, 0 < theta."""
+    logq = _full_binomial_logpmf(n * m, 0.5 + theta)
+    return np.exp(logq), logq, _full_endpoint_llr(n, m, theta, logq)
+
+
+def full_support_curve(n: int, m: int, theta: float, alphas) -> np.ndarray:
+    """The endpoint curve as pbm_exact_curve computed it on every outcome.
+
+    The same float operations in the same order as the accountant before
+    it ran on a window of Q's support, so it pins the window's bytes where
+    the window is the whole support and its error elsewhere. It reuses
+    the accountant's Stirling error, convolution and logsumexp, which the
+    window leaves as they were.
+    """
+    alphas = np.asarray(sorted(alphas), dtype=float)
+    eps = np.zeros(len(alphas))
+    if theta == 0.0:
+        return eps
+    q, logq, llr = full_support_terms(n, m, theta)
+    support = np.flatnonzero(q)
+    live = slice(support[0], support[-1] + 1)
+    llr_max = np.max(np.abs(llr))
+    for i, alpha in enumerate(alphas):
+        ds = []
+        for b in (alpha, 1.0 - alpha):
+            if abs(b) * llr_max < _EXPM1_LIMIT:
+                e = np.zeros(len(q))
+                e[live] = np.expm1(b * llr[live])
+                ds.append(float(np.log1p(np.dot(q, e))))
+            else:
+                ds.append(_logsumexp(logq + b * llr))
+        eps[i] = max(max(ds) / (alpha - 1.0), 0.0)
+    return eps

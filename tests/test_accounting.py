@@ -1,3 +1,4 @@
+import itertools
 import json
 from math import exp, log, sqrt
 from pathlib import Path
@@ -10,6 +11,8 @@ from scipy.stats import binom as scipy_binom
 from oracles import (
     brute_force_extreme_rdp,
     exhaustive_k_curve,
+    full_support_curve,
+    full_support_terms,
     mpmath_binomial_logpmf,
     mpmath_endpoint_curve,
     poisson_binomial_pmf,
@@ -242,8 +245,8 @@ def test_exact_curve_beyond_hypergeometric_range(monkeypatch):
 
 
 def test_exact_curve_bytes_match_the_golden_table():
-    # repr'd epsilons written by tests/make_curve_golden.py when log P was
-    # convolved on every outcome; a reordered sum moves the last digit
+    # repr'd epsilons written by tests/make_curve_golden.py when the curve
+    # ran on Q's Hoeffding window; a reordered sum moves the last digit
     rows = json.loads((Path(__file__).parent / "curve_golden.json").read_text())
     assert len(rows) == 56
     for row in rows:
@@ -283,6 +286,114 @@ def test_exact_curve_convolves_only_the_far_window(monkeypatch):
     assert len(operands) == 1
     assert min(operands[0]) == m + 1
     assert max(operands[0]) <= far + m + 2
+
+
+def test_binomial_logpmf_range_is_a_slice_of_the_support():
+    for trials, p in [(1, 0.3), (2, 0.5), (15, 0.75), (16, 0.75), (40, 0.999), (3000, 0.6)]:
+        whole = binomial_logpmf(trials, p)
+        for first, last in [(0, trials), (0, 0), (trials, trials), (1, trials - 1),
+                            (trials // 3, trials // 2), (trials // 2, trials)]:
+            if 0 <= first <= last:
+                got = binomial_logpmf(trials, p, first, last)
+                assert got.tobytes() == whole[first : last + 1].tobytes()
+    np.testing.assert_array_equal(binomial_logpmf(3, 1.0, 1, 2), [-np.inf, -np.inf])
+    np.testing.assert_array_equal(binomial_logpmf(3, 0.0, 0, 1), [0.0, -np.inf])
+    for first, last in [(-1, 2), (2, 1), (0, 4)]:
+        with pytest.raises(ValueError):
+            binomial_logpmf(3, 0.5, first, last)
+
+
+# (n, m) x theta for the window against the untruncated curve. m = 401 at
+# n >= 1000 convolves 4e5 columns or more in the oracle, seconds a curve,
+# so n = 50 stands in for it; (10^4, 64) runs at the two ends of theta
+THETAS = (1e-5, 1e-3, 0.01, 0.1, 0.25)
+WINDOW_GRID = [
+    (n, m, theta)
+    for n, m in itertools.product((1, 2, 1000, 10_000), (1, 2, 16, 64))
+    for theta in (THETAS[::4] if (n, m) == (10_000, 64) else THETAS)
+] + [(n, 401, theta) for n in (1, 2, 50) for theta in THETAS]
+
+
+def _below_in_ulp(got, want, n, m, theta, alphas):
+    """How far got reads below want, in ulp of want, over the most that a
+    reordered expm1 sum can move it: 4 ulp where its terms do not cancel,
+    times the larger over b of sum|q expm1(b L)| / |sum q expm1(b L)|."""
+    below = (want - got) / np.spacing(want)
+    if np.all(below <= 4.0):
+        return below / 4.0
+    q, _, llr = full_support_terms(n, m, theta)
+    kappa = np.ones(len(alphas))
+    for i, alpha in enumerate(alphas):
+        for b in (alpha, 1.0 - alpha):
+            if abs(b) * np.abs(llr).max() < accounting._EXPM1_LIMIT:
+                terms = q * np.expm1(b * llr)
+                kappa[i] = max(kappa[i], np.abs(terms).sum() / abs(terms.sum()))
+    return below / (4.0 * kappa)
+
+
+def test_window_matches_the_full_support_curve():
+    alphas = np.array(DEFAULT_ALPHAS)
+    kinds = {True: 0, False: 0}
+    for n, m, theta in WINDOW_GRID:
+        got = pbm_exact_curve(n, m, theta).epsilons
+        want = full_support_curve(n, m, theta, alphas)
+        first, last, _ = accounting._window(n, m, theta, alphas[-1])
+        whole = first == 0 and last == n * m
+        kinds[whole] += 1
+        if whole:
+            assert got.tobytes() == want.tobytes(), (n, m, theta)
+            continue
+        if theta >= 0.01:
+            np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=str((n, m, theta)))
+        # 8 ulp below at (1000, 1, 0.01), where the terms cancel 2,500-fold
+        assert np.all(_below_in_ulp(got, want, n, m, theta, alphas) <= 1.0), (n, m, theta)
+    assert kinds[True] >= 15 and kinds[False] >= 40, kinds
+
+
+@pytest.mark.parametrize("n, m, theta", [
+    (1000, 16, 0.17), (10_000, 2, 0.12), (1000, 1, 0.25), (2000, 4, 1e-5), (50, 401, 0.01),
+])
+@pytest.mark.parametrize("tail", [accounting._WINDOW_LOG_TAIL, 3.0])
+def test_window_bound_covers_the_dropped_part(n, m, theta, tail, monkeypatch):
+    # the term added for the columns outside the window, against their part
+    # of the sums computed on the whole support; tail = 3 narrows the window
+    # until the dropped part shows in the curve
+    monkeypatch.setattr(accounting, "_WINDOW_LOG_TAIL", tail)
+    alphas = np.array(DEFAULT_ALPHAS)
+    first, last, log_out = accounting._window(n, m, theta, alphas[-1])
+    assert 0 < last - first < n * m
+    q, logq, llr = full_support_terms(n, m, theta)
+    out = np.ones(n * m + 1, dtype=bool)
+    out[first : last + 1] = False
+    assert scipy_logsumexp(logq[out]) <= log_out
+    rho_m = m * 2.0 * np.arctanh(2.0 * theta)
+    for b in np.concatenate([alphas, 1.0 - alphas]):
+        tilt = abs(b) * rho_m
+        assert scipy_logsumexp(logq[out] + b * llr[out]) <= log_out + tilt
+        if abs(b) * np.abs(llr[out]).max() < accounting._EXPM1_LIMIT:
+            added = -np.expm1(-tilt) * np.exp(log_out + tilt)
+            assert np.dot(q[out], np.expm1(b * llr[out])) <= added
+    got = pbm_exact_curve(n, m, theta).epsilons
+    want = full_support_curve(n, m, theta, alphas)
+    assert np.all(_below_in_ulp(got, want, n, m, theta, alphas) <= 1.0)
+    if tail == 3.0 and theta < 0.01:
+        # the added e^-3 outweighs a divergence near 1e-10 at every order
+        assert np.all(got > want)
+
+
+def test_cost_guard_refuses_before_it_runs(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the curve ran past its cost guard")
+
+    monkeypatch.setattr(accounting, "binomial_logpmf", never)
+    for n, m in [(10**7, 10**4), (10**13, 1)]:
+        with pytest.raises(ValueError, match="budget") as exc:
+            pbm_exact_curve(n, m, 0.25)
+        assert not isinstance(exc.value, InfeasibleBudget)
+    # the largest curve measured: 267,765 columns x 2001 trials, about 9 s
+    first, last, _ = accounting._window(200, 2000, 0.25, DEFAULT_ALPHAS[-1])
+    accounting._check_cost(200, 2000, last - first + 1)
+    assert pbm_exact_curve(10**7, 10**4, 0.0).epsilons.tolist() == [0.0] * 12
 
 
 def test_exact_curve_monotone_in_alpha():

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -643,6 +644,52 @@ def test_unwritable_output_fails_before_the_run(
     }[case]
     assert main(argv) == 2
     assert kept.read_text() == "earlier output\n"
+
+
+def test_rdp_curve_over_the_cost_budget_exits_at_once(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    start = time.perf_counter()
+    code = main(["rdp-curve", "--n", "10000000", "--m", "10000", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "cells" in err and "GB" in err and "budget" in err
+    # select-params reaches the same guard through its one-trial curves
+    assert main(["select-params", "--n", str(10**13), "--d", "1",
+                 "--eps-budget", "1.0"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+# rdp-curve, a select-params that exits 2, and rdp-curve again, in one process
+# on the one parser that main builds on first use
+REUSED_PARSER = """
+import sys
+import pbm.cli
+first = ["rdp-curve", "--n", "30", "--m", "2", "--theta", "0.2", "--out", "a.csv"]
+usage = ["select-params", "--n", "10", "--d", "1"]
+second = ["rdp-curve", "--n", "1000", "--m", "4", "--out", "b.csv"]
+codes = [pbm.cli.main(argv) for argv in (first, usage, second)]
+assert codes == [0, 2, 0], codes
+"""
+
+ONE_CALL = """
+import sys
+import pbm.cli
+sys.exit(pbm.cli.main(sys.argv[1:]))
+"""
+
+
+def test_one_process_writes_the_bytes_of_separate_runs(tmp_path):
+    (tmp_path / "one").mkdir()
+    (tmp_path / "apart").mkdir()
+    run = _python(REUSED_PARSER, cwd=tmp_path / "one")
+    assert run.returncode == 0, run.stderr
+    for argv in (["rdp-curve", "--n", "30", "--m", "2", "--theta", "0.2", "--out", "a.csv"],
+                 ["rdp-curve", "--n", "1000", "--m", "4", "--out", "b.csv"]):
+        run = _python(ONE_CALL, *argv, cwd=tmp_path / "apart")
+        assert run.returncode == 0, run.stderr
+    for name in ("a.csv", "b.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "apart" / name).read_bytes()
 
 
 def test_select_params_evaluates_only_the_one_trial_curve(monkeypatch, capsys):
