@@ -390,7 +390,7 @@ def test_cost_guard_refuses_before_it_runs(monkeypatch):
         with pytest.raises(ValueError, match="budget") as exc:
             pbm_exact_curve(n, m, 0.25)
         assert not isinstance(exc.value, InfeasibleBudget)
-    # the largest curve measured: 267,765 columns x 2001 trials, about 9 s
+    # the largest curve measured: 267,765 columns x (m + 1) = 5.4e8 cells, 9 s
     first, last, _ = accounting._window(200, 2000, 0.25, DEFAULT_ALPHAS[-1])
     accounting._check_cost(200, 2000, last - first + 1)
     assert pbm_exact_curve(10**7, 10**4, 0.0).epsilons.tolist() == [0.0] * 12
