@@ -663,7 +663,6 @@ def test_rdp_curve_over_the_cost_budget_exits_at_once(tmp_path, capsys):
 # rdp-curve, a select-params that exits 2, and rdp-curve again, in one process
 # on the one parser that main builds on first use
 REUSED_PARSER = """
-import sys
 import pbm.cli
 first = ["rdp-curve", "--n", "30", "--m", "2", "--theta", "0.2", "--out", "a.csv"]
 usage = ["select-params", "--n", "10", "--d", "1"]
