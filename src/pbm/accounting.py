@@ -16,7 +16,9 @@ epsilon stays an upper bound; it costs O(window * m) time and O(window)
 memory, and a cost guard refuses, before it starts, a curve over its
 budget of cells or bytes. Within the window, log P is convolved only on the
 far tail where P/Q <= 1/2 (every column past m = 400; none at small
-theta), and each order's divergence is summed where Q does not underflow.
+theta), and each order's divergence is a pairwise sum over the columns
+where Q does not underflow. No sum goes through BLAS, so a curve's bytes
+do not depend on its thread count.
 
 log-pmfs are plain float arrays indexed by outcome, with -inf for zero
 mass; a valid log-pmf has logsumexp == 0. The binomial log-pmf is Loader's
@@ -277,17 +279,11 @@ def _log_p(n: int, m: int, theta: float, start: int, stop: int) -> np.ndarray:
     """log P on columns [start, stop), convolved in log space.
 
     P is Binom(m, 1/2 - theta) * Binom(m*(n-1), 1/2 + theta); the columns
-    read the second log-pmf on [start - m, stop) only, O((stop - start) * m)
-    time. A slice longer than the (m + 1)-point kernel keeps
-    convolve_logpmf looping over the kernel, as on the whole support, so
-    each entry adds its m + 1 terms in the same order; at n = 2 the rest is
-    no longer than the kernel and is passed whole.
+    read the second log-pmf on [start - m, stop) only, and convolve_logpmf
+    adds each column's terms with logaddexp, O((stop - start) * m) time.
     """
     rest = m * (n - 1)
     first, last = max(start - m, 0), min(stop, rest + 1)
-    if last - first < m + 2:
-        last = min(first + m + 2, rest + 1)
-        first = max(last - m - 2, 0)
     logp = convolve_logpmf(
         binomial_logpmf(m, 0.5 - theta), binomial_logpmf(rest, 0.5 + theta, first, last - 1)
     )
@@ -322,40 +318,34 @@ def _endpoint_llr(
 
 
 def _log_mean_exp(
-    q: np.ndarray, logq: np.ndarray, llr: np.ndarray, b: float,
-    llr_max: float, live: slice, log_out: float, tilt: float,
+    q: np.ndarray, llr: np.ndarray, b: float, log_out: float, tilt: float
 ) -> float:
-    """log E_Q[exp(b * llr)], as log1p of an expm1 sum unless it nears overflow.
+    """log E_Q[exp(b * llr)] as log1p of sum q * expm1(b * llr).
 
-    llr_max is max|llr|; rounding is monotone, so |b| * llr_max is
-    max|b * llr|. The expm1 sum forms b * llr and its expm1 only on `live`,
-    the columns where q > 0, and dots q with zeros elsewhere, which adds
-    the same products in the same order as on every column. Near overflow
-    the logsumexp runs on every column, where an underflowed q can still
-    carry weight.
-
-    Outside the columns, Q's mass is at most exp(log_out) (-inf: none)
-    and |b * llr| at most tilt, so their part of the expm1 sum is at most
-    exp(log_out) * expm1(tilt), added before the log; logsumexp takes
-    log_out + tilt as one more term.
+    q and llr are given on the k columns where q > 0. numpy's pairwise sum
+    adds the k products in one order whatever the BLAS thread count, with
+    an error of O(log k) roundings of sum |q * expm1(b * llr)| (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4.2).
+    Outside the window, Q's mass is at most exp(log_out) (-inf: none) and
+    |b * llr| at most tilt, so their part of the sum is at most
+    exp(log_out) * expm1(tilt), added before the log.
     """
-    if abs(b) * llr_max < _EXPM1_LIMIT:
-        e = np.zeros(len(q))
-        e[live] = np.expm1(b * llr[live])
-        s = np.dot(q, e)
-        if log_out > -inf:
-            # expm1(tilt) * exp(log_out), without overflow or underflow first
-            s += -expm1(-tilt) * exp(log_out + tilt)
-        return float(np.log1p(s))
-    a = logq + b * llr
+    e = b * llr
+    np.expm1(e, out=e)
+    e *= q
+    s = e.sum()
     if log_out > -inf:
-        a = np.append(a, log_out + tilt)
-    return _logsumexp(a)
+        # expm1(tilt) * exp(log_out), without overflow or underflow first
+        s += -expm1(-tilt) * exp(log_out + tilt)
+    return float(np.log1p(s))
 
 
-def _logsumexp(a: np.ndarray) -> float:
+def _logsumexp(a: np.ndarray, extra: float = -inf) -> float:
     """log(sum(exp(a))) in scipy's form: the maxima are summed apart from
-    the rest, as log1p(rest / count) + log(count) + max."""
+    the rest, as log1p(rest / count) + log(count) + max. A finite `extra`
+    is one more term, appended to a."""
+    if extra > -inf:
+        a = np.append(a, extra)
     a_max = a.max()
     at_max = a == a_max
     count = np.count_nonzero(at_max)
@@ -389,10 +379,13 @@ def pbm_exact_curve(
     for bit. Time O(window * m): the hypergeometric mean of
     _endpoint_delta on the window's columns; its log-space convolution
     runs only on the far tail where P/Q <= 1/2 (on every column past
-    m = 400), and each order's expm1 sum only where q > 0 (the logsumexp
-    near overflow on every column). Memory O(window). Raises ValueError,
-    before any of it runs, if window * (m + 1) or the work arrays' bytes
-    exceed the budget of _check_cost.
+    m = 400), and each order's expm1 sum, numpy's pairwise sum, only
+    where q > 0 (the logsumexp near overflow on every column, where an
+    underflowed q can still carry weight). Memory O(window). Raises
+    ValueError, before any of it runs, if window * (m + 1) or the work
+    arrays' bytes exceed the budget of _check_cost, and FloatingPointError
+    if at theta > 0 an order's divergence rounds to 0 or below, which
+    bounds nothing.
     """
     if not (isinstance(n, Integral) and isinstance(m, Integral) and n >= 1 and m >= 1):
         raise ValueError(f"n and m must be positive integers, got n={n!r}, m={m!r}")
@@ -408,14 +401,23 @@ def pbm_exact_curve(
         q = np.exp(logq)
         support = np.flatnonzero(q)
         live = slice(support[0], support[-1] + 1)
+        q_live, llr_live = q[live], llr[live]
         llr_max = np.max(np.abs(llr))
         rho_m = m * 2.0 * atanh(2.0 * theta)
+        # rounding is monotone, so |b| * llr_max is max|b * llr|
         for i, alpha in enumerate(alphas):
             d = max(
-                _log_mean_exp(q, logq, llr, b, llr_max, live, log_out, abs(b) * rho_m)
+                _log_mean_exp(q_live, llr_live, b, log_out, abs(b) * rho_m)
+                if abs(b) * llr_max < _EXPM1_LIMIT
+                else _logsumexp(logq + b * llr, log_out + abs(b) * rho_m)
                 for b in (alpha, 1.0 - alpha)
             )
-            eps[i] = max(d / (alpha - 1.0), 0.0)
+            if not d > 0.0:
+                raise FloatingPointError(
+                    f"the exact curve at n={n}, m={m}, theta={theta!r} rounds to "
+                    f"{d!r} at order {alpha:g}, which bounds nothing"
+                )
+            eps[i] = d / (alpha - 1.0)
     meta = {"mechanism": "pbm-exact", "n": n, "m": m, "theta": theta}
     return RdpCurve(alphas=alphas, epsilons=eps, kind="exact", meta=meta)
 
@@ -524,16 +526,24 @@ def largest_theta(fits: Callable[[float], bool], what: str) -> float:
     """Largest theta <= 1/4 with fits(theta), for fits true up to a threshold.
 
     Returns 1/4 if it fits; otherwise bisects [0, 1/4] until its width is
-    below 1e-10 (32 halvings) and returns the end that fits.
+    below 1e-10 (32 halvings) and returns the end that fits. A theta whose
+    curve rounds to 0 (FloatingPointError) does not fit.
     Raises InfeasibleBudget if no theta > 0 was found to fit; `what` names
     the budget in the message.
     """
-    if fits(0.25):
+
+    def fits_at(theta):
+        try:
+            return fits(theta)
+        except FloatingPointError:
+            return False
+
+    if fits_at(0.25):
         return 0.25
     lo, hi = 0.0, 0.25
     while hi - lo >= 1e-10:
         mid = 0.5 * (lo + hi)
-        if fits(mid):
+        if fits_at(mid):
             lo = mid
         else:
             hi = mid

@@ -1,10 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here works in plain probability space with scipy.stats and
-np.convolve, or in mpmath at 40 digits, deliberately sharing no code with
-the accountant. The exception is full_support_curve at the end: the
-accountant's own float operations on every outcome, without the window,
-which pins the window's bytes and error.
+Everything down to the last section works in plain probability space
+with scipy.stats and np.convolve, or in mpmath at 40 digits, and shares no
+code with the accountant. The last section, full_support_curve and its
+helpers, is the accountant's own float operations on every outcome,
+without the window, which pins the window's bytes and error; it imports
+the accountant's Stirling error, convolve_logpmf, _logsumexp and the
+constants _EXPM1_LIMIT and _HYPERGEOM_MAX_M.
 """
 
 from __future__ import annotations
@@ -358,9 +360,6 @@ def _full_endpoint_llr(n: int, m: int, theta: float, logq: np.ndarray) -> np.nda
     rest = _full_binomial_logpmf(m * (n - 1), hi)
     start, stop = far[0], far[-1] + 1
     first, last = max(start - m, 0), min(stop, len(rest))
-    if last - first < m + 2:
-        last = min(first + m + 2, len(rest))
-        first = max(last - m - 2, 0)
     logp = convolve_logpmf(_full_binomial_logpmf(m, lo), rest[first:last])
     llr[far] = logp[far - first] - logq[far]
     return llr
@@ -388,15 +387,17 @@ def full_support_curve(n: int, m: int, theta: float, alphas) -> np.ndarray:
     q, logq, llr = full_support_terms(n, m, theta)
     support = np.flatnonzero(q)
     live = slice(support[0], support[-1] + 1)
+    q_live, llr_live = q[live], llr[live]
     llr_max = np.max(np.abs(llr))
     for i, alpha in enumerate(alphas):
         ds = []
         for b in (alpha, 1.0 - alpha):
             if abs(b) * llr_max < _EXPM1_LIMIT:
-                e = np.zeros(len(q))
-                e[live] = np.expm1(b * llr[live])
-                ds.append(float(np.log1p(np.dot(q, e))))
+                e = b * llr_live
+                np.expm1(e, out=e)
+                e *= q_live
+                ds.append(float(np.log1p(e.sum())))
             else:
                 ds.append(_logsumexp(logq + b * llr))
-        eps[i] = max(max(ds) / (alpha - 1.0), 0.0)
+        eps[i] = max(ds) / (alpha - 1.0)
     return eps

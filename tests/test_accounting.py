@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from math import exp, log, sqrt
 from pathlib import Path
 
@@ -344,8 +347,10 @@ def test_window_matches_the_full_support_curve():
             assert got.tobytes() == want.tobytes(), (n, m, theta)
             continue
         if theta >= 0.01:
-            np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=str((n, m, theta)))
-        # 8 ulp below at (1000, 1, 0.01), where the terms cancel 2,500-fold
+            # the window's pairwise sum and the whole support's split their
+            # terms differently: 4.5e-13 apart at (10^4, 1, 0.01), where the
+            # terms cancel 16,000-fold and both read 2e-11 off mpmath
+            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=str((n, m, theta)))
         assert np.all(_below_in_ulp(got, want, n, m, theta, alphas) <= 1.0), (n, m, theta)
     assert kinds[True] >= 15 and kinds[False] >= 40, kinds
 
@@ -379,6 +384,52 @@ def test_window_bound_covers_the_dropped_part(n, m, theta, tail, monkeypatch):
     if tail == 3.0 and theta < 0.01:
         # the added e^-3 outweighs a divergence near 1e-10 at every order
         assert np.all(got > want)
+
+
+# OpenBLAS reads its thread count when it loads, so each count runs in a
+# process of its own
+CURVE_REPRS = """
+from pbm.accounting import pbm_exact_curve
+for n, m, theta in [(1000, 64, 0.17), (10**5, 16, 0.1)]:
+    print(repr(pbm_exact_curve(n, m, theta).epsilons.tolist()))
+"""
+
+
+def test_exact_curve_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(accounting.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", CURVE_REPRS], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs.append(run.stdout)
+    assert runs[0] == runs[1]
+    assert len(runs[0].splitlines()) == 2
+
+
+def test_exact_curve_that_rounds_to_zero_raises():
+    # 0 is no upper bound on a divergence at theta > 0
+    with pytest.raises(FloatingPointError, match=r"rounds to 0\.0 at order 1\.25"):
+        pbm_exact_curve(2, 1, 1e-20)
+
+
+def test_selection_counts_a_curve_that_rounds_to_zero_as_not_fitting(monkeypatch):
+    exact_curve = accounting.pbm_exact_curve
+
+    def rounds_to_zero_below(n, m, theta, alphas):
+        if theta < 1e-3:
+            raise FloatingPointError("rounds to 0.0")
+        return exact_curve(n, m, theta, alphas)
+
+    monkeypatch.setattr(accounting, "pbm_exact_curve", rounds_to_zero_below)
+    with pytest.raises(InfeasibleBudget):
+        select_params(100, 1, 2.0, 1e-300)
+    with pytest.raises(InfeasibleBudget):
+        select_params_approx_dp(100, 1, 1e-300, 1e-6)
+    theta, m, _ = select_params(100, 1, 2.0, 1e-3)
+    assert 1e-3 < theta < 0.25 and m == 1
 
 
 def test_cost_guard_refuses_before_it_runs(monkeypatch):

@@ -345,6 +345,13 @@ def test_select_params_infeasible_budget():
                  "--eps-budget", "0.0"]) == 3
 
 
+def test_rdp_curve_that_rounds_to_zero_is_a_numerical_failure(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    argv = ["rdp-curve", "--n", "2", "--m", "1", "--theta", "1e-20", "--out", str(out)]
+    assert main(argv) == 4 and not out.exists()
+    assert "rounds to 0.0" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["dme", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "x.csv")]) == 2
