@@ -317,13 +317,10 @@ WINDOW_GRID = [
 ] + [(n, 401, theta) for n in (1, 2, 50) for theta in THETAS]
 
 
-def _below_in_ulp(got, want, n, m, theta, alphas):
-    """How far got reads below want, in ulp of want, over the most that a
-    reordered expm1 sum can move it: 4 ulp where its terms do not cancel,
-    times the larger over b of sum|q expm1(b L)| / |sum q expm1(b L)|."""
-    below = (want - got) / np.spacing(want)
-    if np.all(below <= 4.0):
-        return below / 4.0
+def _cancellation(n, m, theta, alphas):
+    """The larger over b of sum|q expm1(b L)| / |sum q expm1(b L)| at each
+    order: how many times further a reordered expm1 sum can move than where
+    its terms do not cancel."""
     q, _, llr = full_support_terms(n, m, theta)
     kappa = np.ones(len(alphas))
     for i, alpha in enumerate(alphas):
@@ -331,7 +328,13 @@ def _below_in_ulp(got, want, n, m, theta, alphas):
             if abs(b) * np.abs(llr).max() < accounting._EXPM1_LIMIT:
                 terms = q * np.expm1(b * llr)
                 kappa[i] = max(kappa[i], np.abs(terms).sum() / abs(terms.sum()))
-    return below / (4.0 * kappa)
+    return kappa
+
+
+def _below_in_ulp(got, want, kappa):
+    """How far got reads below want, in ulp of want, over the most that a
+    reordered expm1 sum can move it: 4 ulp times the cancellation kappa."""
+    return (want - got) / np.spacing(want) / (4.0 * kappa)
 
 
 def test_window_matches_the_full_support_curve():
@@ -346,12 +349,15 @@ def test_window_matches_the_full_support_curve():
         if whole:
             assert got.tobytes() == want.tobytes(), (n, m, theta)
             continue
+        kappa = _cancellation(n, m, theta, alphas)
         if theta >= 0.01:
-            # the window's pairwise sum and the whole support's split their
-            # terms differently: 4.5e-13 apart at (10^4, 1, 0.01), where the
-            # terms cancel 16,000-fold and both read 2e-11 off mpmath
-            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=str((n, m, theta)))
-        assert np.all(_below_in_ulp(got, want, n, m, theta, alphas) <= 1.0), (n, m, theta)
+            # 1e-13, or where the terms cancel, the 4 kappa ulp that a
+            # reordered sum can move: the window's pairwise sum and the whole
+            # support's split the terms differently, 4.5e-13 apart at
+            # (10^4, 1, 0.01) and order 1.5, where they cancel 8,000-fold
+            tol = np.maximum(1e-13 * want, 4.0 * kappa * np.spacing(want))
+            assert np.all(np.abs(got - want) <= tol), (n, m, theta, got, want)
+        assert np.all(_below_in_ulp(got, want, kappa) <= 1.0), (n, m, theta)
     assert kinds[True] >= 15 and kinds[False] >= 40, kinds
 
 
@@ -380,7 +386,7 @@ def test_window_bound_covers_the_dropped_part(n, m, theta, tail, monkeypatch):
             assert np.dot(q[out], np.expm1(b * llr[out])) <= added
     got = pbm_exact_curve(n, m, theta).epsilons
     want = full_support_curve(n, m, theta, alphas)
-    assert np.all(_below_in_ulp(got, want, n, m, theta, alphas) <= 1.0)
+    assert np.all(_below_in_ulp(got, want, _cancellation(n, m, theta, alphas)) <= 1.0)
     if tail == 3.0 and theta < 0.01:
         # the added e^-3 outweighs a divergence near 1e-10 at every order
         assert np.all(got > want)
