@@ -2,13 +2,14 @@
 
 The per-round privacy loss of the mechanism is a Renyi divergence between
 two convolutions of binomials whose success probabilities sit at the ends
-of the re-scaling range [1/2 - theta, 1/2 + theta]. Quasi-convexity of the
-divergence in each client's probability means the worst case over all
-inputs is attained at an extreme assignment: k of the n - 1 unchanged
-clients at 1/2 - theta, the rest at 1/2 + theta, with both orderings of
-the pair. Mirror symmetry maps k to n - 1 - k, and the endpoint k = 0
-attains the maximum; the test suite checks that against an exhaustive
-search over every k and every assignment. At the endpoint the likelihood
+of the re-scaling range [1/2 - theta, 1/2 + theta]. E_Q[(P/Q)^alpha] is
+jointly convex and each client's probability enters P and Q affinely, so
+the worst case over all inputs is at an extreme assignment: k of the
+n - 1 unchanged clients at 1/2 - theta, the rest at 1/2 + theta, with both
+orderings of the pair. Mirror symmetry maps k to n - 1 - k. That the
+endpoint k = 0 is the worst of them is checked by computation only, by a
+test's search over every k at n in {5, 12, 40}, m in {1, 2, 8}, theta in
+{0.01, 0.1, 1/4} and orders up to 16. At the endpoint the likelihood
 ratio is a hypergeometric mean, O(m) per outcome. A curve runs only on
 the outcomes of Q's Hoeffding window, O(sqrt(n*m * (100 + m*alpha*log(rho))))
 of the n*m + 1, and adds a bound on the part of each sum outside it, so
@@ -173,7 +174,7 @@ def _orders(alphas: Iterable[float]) -> np.ndarray:
     return a
 
 
-# largest m for the hypergeometric sums of _endpoint_llr: their terms stay
+# largest m for the hypergeometric sums of _endpoint_delta: their terms stay
 # below about 5.4^m, which float64 holds up to m = 400; past it the
 # log-space ratio is used throughout
 _HYPERGEOM_MAX_M = 400
@@ -235,44 +236,36 @@ def _endpoint_delta(n: int, m: int, log_rho: float, first: int, last: int) -> np
     Hypergeom(n*m, m, j), so P/Q(j) - 1 = E[expm1((m - 2I) * log(rho))]
     with rho = (1/2 + theta)/(1/2 - theta), which keeps its precision at
     small theta. The weights of I come from the product-of-ratios
-    recurrence in i, normalised per j, over the columns j <= n*m/2; a
-    column j above n*m/2 reads its mirror n*m - j with I -> m - I. The
-    recurrence runs once on the span of columns the window reads.
-    O(window * m) time.
+    recurrence in i, normalised per j; a column j above n*m/2 runs it at
+    its mirror n*m - j with I -> m - I. One pass over the window's
+    columns, O(window * m) time.
     """
     big_n = n * m
-    half = big_n // 2
-    # columns read directly, and those read at their mirror; each may be empty
-    low = (first, min(last, half))
-    high = (big_n - last, big_n - max(first, half + 1))
-    spans = [s for s in (low, high) if s[0] <= s[1]]
-    c0, c1 = min(s[0] for s in spans), max(s[1] for s in spans)
-    # j - i and n*m - m + 1 + i - j at step i, kept in place; exact integers
-    num = np.arange(c0, c1 + 1, dtype=float)
+    # the window's columns up to n*m/2 come first, then those read at their mirror
+    split = min(max(big_n // 2 + 1 - first, 0), last - first + 1)
+    low, high = slice(None, split), slice(split, None)
+    # j - i and n*m - m + 1 + i - j at step i, j the column or its mirror,
+    # kept in place; exact integers
+    num = np.arange(first, last + 1, dtype=float)
+    np.minimum(num, big_n - num, out=num)
     den = (big_n - m + 1) - num
     w, step = np.ones(len(num)), np.empty(len(num))
-    # weight totals, and expm1 sums of rho^(m-2i) (column j) and of
-    # rho^(2i-m) (column n*m - j), each only where a column reads it
-    total = np.zeros(len(num))
-    d_lo = np.zeros(len(num)) if low[0] <= low[1] else None
-    d_hi = np.zeros(len(num)) if high[0] <= high[1] else None
+    # weight totals, and expm1 sums of rho^(m-2i) (low columns) or of
+    # rho^(2i-m) (high columns, read at their mirror)
+    total, delta = np.zeros(len(num)), np.zeros(len(num))
     for i in range(m + 1):
         x = (m - 2 * i) * log_rho
         total += w
-        for d, e in ((d_lo, expm1(x)), (d_hi, expm1(-x))):
-            if d is not None:
-                d += np.multiply(w, e, out=step)
+        for cols, e in ((low, expm1(x)), (high, expm1(-x))):
+            np.multiply(w[cols], e, out=step[cols])
+        delta += step
         if i < m:
             np.multiply(num, (m - i) / (i + 1), out=step)
             step /= den
             w *= step
             num -= 1.0
             den += 1.0
-    # the window's columns in order: low ones as they are, high ones reversed
-    parts = [(d, slice(s[0] - c0, s[1] - c0 + 1), order)
-             for d, s, order in ((d_lo, low, 1), (d_hi, high, -1)) if d is not None]
-    return (np.concatenate([d[cols][::order] for d, cols, order in parts])
-            / np.concatenate([total[cols][::order] for _, cols, order in parts]))
+    return np.divide(delta, total, out=delta)
 
 
 def _log_p(n: int, m: int, theta: float, start: int, stop: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import binom as scipy_binom
 
 from oracles import (
+    _full_endpoint_delta,
     brute_force_extreme_rdp,
     exhaustive_k_curve,
     full_support_curve,
@@ -359,6 +360,25 @@ def test_window_matches_the_full_support_curve():
             assert np.all(np.abs(got - want) <= tol), (n, m, theta, got, want)
         assert np.all(_below_in_ulp(got, want, kappa) <= 1.0), (n, m, theta)
     assert kinds[True] >= 15 and kinds[False] >= 40, kinds
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 64, 400])
+def test_endpoint_delta_is_a_slice_of_the_full_support(m):
+    # every column runs the same float operations whatever the window: below
+    # n*m/2, above it, across it, the top m columns, and random windows
+    rng = np.random.default_rng(m)
+    for n, theta in itertools.product((2, 3, 50), (1e-5, 0.25)):
+        big_n, half = n * m, n * m // 2
+        log_rho = 2.0 * np.arctanh(2.0 * theta)
+        whole = _full_endpoint_delta(n, m, log_rho)
+        windows = [
+            (0, half), (half // 2, half), (half + 1, big_n), (half, half + 1),
+            (max(half - m, 0), min(half + m, big_n)), (big_n - m, big_n),
+            (0, big_n), (0, 0), (big_n, big_n),
+        ] + [tuple(sorted(rng.integers(0, big_n + 1, size=2))) for _ in range(20)]
+        for first, last in windows:
+            got = accounting._endpoint_delta(n, m, log_rho, int(first), int(last))
+            assert got.tobytes() == whole[first : last + 1].tobytes(), (n, m, theta, first, last)
 
 
 @pytest.mark.parametrize("n, m, theta", [
