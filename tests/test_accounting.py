@@ -252,7 +252,7 @@ def test_exact_curve_bytes_match_the_golden_table():
     # repr'd epsilons written by tests/make_curve_golden.py when the curve
     # ran on Q's Hoeffding window; a reordered sum moves the last digit
     rows = json.loads((Path(__file__).parent / "curve_golden.json").read_text())
-    assert len(rows) == 56
+    assert len(rows) == 60
     for row in rows:
         curve = pbm_exact_curve(row["n"], row["m"], row["theta"])
         got = [repr(float(e)) for e in curve.epsilons]
