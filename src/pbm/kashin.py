@@ -137,29 +137,35 @@ def represent_batch(x: np.ndarray, frame: KashinFrame) -> np.ndarray:
     """Spread coefficients y (D, batch) with U @ y = x, column by column.
 
     x has shape (d, batch). PASSES clipped passes fix the spread and one
-    exact step then closes the residual. Raises ConvergenceError if a
-    residual is above RECONSTRUCT_TOL * ||x||_2 (a frame that is not tight)
-    or if a column's spread exceeds the frame's certified level (a frame
-    certified under other PASSES or PROBES than spread now).
+    exact step then closes the residual. Raises ValueError if a column is
+    not finite, and ConvergenceError if a residual is above
+    RECONSTRUCT_TOL * ||x||_2 (a frame that is not tight) or if a column's
+    spread exceeds the frame's certified level (a frame certified under
+    other PASSES or PROBES than spread now). A zero column gives y = 0
+    exactly, which passes both checks.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != frame.d:
         raise ValueError(f"expected shape ({frame.d}, batch), got {x.shape}")
-    y = _represent_batch(x, frame.u)
     norms = np.linalg.norm(x, axis=0)
-    live = norms > 0
+    if not np.isfinite(norms).all():
+        raise ValueError("x has a column that is not finite")
+    y = _represent_batch(x, frame.u)
     residual = np.linalg.norm(frame.u @ y - x, axis=0)
-    if np.any(residual[live] > RECONSTRUCT_TOL * norms[live]):
+    # written so that a NaN fails: a comparison with NaN is False
+    if not np.all(residual <= RECONSTRUCT_TOL * norms):
+        live = norms > 0
         worst = float((residual[live] / norms[live]).max())
         raise ConvergenceError(
             f"representation residual {worst:.3e} exceeds tolerance "
             f"{RECONSTRUCT_TOL:.3e}"
         )
-    spread = sqrt(frame.big_d) * np.abs(y[:, live]).max(axis=0) / norms[live]
-    if np.any(spread > frame.level_k * (1.0 + 1e-9)):
+    spread = sqrt(frame.big_d) * np.abs(y).max(axis=0)
+    if not np.all(spread <= frame.level_k * (1.0 + 1e-9) * norms):
+        live = norms > 0
+        worst = float((spread[live] / norms[live]).max())
         raise ConvergenceError(
-            f"spread {spread.max():.6g} exceeds the certified level_k "
+            f"spread {worst:.6g} exceeds the certified level_k "
             f"{frame.level_k:.6g}"
         )
     return y
-

@@ -16,9 +16,9 @@ geometries, selected by whether MechanismParams carries a frame:
 Every function works on whole batches: clients are rows. sample_sums is
 the one binomial draw; counts lie in [0, m], so under the default modulus
 M > n*m its integer sums are the secure-aggregation sums. It has two exact
-kernels, picked by m at a cap of 32 (not the crossover; see
-_COMPARE_MAX_M): above it, numpy's binomial sampler; up to it, m Bernoulli
-trials, each succeeding when a 53-bit uniform k lies below
+kernels, picked by m at a cap of 64 (see _COMPARE_MAX_M): above it,
+numpy's binomial sampler; up to it, m Bernoulli trials, each succeeding
+when a 53-bit uniform k lies below
 T = ceil(p * 2**53), which has probability exactly T / 2**53, the same as
 the compare u < p of a float64 uniform (a multiple of 2**-53). The trial
 is settled on the top 8 bits of k, so one 64-bit random word serves eight
@@ -27,9 +27,11 @@ an equal prefix (probability 2**-8) needs the other 45 bits, drawn as one
 word per tie after all prefixes, by trial and then entry. Successes and
 ties are counted per (trial, entry) in uint8 while a draw of at most 1 MB
 of words is hot in cache, so ties are located once per count, not once
-per prefix. Each (clients, coords) slab of prefixes is padded to whole
-words, so chunk boundaries fall on words and chunking leaves the stream
-unchanged.
+per prefix: a draw of small slabs (an sgd round's) in one compare per
+count over the whole draw, one of large slabs (the dme sweep's) slab by
+slab, with the same counts either way. Each (clients, coords) slab of
+prefixes is padded to whole words, so chunk boundaries fall on words and
+chunking leaves the stream unchanged.
 """
 
 from __future__ import annotations
@@ -46,12 +48,20 @@ from .kashin import KashinFrame, represent_batch
 # cap on the entries of one draw (8-bit prefixes or binomials): its 1 MB of
 # random words stays in L2 while the compares read it
 _CHUNK_ENTRIES = 1_048_576
-# largest m drawn as Bernoulli trials; raising it moves sgd bytes. Not the
-# crossover with rng.binomial: on a 2-core Xeon (numpy 2.4) the compare
-# kernel took 0.94x its time at m = 128 and 1.39x at m = 192 for (1000, 500)
-# probabilities and 15 trials (the dme sweep), and 0.73x at m = 64 and
-# 1.03x at m = 96 for (50, 16) and one trial (an sgd round)
-_COMPARE_MAX_M = 32
+# largest m drawn as Bernoulli trials, so per-(trial, entry) counts fit in
+# uint8; raising it moves sgd bytes. On a 2-core Xeon (numpy 2.4), with
+# slab-by-slab compares, the compare kernel took 0.94x rng.binomial's time
+# at m = 128 and 1.39x at m = 192 for (1000, 500) probabilities and 15
+# trials (the dme sweep), and 0.73x at m = 64 and 1.03x at m = 96 for
+# (50, 16) and one trial (an sgd round); the cap is the lower crossover
+_COMPARE_MAX_M = 64
+# a draw whose slabs hold at most this many (trial, entry) prefixes is
+# compared whole, since one call per slab is bound by call overhead there;
+# larger slabs are compared one at a time, without a draw-sized bool. On
+# the same Xeon the whole compare took 0.09x the per-slab time for 64
+# slabs of 1,024 prefixes, 0.74x for 32 of 32,768, 1.06x for 2 of 32,768
+# and 1.47x for 2 of 524,288
+_WHOLE_DRAW_SLAB = 32_768
 
 
 @dataclass(frozen=True)
@@ -113,20 +123,22 @@ def spread(x: np.ndarray, params: MechanismParams) -> np.ndarray:
     """Client vectors (clients, d) as coefficients (clients, coords) bounded by c'.
 
     Checks every row against the norm bound (L2 with the frame, L-infinity
-    without), then spreads all rows with one frame call. Depends on neither
-    theta nor m, so a sweep over (m, theta) spreads once.
+    without), then spreads all rows with one frame call. A row with a NaN or
+    an inf fails the check. Depends on neither theta nor m, so a sweep over
+    (m, theta) spreads once.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.d:
         raise ValueError(f"expected shape (clients, {params.d}), got {x.shape}")
+    # the max propagates a NaN, and a comparison with NaN is False
     if params.frame is not None:
         norm = np.linalg.norm(x, axis=1).max(initial=0.0)
-        if norm > params.c * (1.0 + 1e-9):
-            raise ValueError(f"||x||_2 = {norm} exceeds c = {params.c}")
+        if not norm <= params.c * (1.0 + 1e-9):
+            raise ValueError(f"||x||_2 = {norm} is not within c = {params.c}")
         return represent_batch(x.T, params.frame).T
     top = np.abs(x).max(initial=0.0)
-    if top > params.c * (1.0 + 1e-9):
-        raise ValueError(f"||x||_inf = {top} exceeds the coordinate bound {params.c}")
+    if not top <= params.c * (1.0 + 1e-9):
+        raise ValueError(f"||x||_inf = {top} is not within the coordinate bound {params.c}")
     return x
 
 
@@ -171,7 +183,7 @@ def sample_sums(
 ) -> np.ndarray:
     """Per-trial sums (trials, coords) over the rows of Binom(m, probs).
 
-    probs has shape (clients, coords). For m <= 32 each Binom(m, p) is m
+    probs has shape (clients, coords). For m <= 64 each Binom(m, p) is m
     Bernoulli trials, each succeeding with probability exactly
     ceil(p * 2**53) / 2**53, as the compare u < p of a float64 uniform
     would (_split_thresholds). The trials read one trial-major stream of
@@ -209,6 +221,7 @@ def sample_sums(
         # per (trial, entry): prefixes below hi, and prefixes equal to it
         wins = np.zeros((t, entries), dtype=np.uint8)
         ties = np.zeros((t, entries), dtype=np.uint8)
+        whole = t * entries <= _WHOLE_DRAW_SLAB
         hit = np.empty((t, entries), dtype=np.bool_)
         for k in range(0, m, slabs):
             size = (t, min(slabs, m - k), words)
@@ -216,13 +229,19 @@ def sample_sums(
             raw = rng.integers(0, 2**64, size=size, dtype=np.uint64)
             # little-endian lanes, so the prefixes do not depend on the platform
             prefix = raw.astype("<u8", copy=False).view(np.uint8)[..., :entries]
-            for j in range(size[1]):
-                np.less(prefix[:, j], hi, out=hit)
-                wins += hit.view(np.uint8)
-                np.equal(prefix[:, j], hi, out=hit)
-                ties += hit.view(np.uint8)
+            if whole:
+                for count, op in ((wins, np.less), (ties, np.equal)):
+                    count += op(prefix, hi).view(np.uint8).sum(axis=1, dtype=np.uint8)
+            else:
+                for j in range(size[1]):
+                    np.less(prefix[:, j], hi, out=hit)
+                    wins += hit.view(np.uint8)
+                    np.equal(prefix[:, j], hi, out=hit)
+                    ties += hit.view(np.uint8)
         sums[lo : lo + t] = wins.reshape(t, n, coords).sum(axis=1, dtype=np.int64)
-        index = np.flatnonzero(ties != 0)
+        # pending ties as uint32, half the bytes of intp, where they fit
+        kind = np.uint32 if t * entries <= 2**32 else np.intp
+        index = np.flatnonzero(ties != 0).astype(kind)
         tied.append((lo, t, np.repeat(index, ties.ravel()[index])))
     # after the last prefix, one word per tie, by trial, then entry
     for lo, t, index in tied:

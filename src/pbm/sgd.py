@@ -202,15 +202,16 @@ def convergence_bound(smoothness: float, d_f: float, sigma2: float, rounds: int)
 def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     """Simulate the full training loop and assemble the privacy ledger.
 
-    disable_mechanism=True replaces encode/sum/decode with the exact
-    mean of the clipped gradients while consuming identical client-sampling
-    randomness, giving a noise-free paired run for the same seed.
+    The seed spawns three generators once per run: the frame's, the cohort
+    selection's and the mechanism's. disable_mechanism=True replaces
+    encode/sum/decode with the exact mean of the clipped gradients and
+    draws nothing from the mechanism's generator, so it selects the same
+    cohorts: a noise-free paired run for the same seed.
     """
     loss = QuadraticLoss(config.loss, config.total_clients)
     d = config.loss.dimension
-    root = np.random.SeedSequence(config.seed)
-    frame_seed, round_root = root.spawn(2)
-    frame_rng = np.random.default_rng(frame_seed)
+    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    frame_rng, select_rng, mech_rng = (np.random.default_rng(s) for s in seeds)
     frame = build_frame(d, frame_rng) if config.use_kashin else None
     params = MechanismParams(
         n=config.sampled, d=d, c=config.clip, theta=config.theta, m=config.m, frame=frame
@@ -231,11 +232,8 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
     selection_counts = np.zeros(config.total_clients, dtype=np.int64)
     # row t is the ledger after t rounds: t copies of the per-round curve
     eps_matrix = t_axis[:, None] * per_round.epsilons[None, :]
-    for t, rseed in enumerate(round_root.spawn(config.rounds)):
-        sample_seed, mech_root = rseed.spawn(2)
-        idx = np.random.default_rng(sample_seed).choice(
-            config.total_clients, size=config.sampled, replace=False
-        )
+    for t in range(config.rounds):
+        idx = select_rng.choice(config.total_clients, size=config.sampled, replace=False)
         selection_counts[idx] += 1
         grads = clip_rows(loss.client_grads(w, idx), config.clip)
         if disable_mechanism:
@@ -244,8 +242,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
             probs = coordinate_probs(spread(grads, params), params)
             # one trial of the cohort's summed counts; under the default
             # modulus the secure-aggregation sum is this integer sum
-            rng = np.random.default_rng(mech_root)
-            mu_hat = server_decode(sample_sums(probs, config.m, rng, 1)[0], params)
+            mu_hat = server_decode(sample_sums(probs, config.m, mech_rng, 1)[0], params)
         w = w - gamma * mu_hat
         losses[t] = loss.full_loss(w)
         grad_norms[t] = float(np.sum(loss.full_grad(w) ** 2))

@@ -83,6 +83,16 @@ def test_frame_that_is_not_tight_raises(frame40):
         represent_batch(x, loose)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_column_raises(bad, frame40):
+    # a check written as residual > bound is False at a NaN, and would let
+    # NaN coefficients through
+    x = np.random.default_rng(7).standard_normal((40, 3))
+    x[5, 1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        represent_batch(x, frame40)
+
+
 @pytest.mark.parametrize("d", [8, 16, 64, 250])
 def test_default_pass_count_matches_sixty_passes(d, monkeypatch):
     # the clipped passes past the default barely move the certified level,

@@ -177,6 +177,20 @@ def test_encode_norm_validation(frame8):
         spread(big, spread_params)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("framed", [False, True])
+def test_spread_rejects_non_finite_rows(bad, framed, frame8):
+    # a NaN norm compares False with any bound, so a check written as
+    # norm > c would let the row through to NaN coefficients
+    params = MechanismParams(
+        n=3, d=8, c=1.0, theta=0.2, m=2, frame=frame8 if framed else None
+    )
+    x = np.zeros((3, 8))
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="is not within"):
+        spread(x, params)
+
+
 def test_kashin_accepts_peaky_vectors(frame8):
     # a unit basis vector satisfies the L2 bound though its largest
     # coordinate far exceeds the spread per-coordinate budget c'
@@ -215,10 +229,10 @@ def test_mse_bound_is_attained_at_the_centre(framed, frame8):
     assert emp_mse == pytest.approx(mse_bound(params), rel=5.0 * sqrt(2.0 / (d * trials)))
 
 
-@pytest.mark.parametrize("m", [2, 16, 32, 33, 300])
+@pytest.mark.parametrize("m", [2, 16, 32, 33, 64, 65, 300])
 def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
     # small chunks must draw the same sums as all trials in one chunk; one
-    # trial per chunk splits a compare draw (m <= 32) into single slabs
+    # trial per chunk splits a compare draw (m <= 64) into single slabs
     n, coords, trials = 7, 5, 6
     probs = np.random.default_rng(3).uniform(0.25, 0.75, size=(n, coords))
     whole = sample_sums(probs, m, np.random.default_rng(m), trials)
@@ -230,7 +244,24 @@ def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
         np.testing.assert_array_equal(chunked, whole)
 
 
-@pytest.mark.parametrize("m", [4, 64])  # the compare and the binomial kernel
+@pytest.mark.parametrize("per_chunk", [None, 4])
+@pytest.mark.parametrize("m", [1, 16, 32, 64])
+def test_whole_draw_compare_matches_the_slab_loop(m, per_chunk, monkeypatch):
+    # a draw of small slabs is compared whole, a draw of large ones slab by
+    # slab; both read the same words and count the same trials. 4 slabs per
+    # draw splits a trial of m > 4 into several draws
+    n, coords, trials = 7, 5, 6
+    probs = np.random.default_rng(5).uniform(0.0, 1.0, size=(n, coords))
+    if per_chunk is not None:
+        monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
+    sums = []
+    for limit in (0, 2**20):  # every draw slab by slab, every draw whole
+        monkeypatch.setattr(mechanism, "_WHOLE_DRAW_SLAB", limit)
+        sums.append(sample_sums(probs, m, np.random.default_rng(m), trials))
+    np.testing.assert_array_equal(sums[0], sums[1])
+
+
+@pytest.mark.parametrize("m", [4, 65])  # the compare and the binomial kernel
 def test_sample_sums_rejects_bad_input(m):
     rng = np.random.default_rng(0)
     good = np.full((2, 2), 0.5)
@@ -260,7 +291,7 @@ def test_sample_sums_rejects_probs_that_are_not_2d(shape):
         sample_sums(np.full(shape, 0.5), 4, np.random.default_rng(0), 3)
 
 
-@pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64])
+@pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64, 65])
 def test_sample_sums_distribution(m):
     # each column's sum over clients is Poisson-binomial; chi-square its
     # histogram against the exact pmf, pooling cells expected below 5
@@ -353,7 +384,7 @@ def test_sample_sums_tie_path(per_chunk, monkeypatch):
     np.testing.assert_array_equal(sums, expected)
 
 
-@pytest.mark.parametrize("m", [1, 2, 32])
+@pytest.mark.parametrize("m", [1, 2, 32, 64])
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_sample_sums_certain_outcomes_with_every_prefix_tied(p, m):
     n, coords, trials = 5, 3, 2
@@ -428,10 +459,9 @@ def test_variance_stable_at_fixed_m_theta_square():
     mses = []
     for m, theta in [(16, 1 / 8), (64, 1 / 16), (256, 1 / 32)]:
         params = _plain(n=n, d=1, c=1.0, theta=theta, m=m)
-        probs = coordinate_probs(x, params)
-        draw = np.random.default_rng(m)
-        sums = draw.binomial(m, probs[None, :].repeat(trials, axis=0)).sum(axis=1)
-        ests = np.array([server_decode(np.array([s]), params)[0] for s in sums])
+        probs = coordinate_probs(x, params)[:, None]
+        sums = sample_sums(probs, m, np.random.default_rng(m), trials)
+        ests = server_decode(sums, params)[:, 0]
         mses.append(float(np.mean((ests - mu) ** 2)))
     assert max(mses) / min(mses) < 1.25
     assert max(mses) <= 1.0 / (4 * n * 16 * (1 / 8) ** 2) * (1.0 + 5.0 / sqrt(trials))
@@ -494,7 +524,8 @@ def test_encode_matches_binomial_law():
     params = _params(c=1.0, theta=0.25, m=5)
     p = _probs([0.4], params)[0]
     assert p == pytest.approx(0.6)
-    draws = np.random.default_rng(123).binomial(params.m, p, size=20000)
+    rng = np.random.default_rng(123)
+    draws = sample_sums(np.full((1, 1), p), params.m, rng, 20000)[:, 0]
     counts = np.bincount(draws, minlength=6) / len(draws)
     expected = binom.pmf(np.arange(6), 5, 0.6)
     # each frequency within 4 sigma of its binomial cell probability
@@ -531,7 +562,7 @@ def test_mean_estimate_unbiased_and_within_variance_bound():
     xs = rng.uniform(-2.0, 2.0, size=n)
     true_mean = xs.mean()
     probs = _probs(xs, params)
-    sums = rng.binomial(params.m, probs, size=(runs, n)).sum(axis=1)
+    sums = sample_sums(probs[:, None], params.m, rng, runs)[:, 0]
     estimates = _decode(sums, params)
     bound = mse_bound(params)
     assert abs(estimates.mean() - true_mean) < 4 * np.sqrt(bound / runs)
