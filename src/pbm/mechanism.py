@@ -43,7 +43,7 @@ from numbers import Integral
 import numpy as np
 
 from . import accounting
-from .kashin import KashinFrame, represent_batch
+from .kashin import ConvergenceError, KashinFrame, represent_batch
 
 # cap on the entries of one draw (8-bit prefixes or binomials): its 1 MB of
 # random words stays in L2 while the compares read it
@@ -122,24 +122,27 @@ def clip_rows(x: np.ndarray, c: float) -> np.ndarray:
 def spread(x: np.ndarray, params: MechanismParams) -> np.ndarray:
     """Client vectors (clients, d) as coefficients (clients, coords) bounded by c'.
 
-    Checks every row against the norm bound (L2 with the frame, L-infinity
-    without), then spreads all rows with one frame call. A row with a NaN or
-    an inf fails the check. Depends on neither theta nor m, so a sweep over
-    (m, theta) spreads once.
+    With the frame, checks each row's L2 norm against c and spreads all rows
+    in one frame call; without, y = x. Every |y| must then lie within c', so
+    that coordinate_probs never clamps and the decode stays unbiased: a
+    ValueError without the frame, a ConvergenceError with it (a row spread
+    past the frame's level). A NaN or an inf fails a check. Depends on
+    neither theta nor m, so a sweep over (m, theta) spreads once.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.d:
         raise ValueError(f"expected shape (clients, {params.d}), got {x.shape}")
     # the max propagates a NaN, and a comparison with NaN is False
+    y, error = x, ValueError
     if params.frame is not None:
         norm = np.linalg.norm(x, axis=1).max(initial=0.0)
         if not norm <= params.c * (1.0 + 1e-9):
             raise ValueError(f"||x||_2 = {norm} is not within c = {params.c}")
-        return represent_batch(x.T, params.frame).T
-    top = np.abs(x).max(initial=0.0)
-    if not top <= params.c * (1.0 + 1e-9):
-        raise ValueError(f"||x||_inf = {top} is not within the coordinate bound {params.c}")
-    return x
+        y, error = represent_batch(x.T, params.frame).T, ConvergenceError
+    top = np.abs(y).max(initial=0.0)
+    if not top <= params.c_prime * (1.0 + 1e-9):
+        raise error(f"max |y| = {top} is not within c' = {params.c_prime}")
+    return y
 
 
 def coordinate_probs(y: np.ndarray, params: MechanismParams) -> np.ndarray:

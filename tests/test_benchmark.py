@@ -122,12 +122,20 @@ MSE_Z = 5.0
 
 def _mse_z_scores(config: ExperimentConfig) -> dict:
     """(m, theta) -> z-score of each pbm plain row's mse against
-    oracles.decode_error_moments at the run's own clients."""
-    client_seed = np.random.SeedSequence(config.seed).spawn(3)[0]
+    oracles.decode_error_moments at the run's own clients, and through the
+    run's own frame when config.use_kashin."""
+    client_seed, frame_seed, _ = np.random.SeedSequence(config.seed).spawn(3)
     clients = generate_clients(config, np.random.default_rng(client_seed))
-    base = MechanismParams(
-        n=config.n, d=config.d, c=config.c / sqrt(config.d), theta=0.25, m=1
+    frame = (
+        build_frame(config.d, np.random.default_rng(frame_seed))
+        if config.use_kashin else None
     )
+    base = MechanismParams(
+        n=config.n, d=config.d,
+        c=config.c if frame is not None else config.c / sqrt(config.d),
+        theta=0.25, m=1, frame=frame,
+    )
+    u = frame.u if frame is not None else None
     z = {}
     for r in run_tradeoff(config):
         if (r.mechanism, r.mode) != ("pbm", "plain"):
@@ -135,15 +143,19 @@ def _mse_z_scores(config: ExperimentConfig) -> dict:
         params = replace(base, theta=r.theta, m=r.m)
         probs = coordinate_probs(spread(clients, params), params)
         gain = params.c_prime / (config.n * r.m * r.theta)
-        mean, var = decode_error_moments(probs, r.m, gain)
+        mean, var = decode_error_moments(probs, r.m, gain, u)
         z[(r.m, r.theta)] = (r.mse - mean) / sqrt(var / config.trials)
     return z
 
 
-def test_pbm_mse_matches_its_exact_expectation():
-    # every pbm plain row of desk.ini, from both sides: a kernel or decoder
-    # that adds too little noise fails here, where mse <= bound passes it
-    config = load_dme_config(ROOT / "configs" / "desk.ini")
+@pytest.mark.parametrize(
+    "path", ["configs/desk.ini", "configs/full.ini", "benchmarks/configs/dme_full.ini"]
+)
+def test_pbm_mse_matches_its_exact_expectation(path):
+    # every pbm plain row, from both sides: a kernel or decoder that adds
+    # too little noise fails here, where mse <= bound passes it. The
+    # benchmark sweep's error passes back through its frame
+    config = load_dme_config(ROOT / path)
     z = _mse_z_scores(config)
     assert len(z) == len(config.m_list) * len(config.theta_list)
     assert max(abs(v) for v in z.values()) <= MSE_Z, z

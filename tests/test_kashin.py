@@ -4,6 +4,7 @@ from oracles import represent_residual_passes
 
 from pbm import kashin
 from pbm.kashin import ConvergenceError, KashinFrame, build_frame, represent_batch
+from pbm.mechanism import MechanismParams, spread
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +68,15 @@ def test_dimension_one_edge_case():
 
 def test_too_few_iterations_raises(monkeypatch):
     # the exact step still closes the residual after one clipped pass, but
-    # the spread is far above the level certified at the default count
+    # a row at ||x||_2 = c spreads far past the c' set by the level
+    # certified at the default count
     frame = build_frame(80, np.random.default_rng(4))
-    x = np.random.default_rng(5).standard_normal((80, 1))
+    params = MechanismParams(n=1, d=80, c=3.0, theta=0.25, m=1, frame=frame)
+    x = np.random.default_rng(5).standard_normal((1, 80))
+    x *= params.c / np.linalg.norm(x)
     monkeypatch.setattr(kashin, "PASSES", 1)
-    with pytest.raises(ConvergenceError, match="spread .* exceeds the certified level_k"):
-        represent_batch(x, frame)
+    with pytest.raises(ConvergenceError, match="is not within c'"):
+        spread(x, params)
 
 
 def test_frame_that_is_not_tight_raises(frame40):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, sqrt
 
@@ -9,7 +10,7 @@ from scipy.stats import binom, chisquare
 
 from pbm import mechanism
 from pbm.accounting import DEFAULT_ALPHAS, pbm_exact_curve, scale
-from pbm.kashin import build_frame
+from pbm.kashin import ConvergenceError, build_frame
 from pbm.mechanism import (
     MechanismParams,
     clip_rows,
@@ -202,6 +203,51 @@ def test_kashin_accepts_peaky_vectors(frame8):
     assert y.shape == (2, 16)
     assert np.abs(y).max() <= params.c_prime
     np.testing.assert_allclose(frame8.u @ y.T, x.T, atol=1e-9)
+
+
+def _frame_atoms(d: int, c: float, scale: float):
+    """Framed params at c and the rows scale * sqrt(2) * c * U[:, j], whose
+    L2 norm is scale * c. The frame's own columns spread further than the
+    Gaussian probes that certify its level."""
+    frame = build_frame(d, np.random.default_rng(1))
+    params = MechanismParams(n=2 * d, d=d, c=c, theta=0.25, m=1, frame=frame)
+    return params, scale * sqrt(2.0) * c * frame.u.T
+
+
+@pytest.mark.parametrize("d", [16, 64, 250])
+def test_spread_accepts_frame_atoms_inside_the_ball(d):
+    # some atoms spread past level_k relative to their norm, but at 0.6 c
+    # their coefficients stay within c', the bound that spread checks
+    params, x = _frame_atoms(d, c=4.0, scale=0.6)
+    y = spread(x, params)
+    np.testing.assert_allclose(y @ params.frame.u.T, x, rtol=0, atol=1e-11)
+    assert np.abs(y).max() <= params.c_prime
+    relative = sqrt(params.coords) * np.abs(y).max(axis=1) / np.linalg.norm(x, axis=1)
+    assert relative.max() > params.frame.level_k
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ConvergenceError,
+    reason="ROADMAP item 12: level_k is certified on Gaussian probes, and "
+    "frame atoms at ||x||_2 = c spread past the c' it sets",
+)
+@pytest.mark.parametrize("d", [64, 250])
+def test_spread_accepts_frame_atoms_on_the_sphere(d):
+    params, x = _frame_atoms(d, c=4.0, scale=1.0)
+    y = spread(x, params)
+    assert np.abs(y).max() <= params.c_prime
+
+
+def test_spread_above_c_prime_is_a_convergence_error(frame8):
+    # at half the frame's level, Gaussian rows at ||x||_2 = c spread past c'
+    params = MechanismParams(
+        n=4, d=8, c=2.0, theta=0.2, m=2,
+        frame=replace(frame8, level_k=0.5 * frame8.level_k),
+    )
+    x = np.random.default_rng(8).standard_normal((4, 8))
+    x *= params.c / np.linalg.norm(x, axis=1, keepdims=True)
+    with pytest.raises(ConvergenceError, match="is not within c'"):
+        spread(x, params)
 
 
 def test_mse_bound_formula(frame8):

@@ -270,6 +270,15 @@ def test_ledger_covers_a_realizable_pair(tmp_path):
     assert printed >= realizable
 
 
+def test_desk_run_completes_where_a_client_spread_past_the_level():
+    # at this seed a client with ||x||_2 = 0.88 at c = 4 spreads past
+    # level_k relative to its norm, but its max |y| = 0.53 is far within
+    # c' = 2.40, so the decode is unbiased and the round goes on
+    config = replace(load_sgd_config(ROOT / "configs" / "sgd_desk.ini"), seed=107)
+    result = run(config)
+    assert np.isfinite(result.losses).all()
+
+
 def test_mechanism_noise_scales_inversely_with_m():
     # gamma = 1 and one full-batch round make the round estimate directly
     # observable from final_w; theta fixed, so variance should go as 1/m
