@@ -167,10 +167,10 @@ def convolve_logpmf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _orders(alphas: Iterable[float]) -> np.ndarray:
-    """The orders of a curve, sorted; each must be finite and exceed 1."""
+    """The orders of a curve, sorted; at least one, each finite and above 1."""
     a = np.asarray(sorted(alphas), dtype=float)
-    if not np.all(np.isfinite(a) & (a > 1.0)):
-        raise ValueError(f"orders must be finite and exceed 1, got {a.tolist()}")
+    if not (a.size and np.all(np.isfinite(a) & (a > 1.0))):
+        raise ValueError(f"orders must be nonempty, finite and exceed 1, got {a.tolist()}")
     return a
 
 

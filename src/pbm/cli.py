@@ -5,8 +5,8 @@ simulation), rdp-curve (privacy curves to CSV), kashin-check (frame
 certification), select-params (budget to (theta, m)).
 
 Exit codes: 0 success, 2 bad usage, config or output path, 3 infeasible
-parameters, 4 numerical failure (a frame that does not reconstruct its
-input or spreads a client past c', or an exact curve that rounds to 0 at
+parameters, 4 numerical failure (a frame that is not tight, U U^T != I,
+or that spreads a client past c', or an exact curve that rounds to 0 at
 theta > 0). Outputs are byte-deterministic for a fixed seed at any
 --threads count. Curves, the PBM epsilons of dme and sgd, and
 select-params do not depend on the BLAS thread count either; the frame's

@@ -16,9 +16,10 @@ Coefficients come from the iterative truncation of Lyubarskii and Vershynin
 ("Uncertainty principles and vector quantization", IEEE Trans. IT 2010):
 PASSES clipped passes shrink the residual by about 0.67 each and fix the
 spread, then one unclipped step y += U.T @ (x - U @ y) removes what is left
-of the residual down to rounding, because U @ U.T = I_d. That last step
-moves each coefficient by at most the residual left after the clipped
-passes, about 1e-4 of ||x||_2 after 24. The passes track the residual
+of the residual down to rounding, because U @ U.T = I_d (KashinFrame
+checks it when a frame is made, so no call does). That last step moves
+each coefficient by at most the residual left after the clipped passes,
+about 1e-4 of ||x||_2 after 24. The passes track the residual
 through its coefficients in the first basis, which halves their flops (see
 _represent_batch); the exact step works on x itself, in float64 like the
 rest. A frame certifies its level on Gaussian probes through the same
@@ -36,24 +37,30 @@ import numpy as np
 PASSES = 24  # clipped passes before the exact step
 PROBES = 1000  # Gaussian vectors that certify a frame's level
 LEVEL_SAFETY = 1.1
-RECONSTRUCT_TOL = 1e-12
+RECONSTRUCT_TOL = 1e-12  # bound on max |U @ U.T - I_d|
 
 
 class ConvergenceError(RuntimeError):
-    """Frame coefficients fail their reconstruction check or leave c'."""
+    """A frame is not tight, or frame coefficients leave c'."""
 
 
 @dataclass(frozen=True)
 class KashinFrame:
     """A certified tight frame.
 
-    u: d x D matrix with u @ u.T = I_d.
+    u: d x D matrix with u @ u.T = I_d to RECONSTRUCT_TOL, or ConvergenceError.
     level_k: spread level sqrt(D) * ||y||_inf / ||x||_2 certified on Gaussian
         probes, which other inputs can exceed; it sets mechanism's c'.
     """
 
     u: np.ndarray
     level_k: float
+
+    def __post_init__(self):
+        gap = float(np.abs(self.u @ self.u.T - np.eye(self.d)).max())
+        # written so that a NaN fails: a comparison with NaN is False
+        if not gap <= RECONSTRUCT_TOL:
+            raise ConvergenceError(f"frame is not tight: max |U U^T - I| = {gap:.3e}")
 
     @property
     def d(self) -> int:
@@ -88,8 +95,7 @@ def build_frame(d: int, rng: np.random.Generator) -> KashinFrame:
     u /= sqrt(2)
     x = rng.standard_normal((d, PROBES))
     y = _represent_batch(x, u)
-    with np.errstate(invalid="ignore"):
-        spread = sqrt(big_d) * np.abs(y).max(axis=0) / np.linalg.norm(x, axis=0)
+    spread = sqrt(big_d) * np.abs(y).max(axis=0) / np.linalg.norm(x, axis=0)
     level = float(spread.max()) * LEVEL_SAFETY
     return KashinFrame(u=u, level_k=level)
 
@@ -136,26 +142,14 @@ def represent_batch(x: np.ndarray, frame: KashinFrame) -> np.ndarray:
     """Spread coefficients y (D, batch) with U @ y = x, column by column.
 
     x has shape (d, batch). PASSES clipped passes fix the spread and one
-    exact step then closes the residual. Raises ValueError on a bad shape
-    or a column that is not finite, and ConvergenceError if a residual is
-    above RECONSTRUCT_TOL * ||x||_2 (a frame that is not tight). The spread
-    is not checked here: mechanism.spread bounds the coefficients by c'.
-    A zero column gives y = 0 exactly.
+    exact step then closes the residual to rounding, since every
+    KashinFrame is tight. Raises ValueError on a bad shape or a column that
+    is not finite. The spread is not checked here: mechanism.spread bounds
+    the coefficients by c'. A zero column gives y = 0 exactly.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != frame.d:
         raise ValueError(f"expected shape ({frame.d}, batch), got {x.shape}")
-    norms = np.linalg.norm(x, axis=0)
-    if not np.isfinite(norms).all():
+    if not np.isfinite(x).all():
         raise ValueError("x has a column that is not finite")
-    y = _represent_batch(x, frame.u)
-    residual = np.linalg.norm(frame.u @ y - x, axis=0)
-    # written so that a NaN fails: a comparison with NaN is False
-    if not np.all(residual <= RECONSTRUCT_TOL * norms):
-        live = norms > 0
-        worst = float((residual[live] / norms[live]).max())
-        raise ConvergenceError(
-            f"representation residual {worst:.3e} exceeds tolerance "
-            f"{RECONSTRUCT_TOL:.3e}"
-        )
-    return y
+    return _represent_batch(x, frame.u)

@@ -206,7 +206,8 @@ def sample_sums(
         raise ValueError("probabilities must lie in [0, 1] and not be NaN")
     n, coords = probs.shape
     sums = np.empty((trials, coords), dtype=np.int64)
-    slabs = max(1, _CHUNK_ENTRIES // (n * coords))
+    # with no clients or no coords every sum is over nothing, and so 0
+    slabs = max(1, _CHUNK_ENTRIES // max(n * coords, 1))
     if m > _COMPARE_MAX_M:
         for lo in range(0, trials, slabs):
             t = min(slabs, trials - lo)

@@ -323,6 +323,14 @@ def test_sample_sums_rejects_bad_input(m):
     assert sample_sums(good, np.int64(m), rng, 3).shape == (3, 2)
 
 
+@pytest.mark.parametrize("m", [0, 4, 100])  # the compare and the binomial kernel
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_sample_sums_over_no_entries_is_zero(shape, m):
+    # a sum over no clients is 0; unchecked, the chunk size divides by zero
+    sums = sample_sums(np.full(shape, 0.5), m, np.random.default_rng(0), 5)
+    np.testing.assert_array_equal(sums, np.zeros((5, shape[1]), dtype=np.int64))
+
+
 @pytest.mark.parametrize("trials", [2.5, 3.0, -1])
 def test_sample_sums_rejects_bad_trials(trials):
     # unchecked, a float count reaches numpy as a shape and raises its TypeError
