@@ -21,14 +21,17 @@ checks it when a frame is made, so no call does). That last step moves
 each coefficient by at most the residual left after the clipped passes,
 about 1e-4 of ||x||_2 after 24. The passes track the residual
 through its coefficients in the first basis, which halves their flops (see
-_represent_batch); the exact step works on x itself, in float64 like the
-rest. A frame certifies its level on Gaussian probes through the same
-passes; mechanism.spread checks the coefficient bound c' that it sets.
+_represent_batch). Only the exact step has to be exact, and the passes
+only have to spread, so the passes run in float32 on each column scaled by
+a power of two and the exact step runs in float64 on x itself: the split
+of mixed-precision iterative refinement (Carson and Higham, SIAM J. Sci.
+Comput. 2018). A frame certifies its level on Gaussian probes through the
+same passes; mechanism.spread checks the coefficient bound c' that it sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 from numbers import Integral
 
@@ -51,16 +54,19 @@ class KashinFrame:
     u: d x D matrix with u @ u.T = I_d to RECONSTRUCT_TOL, or ConvergenceError.
     level_k: spread level sqrt(D) * ||y||_inf / ||x||_2 certified on Gaussian
         probes, which other inputs can exceed; it sets mechanism's c'.
+    passes: the float32 pass matrices (_pass_matrices), built with the frame.
     """
 
     u: np.ndarray
     level_k: float
+    passes: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gap = float(np.abs(self.u @ self.u.T - np.eye(self.d)).max())
         # written so that a NaN fails: a comparison with NaN is False
         if not gap <= RECONSTRUCT_TOL:
             raise ConvergenceError(f"frame is not tight: max |U U^T - I| = {gap:.3e}")
+        object.__setattr__(self, "passes", _pass_matrices(self.u))
 
     @property
     def d(self) -> int:
@@ -94,13 +100,22 @@ def build_frame(d: int, rng: np.random.Generator) -> KashinFrame:
     u = np.hstack([_haar_orthogonal(d, rng) for _ in range(2)])
     u /= sqrt(2)
     x = rng.standard_normal((d, PROBES))
-    y = _represent_batch(x, u)
+    y = _represent_batch(x, u, *_pass_matrices(u))
     spread = sqrt(big_d) * np.abs(y).max(axis=0) / np.linalg.norm(x, axis=0)
     level = float(spread.max()) * LEVEL_SAFETY
     return KashinFrame(u=u, level_k=level)
 
 
-def _represent_batch(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pass_matrices(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V = U1.T @ U2 and 2 V.T, rounded to float32 for the clipped passes."""
+    d = u.shape[0]
+    v = u[:, :d].T @ u[:, d:]
+    return v.astype(np.float32), (2.0 * v.T).astype(np.float32)
+
+
+def _represent_batch(
+    x: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> np.ndarray:
     """Greedy truncation loop plus one exact step, over the columns of x (d x B).
 
     The clipped passes run on the residual's coefficients c = U.T @ r rather
@@ -108,16 +123,19 @@ def _represent_batch(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     for V = U1.T @ U2, and ||r||^2 = 2 ||c1||^2, so a pass needs only c1:
     it clips c to a, adds a to y, and takes U1.T @ U @ a = a1 / 2 + V @ a2
     from c1, two d x d products where the residual form needs two d x D
-    ones. c1 is U1.T @ r in an orthonormal basis, so it shrinks with r and
-    keeps its relative precision. The final unclipped least-norm correction
-    U.T @ (x - U @ y) then closes the residual, since U @ U.T = I_d.
+    ones. v and w = 2 V.T are float32 (_pass_matrices), and so are c1, a
+    and y: each column is first scaled by 2**-e, e the binary exponent of
+    its largest |x|, which is exact and keeps the passes and their caps'
+    sums of squares inside float32's range at any finite scale. The
+    passes' rounding, about 1e-7 of ||x||_2, only moves the spread a
+    little. y then goes back to float64, the scale is undone exactly, and
+    the final unclipped least-norm correction U.T @ (x - U @ y), in
+    float64, closes the residual to float64 rounding, since U @ U.T = I_d.
     """
     d = u.shape[0]
-    u1 = u[:, :d]
-    v = u1.T @ u[:, d:]
-    w = 2.0 * v.T
-    c1 = u1.T @ x
-    a = np.empty((u.shape[1], x.shape[1]))
+    _, e = np.frexp(np.abs(x).max(axis=0))
+    c1 = (u[:, :d].T @ np.ldexp(x, -e)).astype(np.float32)
+    a = np.empty((u.shape[1], x.shape[1]), dtype=np.float32)
     a1, a2 = a[:d], a[d:]
     y = np.zeros_like(a)
     for _ in range(PASSES):
@@ -134,6 +152,7 @@ def _represent_batch(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         a1 *= 0.5
         c1 -= a1
         c1 -= v @ a2
+    y = np.ldexp(y.astype(np.float64), e)
     y += u.T @ (x - u @ y)
     return y
 
@@ -141,15 +160,16 @@ def _represent_batch(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 def represent_batch(x: np.ndarray, frame: KashinFrame) -> np.ndarray:
     """Spread coefficients y (D, batch) with U @ y = x, column by column.
 
-    x has shape (d, batch). PASSES clipped passes fix the spread and one
-    exact step then closes the residual to rounding, since every
-    KashinFrame is tight. Raises ValueError on a bad shape or a column that
-    is not finite. The spread is not checked here: mechanism.spread bounds
-    the coefficients by c'. A zero column gives y = 0 exactly.
+    x has shape (d, batch), at any finite scale. PASSES clipped passes in
+    float32 fix the spread, and one exact step in float64 then closes the
+    residual to float64 rounding, since every KashinFrame is tight. Raises
+    ValueError on a bad shape or a column that is not finite. The spread is
+    not checked here: mechanism.spread bounds the coefficients by c'. A
+    zero column gives y = 0 exactly.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != frame.d:
         raise ValueError(f"expected shape ({frame.d}, batch), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x has a column that is not finite")
-    return _represent_batch(x, frame.u)
+    return _represent_batch(x, frame.u, *frame.passes)

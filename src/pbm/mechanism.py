@@ -169,14 +169,18 @@ def _prefix_thresholds(probs: np.ndarray) -> np.ndarray:
     return hi.astype(np.uint8)
 
 
-def _split_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split_thresholds(
+    probs: np.ndarray, hi: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Each T = ceil(p * 2**53) as hi * 2**45 + lo, hi from _prefix_thresholds.
 
     lo lies in [0, 2**45] (uint64). For a 53-bit integer k, k < T exactly
     when k >> 45 < hi, or k >> 45 == hi and k mod 2**45 < lo; and k < T
     exactly when k * 2**-53 < p, the compare of a float64 uniform with p.
+    A caller that holds hi already passes it, and it is not recomputed.
     """
-    hi = _prefix_thresholds(probs)
+    if hi is None:
+        hi = _prefix_thresholds(probs)
     t = np.ceil(np.multiply(probs, 2.0**53)).astype(np.uint64)
     return hi, t - (hi.astype(np.uint64) << 45)
 
@@ -217,6 +221,8 @@ def sample_sums(
     hi = _prefix_thresholds(flat)
     entries = n * coords
     words = -(-entries // 8)  # eight 8-bit prefixes per word, slabs padded
+    # a sum over clients is at most n * m; int32 sums uint8 counts faster
+    total = np.int32 if n * m < 2**31 else np.int64
     tied = []  # per chunk: first trial, trials, each tie's (trial, entry) index
     # whole trials per draw while m slabs fit, else one trial in slab groups
     chunk = max(1, slabs // max(m, 1))
@@ -242,7 +248,7 @@ def sample_sums(
                     wins += hit.view(np.uint8)
                     np.equal(prefix[:, j], hi, out=hit)
                     ties += hit.view(np.uint8)
-        sums[lo : lo + t] = wins.reshape(t, n, coords).sum(axis=1, dtype=np.int64)
+        sums[lo : lo + t] = wins.reshape(t, n, coords).sum(axis=1, dtype=total)
         # pending ties as uint32, half the bytes of intp, where they fit
         kind = np.uint32 if t * entries <= 2**32 else np.intp
         index = np.flatnonzero(ties != 0).astype(kind)
@@ -252,7 +258,7 @@ def sample_sums(
         if index.size:
             raw = rng.integers(0, 2**64, size=index.size, dtype=np.uint64)
             trial, entry = np.divmod(index, entries)
-            won = (raw >> 19) < _split_thresholds(flat[entry])[1]
+            won = (raw >> 19) < _split_thresholds(flat[entry], hi[entry])[1]
             cell = (trial * coords + entry % coords)[won]
             sums[lo : lo + t] += np.bincount(cell, minlength=t * coords).reshape(t, coords)
     return sums

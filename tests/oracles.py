@@ -242,8 +242,9 @@ def represent_residual_passes(x: np.ndarray, u: np.ndarray, passes: int) -> np.n
     Each pass clips a = U.T @ r to +-||r|| / sqrt(D), adds a to y and takes
     U @ a from r, two d x D products; one unclipped step
     y += U.T @ (x - U @ y) ends the loop. This is the textbook form of
-    Lyubarskii and Vershynin's truncation, which kashin._represent_batch
-    runs in the residual's coefficients instead.
+    Lyubarskii and Vershynin's truncation, in float64, which
+    kashin._represent_batch runs in the residual's coefficients and in
+    float32 instead.
     """
     big_d = u.shape[1]
     y = np.zeros((big_d, x.shape[1]))
