@@ -8,8 +8,10 @@ the worst case over all inputs is at an extreme assignment: k of the
 n - 1 unchanged clients at 1/2 - theta, the rest at 1/2 + theta, with both
 orderings of the pair. Mirror symmetry maps k to n - 1 - k. That the
 endpoint k = 0 is the worst of them is checked by computation only, by a
-test's search over every k at n in {5, 12, 40}, m in {1, 2, 8}, theta in
-{0.01, 0.1, 1/4} and orders up to 16. At the endpoint the likelihood
+test's search over every k, in log space, at orders up to 16: n in
+{5, 12, 40} with m in {1, 2, 8}, and (n, m) in {(100, 1), (100, 4),
+(100, 8), (300, 1), (300, 3)}, each at theta in {0.01, 0.1, 1/4}, and
+(100, 16, 1/4). At the endpoint the likelihood
 ratio is a hypergeometric mean, O(m) per outcome. A curve runs only on
 the outcomes of Q's Hoeffding window, O(sqrt(n*m * (100 + m*alpha*log(rho))))
 of the n*m + 1, and adds a bound on the part of each sum outside it, so
@@ -167,10 +169,14 @@ def convolve_logpmf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _orders(alphas: Iterable[float]) -> np.ndarray:
-    """The orders of a curve, sorted; at least one, each finite and above 1."""
-    a = np.asarray(sorted(alphas), dtype=float)
-    if not (a.size and np.all(np.isfinite(a) & (a > 1.0))):
-        raise ValueError(f"orders must be nonempty, finite and exceed 1, got {a.tolist()}")
+    """The orders of a curve, sorted; at least one, each finite, above 1 and
+    distinct, checked before any curve runs."""
+    orders = sorted(alphas)
+    a = np.asarray(orders, dtype=float)
+    if not (a.size and np.all(np.isfinite(a) & (a > 1.0)) and len(set(orders)) == a.size):
+        raise ValueError(
+            f"orders must be nonempty, distinct, finite and exceed 1, got {a.tolist()}"
+        )
     return a
 
 

@@ -89,14 +89,12 @@ def _cmd_sgd(args) -> int:
 def _parse_alphas(raw: str | None) -> tuple[float, ...]:
     if raw is None:
         return accounting.DEFAULT_ALPHAS
-    vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if not vals:
-        raise ValueError("empty alpha list")
-    return vals
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
 def _cmd_rdp_curve(args) -> int:
     alphas = _parse_alphas(args.alphas)
+    _check_writable(args.out)
     if args.mode == "exact":
         curve = accounting.pbm_exact_curve(args.n, args.m, args.theta, alphas)
     else:

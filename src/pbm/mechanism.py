@@ -17,14 +17,15 @@ Every function works on whole batches: clients are rows. sample_sums is
 the one binomial draw; counts lie in [0, m], so under the default modulus
 M > n*m its integer sums are the secure-aggregation sums. It has two exact
 kernels, picked by m at a cap of 64 (see _COMPARE_MAX_M): above it,
-numpy's binomial sampler; up to it, m Bernoulli trials, each succeeding
-when a 53-bit uniform k lies below
-T = ceil(p * 2**53), which has probability exactly T / 2**53, the same as
-the compare u < p of a float64 uniform (a multiple of 2**-53). The trial
-is settled on the top 8 bits of k, so one 64-bit random word serves eight
-trials: a prefix below T's top 8 bits succeeds, one above fails, and only
-an equal prefix (probability 2**-8) needs the other 45 bits, drawn as one
-word per tie after all prefixes, by trial and then entry. Successes and
+numpy's binomial sampler; up to it, m Bernoulli trials. A trial succeeds
+when its 53-bit uniform k is below T = ceil(p * 2**53), with probability
+exactly T / 2**53, as for the compare u < p of a float64 uniform (a
+multiple of 2**-53). The rule is settled on k's top byte against
+hi = (max(T, 1) - 1) >> 45 (below succeeds, above fails) unless the two
+tie, and only then is the whole k compared with T. So one 64-bit random
+word serves eight trials, and only a tie (probability 2**-8) needs the
+other 45 bits, drawn as one word per tie after all prefixes, by trial
+and then entry. Successes and
 ties are counted per (trial, entry) in uint8 while a draw of at most 1 MB
 of words is hot in cache, so ties are located once per count, not once
 per prefix: a draw of small slabs (an sgd round's) in one compare per
@@ -157,7 +158,8 @@ def coordinate_probs(y: np.ndarray, params: MechanismParams) -> np.ndarray:
 
 
 def _prefix_thresholds(probs: np.ndarray) -> np.ndarray:
-    """hi = (max(T, 1) - 1) >> 45 as uint8 for T = ceil(p * 2**53).
+    """hi = (max(T, 1) - 1) >> 45 as uint8 for T = ceil(p * 2**53), the
+    byte that a trial's top byte is compared with (module docstring).
 
     Computed as max(ceil(p * 2**8), 1) - 1, which is exact in float64
     (scaling by a power of two is) and needs no uint64 copy of T.
@@ -169,34 +171,17 @@ def _prefix_thresholds(probs: np.ndarray) -> np.ndarray:
     return hi.astype(np.uint8)
 
 
-def _split_thresholds(
-    probs: np.ndarray, hi: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each T = ceil(p * 2**53) as hi * 2**45 + lo, hi from _prefix_thresholds.
-
-    lo lies in [0, 2**45] (uint64). For a 53-bit integer k, k < T exactly
-    when k >> 45 < hi, or k >> 45 == hi and k mod 2**45 < lo; and k < T
-    exactly when k * 2**-53 < p, the compare of a float64 uniform with p.
-    A caller that holds hi already passes it, and it is not recomputed.
-    """
-    if hi is None:
-        hi = _prefix_thresholds(probs)
-    t = np.ceil(np.multiply(probs, 2.0**53)).astype(np.uint64)
-    return hi, t - (hi.astype(np.uint64) << 45)
-
-
 def sample_sums(
     probs: np.ndarray, m: int, rng: np.random.Generator, trials: int
 ) -> np.ndarray:
     """Per-trial sums (trials, coords) over the rows of Binom(m, probs).
 
     probs has shape (clients, coords). For m <= 64 each Binom(m, p) is m
-    Bernoulli trials, each succeeding with probability exactly
-    ceil(p * 2**53) / 2**53, as the compare u < p of a float64 uniform
-    would (_split_thresholds). The trials read one trial-major stream of
-    8-bit prefixes, eight to a 64-bit word, in (clients, coords) slabs each
-    padded to whole words; after the last prefix, one word per tied prefix,
-    by trial, then entry, supplies the 45 bits below it. Larger m uses
+    Bernoulli trials, each the rule k < T of the module docstring. The
+    trials read one trial-major stream of 8-bit prefixes, eight to a 64-bit
+    word, in (clients, coords) slabs each padded to whole words; after the
+    last prefix, one word per tied prefix, by trial, then entry, supplies
+    k's low 45 bits from its own top 45. Larger m uses
     rng.binomial. Either way a draw holds at most _CHUNK_ENTRIES entries
     (or one slab), and chunking does not change the stream.
     """
@@ -258,7 +243,11 @@ def sample_sums(
         if index.size:
             raw = rng.integers(0, 2**64, size=index.size, dtype=np.uint64)
             trial, entry = np.divmod(index, entries)
-            won = (raw >> 19) < _split_thresholds(flat[entry], hi[entry])[1]
+            # each tie's 53-bit k: its prefix above the word's top 45 bits;
+            # T is formed for the tied entries only
+            uniform = (hi[entry].astype(np.uint64) << 45) | (raw >> 19)
+            big_t = np.multiply(flat[entry], 2.0**53)
+            won = uniform < np.ceil(big_t, out=big_t).astype(np.uint64)
             cell = (trial * coords + entry % coords)[won]
             sums[lo : lo + t] += np.bincount(cell, minlength=t * coords).reshape(t, coords)
     return sums

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything down to the last section works in plain probability space
-with scipy.stats and np.convolve, or in mpmath at 40 digits, and shares no
-code with the accountant. The last section, full_support_curve and its
+Everything down to the last section works with scipy.stats and
+np.convolve in plain probability space (exhaustive_k_curve in log space,
+with logaddexp), or in mpmath at 40 digits, and shares no code with the
+accountant. The last section, full_support_curve and its
 helpers, is the accountant's own float operations on every outcome,
 without the window, which pins the window's bytes and error; it imports
 the accountant's Stirling error, convolve_logpmf, _logsumexp and the
@@ -52,27 +53,48 @@ def brute_force_extreme_rdp(n: int, m: int, theta: float, alpha: float) -> float
     return best
 
 
+def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log of np.convolve(exp(a), exp(b)), each column summed by logaddexp."""
+    if len(b) > len(a):
+        a, b = b, a
+    out = np.full(len(a) + len(b) - 1, -np.inf)
+    for j, lb in enumerate(b):
+        np.logaddexp(out[j : j + len(a)], a + lb, out=out[j : j + len(a)])
+    return out
+
+
 def exhaustive_k_curve(n: int, m: int, theta: float, alphas) -> np.ndarray:
     """Max divergence over every extreme configuration k in 0..n-1.
 
     k of the n-1 unchanged clients sit at 1/2 - theta and the rest at
     1/2 + theta; the differing client is at either end, both orderings.
-    Each term is q * (p/q)^alpha, so no power of a tiny probability is
-    formed on its own.
+    The pmfs stay in log space, convolved with logaddexp, and each
+    divergence is a logsumexp of alpha * log p + (1 - alpha) * log q, so
+    no tail underflows: the same sums in probability space read 14% low
+    at (100, 8, 1/4), order 16, and 0 at (300, 3, 1/4). Each log-pmf is
+    the log of scipy's binom.pmf where that is a normal float, and
+    binom.logpmf below it: the log-gamma form is off by about 1e-12
+    absolute at 900 trials, which read 1.7e-7 relative at theta = 0.01.
     """
     lo, hi = 0.5 - theta, 0.5 + theta
 
-    def pmf(trials, p):
-        return binom.pmf(np.arange(trials + 1), trials, p)
+    def logpmf(trials, p):
+        k = np.arange(trials + 1)
+        out = binom.logpmf(k, trials, p)
+        pmf = binom.pmf(k, trials, p)
+        normal = pmf >= np.finfo(float).tiny
+        out[normal] = np.log(pmf[normal])
+        return out
 
-    eps = np.zeros(len(alphas))
+    # the sum with j of the n clients at 1/2 - theta; configuration k
+    # compares j = k + 1 (the differing client low) with j = k
+    sums = [_log_convolve(logpmf(m * j, lo), logpmf(m * (n - j), hi)) for j in range(n + 1)]
+    a = np.asarray(alphas, dtype=float)[:, None]
+    eps = np.zeros(len(a))
     for k in range(n):
-        pa = np.convolve(pmf(m * (k + 1), lo), pmf(m * (n - k - 1), hi))
-        pb = np.convolve(pmf(m * k, lo), pmf(m * (n - k), hi))
-        for i, alpha in enumerate(alphas):
-            for p, q in ((pa, pb), (pb, pa)):
-                d = np.log(np.sum(q * (p / q) ** alpha)) / (alpha - 1.0)
-                eps[i] = max(eps[i], d)
+        for p, q in ((sums[k + 1], sums[k]), (sums[k], sums[k + 1])):
+            d = logsumexp(a * p + (1.0 - a) * q, axis=1) / (a[:, 0] - 1.0)
+            np.maximum(eps, d, out=eps)
     return eps
 
 

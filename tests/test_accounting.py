@@ -162,15 +162,22 @@ def test_exact_rdp_matches_brute_force():
 
 
 def test_endpoint_matches_exhaustive_k_search():
+    # the oracle works in log space, so a tail that underflows float64 (at
+    # (300, 3, 1/4) every k's divergence) still counts; over these points
+    # the largest relative gap read 2.9e-10, at (300, 1, 0.01)
     alphas = [a for a in DEFAULT_ALPHAS if a <= 16.0]
-    geometries = [(n, m) for n in (5, 12, 40) for m in (1, 2, 8)]
-    # past the smallest n: the largest relative gap here read 2.5e-10
-    geometries += [(100, 1), (100, 4), (300, 1)]
-    for n, m in geometries:
-        for theta in (0.01, 0.1, 0.25):
-            got = pbm_exact_curve(n, m, theta, alphas).epsilons
-            want = exhaustive_k_curve(n, m, theta, alphas)
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+    points = [
+        (n, m, theta)
+        for n, m in [(n, m) for n in (5, 12, 40) for m in (1, 2, 8)]
+        + [(100, 1), (100, 4), (100, 8), (300, 1), (300, 3)]
+        for theta in (0.01, 0.1, 0.25)
+    ]
+    # the widest point at the largest theta alone, to hold the test's time
+    points.append((100, 16, 0.25))
+    for n, m, theta in points:
+        got = pbm_exact_curve(n, m, theta, alphas).epsilons
+        want = exhaustive_k_curve(n, m, theta, alphas)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 def test_realizable_pair_at_the_endpoint_is_the_exact_curve():
@@ -551,6 +558,31 @@ def test_curves_reject_an_empty_order_list():
             pbm_exact_curve(10, 2, theta, [])
     with pytest.raises(ValueError, match="orders must be nonempty"):
         gaussian_curve(1.0, 10, 0.5, [])
+
+
+def test_curves_reject_a_repeated_order_before_they_run(monkeypatch):
+    # unchecked, the whole curve ran and RdpCurve then refused the orders
+    calls = []
+    window, rdp = accounting._window, accounting.gaussian_rdp
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(accounting, "_window", spy(window))
+    monkeypatch.setattr(accounting, "gaussian_rdp", spy(rdp))
+    for alphas in [(2.0, 2.0), (4.0, 2.0, 4.0)]:
+        with pytest.raises(ValueError, match="distinct"):
+            pbm_exact_curve(200, 400, 0.25, alphas)
+        with pytest.raises(ValueError, match="distinct"):
+            gaussian_curve(1.0, 10, 0.5, alphas)
+    assert calls == []
+    # the spies do see a curve with distinct orders
+    pbm_exact_curve(20, 2, 0.25, (2.0, 4.0))
+    gaussian_curve(1.0, 10, 0.5, (2.0, 4.0))
+    assert calls == ["_window", "gaussian_rdp", "gaussian_rdp"]
 
 
 @pytest.mark.parametrize("n, m", [(10, 2.0), (10.0, 2), (10, 2.5)])

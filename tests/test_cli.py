@@ -607,6 +607,17 @@ def test_rdp_curve_rejects_non_finite_orders(tmp_path, alphas):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alphas", ["64,64", "4,2,4", ","])
+def test_rdp_curve_rejects_a_repeated_or_missing_order_at_once(tmp_path, alphas):
+    # checked before the curve runs: (200, 2000, 1/4) takes seconds
+    out = tmp_path / "curve.csv"
+    start = time.perf_counter()
+    assert main(["rdp-curve", "--n", "200", "--m", "2000", "--theta", "0.25",
+                 "--alphas", alphas, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+
+
 def test_dme_rejects_nan_order(tmp_path):
     cfg = tmp_path / "nan.ini"
     cfg.write_text(DME_INI.replace("alpha = 2.0", "alpha = nan"))
@@ -630,7 +641,9 @@ def test_unwritable_output_path_is_a_usage_error(
     assert "missing_dir" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["dme", "dme-json", "dme-dir", "sgd"])
+@pytest.mark.parametrize(
+    "case", ["dme", "dme-json", "dme-dir", "sgd", "rdp-curve", "rdp-curve-gaussian"]
+)
 def test_unwritable_output_fails_before_the_run(
     tmp_path, dme_config, sgd_config, case, monkeypatch
 ):
@@ -639,6 +652,8 @@ def test_unwritable_output_fails_before_the_run(
 
     monkeypatch.setattr(cli, "run_tradeoff", never)
     monkeypatch.setattr(cli, "run_sgd", never)
+    monkeypatch.setattr(accounting, "pbm_exact_curve", never)
+    monkeypatch.setattr(accounting, "gaussian_curve", never)
     kept = tmp_path / "kept.csv"
     kept.write_text("earlier output\n")
     missing = str(tmp_path / "missing_dir" / "x.csv")
@@ -648,6 +663,11 @@ def test_unwritable_output_fails_before_the_run(
         "dme-json": [*dme, "--out", str(kept), "--json", missing],
         "dme-dir": [*dme, "--out", str(tmp_path)],
         "sgd": ["sgd", "--config", str(sgd_config), "--out", missing],
+        # a curve of about 5 s, were it run first
+        "rdp-curve": ["rdp-curve", "--n", "200", "--m", "2000", "--theta", "0.25",
+                      "--out", missing],
+        "rdp-curve-gaussian": ["rdp-curve", "--n", "200", "--mode", "gaussian",
+                               "--sigma", "0.1", "--out", missing],
     }[case]
     assert main(argv) == 2
     assert kept.read_text() == "earlier output\n"

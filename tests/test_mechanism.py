@@ -365,27 +365,27 @@ def test_sample_sums_distribution(m):
         assert chisquare(obs, exp).pvalue >= 1e-4, (m, j)
 
 
-def test_split_thresholds_is_the_float_compare():
-    # for every 53-bit k, the 8-bit prefix compare with a tie on the 45-bit
-    # remainder decides k < T = ceil(p * 2**53), which is the u < p compare
-    # of the float64 uniform u = k * 2**-53
+def test_trial_rule_is_the_float_compare():
+    # for every 53-bit k, the rule sample_sums runs (a top byte below hi
+    # wins, one above loses, a tie compares k with T = ceil(p * 2**53))
+    # decides k < T, which is the u < p compare of the float64 uniform
+    # u = k * 2**-53
     rng = np.random.default_rng(61)
     ulp = 2.0**-53
     edges = [j * 2.0**-8 for j in (1, 2, 3, 17, 127, 128, 129, 255)]
     probs = [0.0, ulp, 0.5 - ulp, 0.5, 1.0 - ulp, 1.0]
     probs += [e + s for e in edges for s in (-ulp, 0.0, ulp) if e + s <= 1.0]
     probs += list(rng.uniform(0.0, 1.0, size=40))
-    hi, lo = mechanism._split_thresholds(np.array(probs))
-    assert hi.dtype == np.uint8 and lo.dtype == np.uint64
-    for p, h, r in zip(probs, hi.tolist(), lo.tolist()):
+    hi = mechanism._prefix_thresholds(np.array(probs))
+    assert hi.dtype == np.uint8
+    for p, h in zip(probs, hi.tolist()):
         t = ceil(Fraction(p) * 2**53)
-        assert h == (max(t, 1) - 1) >> 45 and r == t - (h << 45)
-        assert 0 <= r <= 2**45
+        assert h == (max(t, 1) - 1) >> 45
         ks = [0, t - 1, t, t + 1, (h << 45) - 1, h << 45, (h + 1) << 45, 2**53 - 1]
         ks += [int(k) for k in rng.integers(0, 2**53, size=8)]
         for k in (k for k in ks if 0 <= k < 2**53):
-            prefix, rest = k >> 45, k & (2**45 - 1)
-            decided = prefix < h or (prefix == h and rest < r)
+            prefix = k >> 45
+            decided = prefix < h or (prefix == h and k < t)
             assert decided == (k < t) == (k * ulp < p), (p, k)
 
 
@@ -407,7 +407,7 @@ class _WordStream:
 
 def _tied_prefix_words(probs, m, trials):
     # every 8-bit prefix lane equals its entry's hi; the padding lanes too
-    hi = mechanism._split_thresholds(probs.ravel())[0]
+    hi = mechanism._prefix_thresholds(probs.ravel())
     lanes = np.resize(hi, -(-hi.size // 8) * 8)
     return np.tile(lanes.astype("<u1"), trials * m).view("<u8")
 
@@ -418,7 +418,10 @@ def test_sample_sums_tie_path(per_chunk, monkeypatch):
     # distribution test; tie every prefix and pick the words that settle them
     n, coords, m, trials = 3, 3, 3, 4  # 9 entries, padded to 16 per slab
     probs = np.random.default_rng(8).uniform(0.0, 1.0, size=(n, coords))
-    lo = mechanism._split_thresholds(probs.ravel())[1]
+    # T = ceil(p * 2**53) = hi * 2**45 + lo, so a tie wins when its word's
+    # top 45 bits are below lo
+    t = np.array([ceil(Fraction(p) * 2**53) for p in probs.ravel()], dtype=np.uint64)
+    lo = t - (((t - 1) >> 45) << 45)
     # one word per tie, by trial, then entry, then the entry's m ties
     tie_words = np.random.default_rng(9).integers(
         0, 2**64, size=(trials, n * coords, m), dtype=np.uint64
