@@ -23,8 +23,10 @@ theta), and each order's divergence is a pairwise sum over the columns
 where Q does not underflow. No sum goes through BLAS, so a curve's bytes
 do not depend on its thread count.
 
-log-pmfs are plain float arrays indexed by outcome, with -inf for zero
-mass; a valid log-pmf has logsumexp == 0. The binomial log-pmf is Loader's
+log-pmfs are plain float arrays indexed by outcome; a valid log-pmf has
+logsumexp == 0. convolve_logpmf takes any log-pmf, -inf for zero mass
+included; binomial_logpmf only trials >= 1 and 0 < p < 1, as the pair's
+p = 1/2 -+ theta at 0 < theta <= 1/4 (n = 1 builds no P). It is Loader's
 saddle-point form: Stirling's error terms plus a log1p deviance, none of
 which grows like log(N!), so it stays within a few ulp of the value
 instead of an ulp of N log N. The exact curve sums its divergence on the
@@ -84,9 +86,8 @@ def _stirling_error(k: np.ndarray) -> np.ndarray:
         s *= inv
     np.subtract(1 / 12, s, out=s)
     s /= k
-    if len(k):
-        table = _STIRLING_TABLE[int(k[0]) - 1 :][: len(k)]
-        s[: len(table)] = table
+    table = _STIRLING_TABLE[int(k[0]) - 1 :][: len(k)]
+    s[: len(table)] = table
     return s
 
 
@@ -102,22 +103,14 @@ def binomial_logpmf(
     are N log q and N log p. Each entry is the same float operations
     whatever the range, so a range is a slice of the whole support.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
     last = trials if last is None else last
     if not 0 <= first <= last <= trials:
         raise ValueError(f"need 0 <= first <= last <= {trials}, got {first}, {last}")
-    if trials == 0:
-        return np.zeros(1)
     out = np.empty(last - first + 1)
-    if p == 0.0 or p == 1.0:
-        out.fill(-np.inf)
-        mode = 0 if p == 0.0 else trials
-        if first <= mode <= last:
-            out[mode - first] = 0.0
-        return out
     if first == 0:
         out[0] = trials * np.log1p(-p)
     if last == trials:
@@ -157,10 +150,7 @@ def convolve_logpmf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.full(len(a) + len(b) - 1, -np.inf)
     la = len(a)
     for j in range(len(b)):
-        lb = b[j]
-        if lb == -np.inf:
-            continue
-        np.logaddexp(out[j : j + la], a + lb, out=out[j : j + la])
+        np.logaddexp(out[j : j + la], a + b[j], out=out[j : j + la])
     return out
 
 
@@ -390,6 +380,7 @@ def pbm_exact_curve(
         raise ValueError(f"n and m must be positive integers, got n={n!r}, m={m!r}")
     if not 0.0 <= theta <= 0.25:
         raise ValueError(f"theta must lie in [0, 1/4], got {theta}")
+    n, m = int(n), int(m)  # so that n*m never wraps and meta serialises
     alphas = _orders(alphas)
     eps = np.zeros(len(alphas))
     if theta > 0.0:
@@ -578,6 +569,7 @@ def _select(
     """
     if not (isinstance(n, Integral) and isinstance(d, Integral) and n >= 1 and d >= 1):
         raise ValueError(f"n and d must be positive integers, got n={n!r}, d={d!r}")
+    n, d = int(n), int(d)  # so that d*m never wraps
     curves, certified = {}, {}
 
     def fits(theta, m=1):
@@ -611,7 +603,8 @@ def select_params(
 
     eps is the one-trial pbm_exact_curve. The left side bounds the exact
     loss of d coordinates with m trials each and is returned third; see
-    _select for the search.
+    _select for the search. d counts encoded coordinates: a framed
+    (use_kashin) run of input dimension d encodes D = 2d and passes that.
     """
     _check_target("eps_budget", eps_budget)
     return _select(
@@ -626,7 +619,8 @@ def select_params_approx_dp(
     """Pick (theta, m) whose certified (eps, delta) is at most (eps_dp, delta).
 
     The certificate, returned third, is rdp_to_dp of d * m copies of the
-    one-trial exact curve on DEFAULT_ALPHAS; see _select for the search.
+    one-trial exact curve on DEFAULT_ALPHAS, d counted as in select_params;
+    see _select for the search.
     """
     _check_target("eps_dp", eps_dp)
     return _select(

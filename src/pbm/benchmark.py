@@ -95,10 +95,9 @@ class TrialRecord:
     mode: str                         # plain | clipped
 
     def row(self) -> str:
-        return (
-            f"{self.m},{self.theta!r},{self.alpha!r},{self.epsilon!r},"
-            f"{self.mse!r},{self.comm_bits},{self.wraps},{self.mechanism},{self.mode}"
-        )
+        nums = (int(self.m), float(self.theta), float(self.alpha), float(self.epsilon),
+                float(self.mse), int(self.comm_bits), int(self.wraps))
+        return ",".join([*map(repr, nums), self.mechanism, self.mode])
 
 
 CSV_HEADER = "# pbm-csv v1 dme\nm,theta,alpha,epsilon,mse,comm_bits,wraps,mechanism,mode"

@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-params", help="pick (theta, m) for a privacy budget")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, help="encoded coordinates "
+                   "per client: d for direct encoding, D = 2d for a use_kashin run")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--eps-budget", type=float, help="Renyi budget at --alpha")
     p.add_argument("--eps-dp", type=float, help="approximate-DP epsilon target")

@@ -72,7 +72,7 @@ class MechanismParams:
     n: number of clients, d: input dimension, c: norm bound (L2 with a
     frame, per-coordinate without), theta: encoding strength in (0, 1/4],
     m: binomial trials per coordinate, frame: the shared spreading frame,
-    or None for direct encoding. n, d and m are integers >= 1.
+    or None for direct encoding. n, d and m are stored as ints >= 1.
     """
 
     n: int
@@ -87,6 +87,7 @@ class MechanismParams:
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 < self.c < inf:
             raise ValueError(f"c must be finite and positive, got {self.c}")
         if not 0.0 < self.theta <= 0.25:

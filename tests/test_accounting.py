@@ -101,11 +101,10 @@ def test_binomial_logpmf_normalization():
 
 
 def test_binomial_logpmf_degenerate():
-    np.testing.assert_array_equal(binomial_logpmf(0, 0.7), [0.0])
-    p0 = binomial_logpmf(3, 0.0)
-    assert p0[0] == 0.0 and np.all(np.isneginf(p0[1:]))
-    p1 = binomial_logpmf(3, 1.0)
-    assert p1[-1] == 0.0 and np.all(np.isneginf(p1[:-1]))
+    # the endpoint pair has no degenerate binomial, so none is accepted
+    for trials, p in [(3, 0.0), (3, 1.0), (0, 0.7)]:
+        with pytest.raises(ValueError):
+            binomial_logpmf(trials, p)
 
 
 def test_binomial_logpmf_validation():
@@ -119,7 +118,7 @@ def test_convolve_identity():
     a = binomial_logpmf(6, 0.4)
     np.testing.assert_array_equal(convolve_logpmf(a, np.zeros(1)), a)
     # convolving with a point mass at k shifts the support by k
-    shifted = convolve_logpmf(a, binomial_logpmf(2, 1.0))
+    shifted = convolve_logpmf(a, np.array([-np.inf, -np.inf, 0.0]))
     assert np.all(np.isneginf(shifted[:2]))
     np.testing.assert_allclose(shifted[2:], a, rtol=1e-12)
 
@@ -327,8 +326,6 @@ def test_binomial_logpmf_range_is_a_slice_of_the_support():
             if 0 <= first <= last:
                 got = binomial_logpmf(trials, p, first, last)
                 assert got.tobytes() == whole[first : last + 1].tobytes()
-    np.testing.assert_array_equal(binomial_logpmf(3, 1.0, 1, 2), [-np.inf, -np.inf])
-    np.testing.assert_array_equal(binomial_logpmf(3, 0.0, 0, 1), [0.0, -np.inf])
     for first, last in [(-1, 2), (2, 1), (0, 4)]:
         with pytest.raises(ValueError):
             binomial_logpmf(3, 0.5, first, last)
@@ -591,6 +588,16 @@ def test_exact_curve_rejects_non_integer_n_and_m(n, m):
         pbm_exact_curve(n, m, 0.1)
 
 
+def test_exact_curve_takes_numpy_integers_as_python_ints(tmp_path):
+    # n*m past int64 reaches the cost guard instead of wrapping to a small N
+    with pytest.raises(ValueError, match="budget"):
+        pbm_exact_curve(np.int64(2**54 + 1), np.int64(1024), 0.25, [2.0])
+    paths = [tmp_path / "int.csv", tmp_path / "int64.csv"]
+    for (n, m), path in zip([(1000, 4), (np.int64(1000), np.int64(4))], paths):
+        write_curve_csv(pbm_exact_curve(n, m, 0.25), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Gaussian baseline
 
@@ -784,6 +791,8 @@ def test_select_params_huge_budget_stays_in_float_range():
     theta, m, bound = select_params(n, d, alpha, budget)
     assert theta == 0.25
     assert bound == d * m * pbm_exact_curve(n, 1, theta, [alpha]).epsilons[0] <= budget
+    # numpy integers search as Python ints, not stopping where d * m leaves int64
+    assert select_params(np.int64(n), np.int64(d), alpha, budget) == (theta, m, bound)
 
 
 def test_select_params_approx_dp_frozen():

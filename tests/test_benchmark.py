@@ -120,10 +120,10 @@ def test_pbm_mse_within_bound():
 MSE_Z = 5.0
 
 
-def _mse_z_scores(config: ExperimentConfig) -> dict:
-    """(m, theta) -> z-score of each pbm plain row's mse against
-    oracles.decode_error_moments at the run's own clients, and through the
-    run's own frame when config.use_kashin."""
+def _mse_z_scores(config: ExperimentConfig, records) -> dict:
+    """(m, theta) -> z-score of each pbm plain row's mse among records, the
+    run of config, against oracles.decode_error_moments at the run's own
+    clients, and through the run's own frame when config.use_kashin."""
     client_seed, frame_seed, _ = np.random.SeedSequence(config.seed).spawn(3)
     clients = generate_clients(config, np.random.default_rng(client_seed))
     frame = (
@@ -137,7 +137,7 @@ def _mse_z_scores(config: ExperimentConfig) -> dict:
     )
     u = frame.u if frame is not None else None
     z = {}
-    for r in run_tradeoff(config):
+    for r in records:
         if (r.mechanism, r.mode) != ("pbm", "plain"):
             continue
         params = replace(base, theta=r.theta, m=r.m)
@@ -156,9 +156,18 @@ def test_pbm_mse_matches_its_exact_expectation(path):
     # too little noise fails here, where mse <= bound passes it. The
     # benchmark sweep's error passes back through its frame
     config = load_dme_config(ROOT / path)
-    z = _mse_z_scores(config)
+    records = run_tradeoff(config)
+    z = _mse_z_scores(config, records)
     assert len(z) == len(config.m_list) * len(config.theta_list)
     assert max(abs(v) for v in z.values()) <= MSE_Z, z
+    # a clipped row that never wraps decodes the same sums as its plain
+    # row, so it has the same mse bytes and carries the same z-score
+    plain = {(r.m, r.theta): r for r in records if (r.mechanism, r.mode) == ("pbm", "plain")}
+    clipped = [r for r in records if r.mode == "clipped"]
+    assert len(clipped) == (len(z) if config.clipping else 0)
+    for r in clipped:
+        assert r.wraps == 0
+        assert repr(r.mse) == repr(plain[r.m, r.theta].mse)
 
 
 @pytest.mark.parametrize("plant", ["m - 1 trials", "decode x 0.9", "decode x 1.1"])
@@ -176,7 +185,7 @@ def test_mse_check_catches_planted_faults(plant, monkeypatch):
             return gain * mechanism.server_decode(sums, params, window)
 
         monkeypatch.setattr(benchmark, "server_decode", decode)
-    z = _mse_z_scores(config)
+    z = _mse_z_scores(config, run_tradeoff(config))
     assert max(abs(v) for v in z.values()) > MSE_Z, z
 
 
@@ -271,6 +280,20 @@ def test_csv_writer(tmp_path):
     assert float(first[1]) == records[0].theta
     assert float(first[4]) == records[0].mse
     assert first[7] == records[0].mechanism
+
+
+def test_numpy_integers_write_the_python_int_outputs(tmp_path):
+    outputs = []
+    for cast in (int, np.int64):
+        config = ExperimentConfig(
+            n=cast(20), d=cast(4), m_list=(cast(2),), theta_list=(0.25,), trials=5
+        )
+        records = run_tradeoff(config)
+        csv, series = tmp_path / f"{cast.__name__}.csv", tmp_path / f"{cast.__name__}.json"
+        write_records_csv(records, csv)
+        write_series_json(records, series)
+        outputs.append((csv.read_bytes(), series.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_json_writer(tmp_path):

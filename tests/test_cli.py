@@ -1,3 +1,4 @@
+import ast
 import configparser
 import os
 import shlex
@@ -798,3 +799,35 @@ def test_one_layer_imports_alone(tmp_path):
     run = _python(LOADED_PBM, "pbm.accounting", cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "['pbm', 'pbm.accounting']"
+
+
+# public code that only tests call, each with why it stays
+TESTS_ONLY = {
+    "sgd.convergence_bound": "the paper's SGD rate, checked by acceptance criterion 10",
+}
+
+
+def _uncalled_public_code(package: Path) -> list[str]:
+    """module.name of each public top-level function or class of package
+    that no name, attribute or imported name outside its own definition
+    mentions."""
+    where, defs = {}, []
+    for path in sorted(package.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            home = (path.stem, i)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defs.append((f"{path.stem}.{stmt.name}", stmt.name, home))
+            for node in ast.walk(stmt):
+                name = (
+                    node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else None
+                )
+                where.setdefault(name, set()).add(home)
+    return sorted(qual for qual, name, home in defs if not where.get(name, set()) - {home})
+
+
+def test_public_code_has_a_caller_in_the_package():
+    # `cli` imports sgd.run as run_sgd, so an imported name counts as a use
+    assert _uncalled_public_code(ROOT / "src" / "pbm") == sorted(TESTS_ONLY)
