@@ -7,9 +7,10 @@ each point (the exact accountant) plus a matched Gaussian baseline at
 equal MSE. Records land in a versioned CSV and an optional
 plotting-friendly JSON series file.
 
-Trials are vectorized per parameter point and seeded per point, so results
-are byte-reproducible for a fixed seed regardless of the parallelism
-degree.
+Trials are vectorized per theta and seeded per theta: the points at one
+theta read the first m trials of one draw of the largest m's trials, so
+their rows are correlated, but each keeps its own law. Results are
+byte-reproducible for a fixed seed regardless of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ class ExperimentConfig:
         for eps in self.eps_list or ():
             if not 0.0 < eps < inf:
                 raise ValueError(f"eps_list entries must be finite and positive, got {eps}")
+        # a repeated value repeats rows under one (m, theta) key
+        for name in ("m_list", "theta_list", "eps_list"):
+            values = getattr(self, name) or ()
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} entries must be distinct, got {list(values)}")
         if not 1.0 < self.alpha < inf:
             raise ValueError(f"alpha must be a finite order above 1, got {self.alpha}")
         if not 0.0 < self.c < inf:
@@ -137,23 +143,20 @@ def _invert_eps(
 
 def _point_records(
     config: ExperimentConfig,
-    y: np.ndarray,
     mu_true: np.ndarray,
     params: MechanismParams,
-    seed: np.random.SeedSequence,
+    sums: np.ndarray,
 ) -> list[TrialRecord]:
     """All records for one (m, theta) point: pbm plain, optional clipped, gaussian.
 
-    y holds the spread client coefficients (n, coords); every trial draws
-    all n clients' shares at once. Each pbm row aggregates the same sums
-    mod its modulus M and lifts them into its window [offset, offset + M):
-    the plain row uses the default M > n*m with offset 0, which no sum
-    leaves, and the clipped row the reduced group of secagg.clipped_spec.
+    sums holds the point's per-trial coordinate sums (trials, coords) over
+    all n clients. Each pbm row aggregates them mod its modulus M and lifts
+    them into its window [offset, offset + M): the plain row uses the
+    default M > n*m with offset 0, which no sum leaves, and the clipped row
+    the reduced group of secagg.clipped_spec.
     """
-    n, coords = y.shape
-    m, theta = params.m, params.theta
-    probs = coordinate_probs(y, params)
-    sums = sample_sums(probs, m, np.random.default_rng(seed), config.trials)
+    n, m, theta = params.n, params.m, params.theta
+    coords = sums.shape[-1]
     eps_total = float(rdp_curve(params, [config.alpha]).epsilons[0])
     groups = [("plain", secagg.default_modulus(n, m), 0)]
     if config.clipping:
@@ -184,10 +187,32 @@ def _point_records(
     return records
 
 
+def _theta_records(
+    config: ExperimentConfig,
+    y: np.ndarray,
+    mu_true: np.ndarray,
+    params: MechanismParams,
+    ms: tuple[int, ...],
+    seed: np.random.SeedSequence,
+) -> list[list[TrialRecord]]:
+    """The records of the points (m, params.theta) for m in ms, increasing.
+
+    y holds the spread client coefficients (n, coords). Every trial draws
+    all n clients' shares at once, and one draw of ms[-1] trials per client
+    and coordinate serves every m: the point at m reads its first m trials.
+    """
+    probs = coordinate_probs(y, params)
+    sums = sample_sums(probs, ms, np.random.default_rng(seed), config.trials)
+    return [
+        _point_records(config, mu_true, replace(params, m=m), row)
+        for m, row in zip(ms, sums)
+    ]
+
+
 def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     """Run the sweep; deterministic for a fixed seed at any thread count."""
     root = np.random.SeedSequence(config.seed)
-    client_seed, frame_seed, point_root = root.spawn(3)
+    client_seed, frame_seed, theta_root = root.spawn(3)
     clients = generate_clients(config, np.random.default_rng(client_seed))
     mu_true = clients.mean(axis=0)
     frame = (
@@ -202,20 +227,30 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
     )
     y = spread(clients, base)
     points = _resolve_points(config, base)
-    seeds = point_root.spawn(len(points))
+    # the m of each theta, thetas in order of first appearance; eps_list
+    # targets can meet at one point, which is then drawn once
+    ms_at: dict[float, set[int]] = {}
+    for m, theta in points:
+        ms_at.setdefault(theta, set()).add(m)
+    groups = [(theta, tuple(sorted(ms))) for theta, ms in ms_at.items()]
     tasks = [
-        (config, y, mu_true, replace(base, theta=theta, m=m), seed)
-        for (m, theta), seed in zip(points, seeds)
+        (config, y, mu_true, replace(base, theta=theta), ms, seed)
+        for (theta, ms), seed in zip(groups, theta_root.spawn(len(groups)))
     ]
     if config.threads > 1 and len(tasks) > 1:
         # imported here: the process pool costs start-up to runs that never use it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(config.threads, len(tasks))) as pool:
-            per_point = list(pool.map(_point_records, *zip(*tasks)))
+            per_theta = list(pool.map(_theta_records, *zip(*tasks)))
     else:
-        per_point = [_point_records(*t) for t in tasks]
-    return [rec for recs in per_point for rec in recs]
+        per_theta = [_theta_records(*t) for t in tasks]
+    by_point = {
+        (m, theta): recs
+        for (theta, ms), per_m in zip(groups, per_theta)
+        for m, recs in zip(ms, per_m)
+    }
+    return [rec for point in points for rec in by_point[point]]
 
 
 def write_records_csv(records: Sequence[TrialRecord], path) -> None:

@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
     p.add_argument(
         "--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
-        help="parameter-point parallelism (default: cores)",
+        help="worker processes, each running one theta's rows at a time (default: cores)",
     )
     p.set_defaults(func=_cmd_dme)
 

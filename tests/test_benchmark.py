@@ -57,6 +57,26 @@ def test_config_validation():
     assert _small_config(safety_c=0.0).safety_c == 0.0
 
 
+@pytest.mark.parametrize("name, values", [
+    ("m_list", (2, 4, 2)), ("theta_list", (0.25, 0.25)), ("eps_list", (1.0, 2.0, 1.0)),
+], ids=["m_list", "theta_list", "eps_list"])
+def test_config_rejects_repeated_sweep_values(name, values):
+    # a repeated value repeats rows under one (m, theta) key, and a repeated
+    # m leaves a theta's trial counts ambiguous
+    sweep = {name: values, "theta_list": None} if name == "eps_list" else {name: values}
+    with pytest.raises(ValueError, match=f"^{name} entries must be distinct"):
+        _small_config(**sweep)
+
+
+def test_eps_targets_that_meet_at_one_point_share_its_rows():
+    # targets far above any epsilon both invert to theta = 1/4; the point
+    # is drawn once and each target gets its rows
+    config = _small_config(theta_list=None, eps_list=(1e3, 2e3), m_list=(2, 4))
+    records = run_tradeoff(config)
+    assert [(r.m, r.theta) for r in records[::2]] == [(2, 0.25)] * 2 + [(4, 0.25)] * 2
+    assert records[:2] == records[2:4] and records[4:6] == records[6:]
+
+
 def test_generate_clients_bounds():
     config = _small_config(n=200, d=9, c=0.8)
     x = generate_clients(config, np.random.default_rng(3))
@@ -72,6 +92,26 @@ def test_run_deterministic_across_threads():
     assert once == again
     threaded = run_tradeoff(replace(config, threads=2))
     assert once == threaded
+
+
+def test_sweep_draws_once_per_theta(monkeypatch):
+    # the points at one theta read the first m trials of one draw
+    calls = []
+
+    def draw(probs, ms, rng, trials):
+        calls.append(ms)
+        return mechanism.sample_sums(probs, ms, rng, trials)
+
+    monkeypatch.setattr(benchmark, "sample_sums", draw)
+    config = _small_config(m_list=(4, 2, 16), theta_list=(0.25, 0.1, 0.2))
+    records = run_tradeoff(config)
+    assert calls == [(2, 4, 16)] * 3
+    # the rows keep the sweep's point order, m-major as m_list gives it
+    points = [(r.m, r.theta) for r in records if r.mechanism == "pbm"]
+    assert points == [(m, t) for m in config.m_list for t in config.theta_list]
+    # and each point's rows do not depend on where m sits in m_list
+    resorted = run_tradeoff(replace(config, m_list=(2, 4, 16)))
+    assert sorted(records, key=lambda r: r.m) == sorted(resorted, key=lambda r: r.m)
 
 
 def test_record_layout():
@@ -174,8 +214,9 @@ def test_pbm_mse_matches_its_exact_expectation(path):
 def test_mse_check_catches_planted_faults(plant, monkeypatch):
     config = load_dme_config(ROOT / "configs" / "desk.ini")
     if plant == "m - 1 trials":
-        def draw(probs, m, rng, trials):
-            return mechanism.sample_sums(probs, m - 1, rng, trials)
+        def draw(probs, ms, rng, trials):
+            # the row of every m reads one trial too few
+            return mechanism.sample_sums(probs, [m - 1 for m in ms], rng, trials)
 
         monkeypatch.setattr(benchmark, "sample_sums", draw)
     else:

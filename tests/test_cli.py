@@ -415,6 +415,24 @@ def test_conflicting_sweep_lists(tmp_path):
     assert main(["dme", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("name, sweep", [
+    ("m_list", "m_list = 2 2 4\ntheta_list = 0.25 0.25"),
+    ("theta_list", "m_list = 2 4\ntheta_list = 0.1 0.25 0.1"),
+    ("eps_list", "m_list = 2\neps_list = 1.0 1 2.0"),
+], ids=["m_list", "theta_list", "eps_list"])
+def test_dme_rejects_a_repeated_sweep_value(tmp_path, name, sweep, capsys, monkeypatch):
+    # a repeated value repeats rows under one (m, theta) key, which a reader
+    # keyed by the point silently overwrites
+    def never(*args, **kwargs):
+        raise AssertionError("the run started with a repeated sweep value")
+
+    monkeypatch.setattr(cli, "run_tradeoff", never)
+    cfg = tmp_path / "dme.ini"
+    cfg.write_text(f"[experiment]\nn = 10\nd = 2\n{sweep}\n")
+    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{name} entries must be distinct" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("theta", ["0", "0.0", "-0.1", "0.3"])
 def test_sgd_rejects_theta_outside_range(tmp_path, theta, capsys):
     cfg = tmp_path / "sgd.ini"

@@ -275,15 +275,25 @@ def test_mse_bound_is_attained_at_the_centre(framed, frame8):
     assert emp_mse == pytest.approx(mse_bound(params), rel=5.0 * sqrt(2.0 / (d * trials)))
 
 
-@pytest.mark.parametrize("m", [2, 16, 32, 33, 64, 65, 300])
+# nested trial counts, each row the sums after the first m trials of one
+# draw: the compare kernel, a row of no trials, and the binomial kernel
+NESTED = [
+    pytest.param((1, 3), id="1,3"),
+    pytest.param((2, 5, 16), id="2,5,16"),
+    pytest.param((0, 7, 64), id="0,7,64"),
+    pytest.param((3, 65, 300), id="3,65,300"),
+]
+
+
+@pytest.mark.parametrize("m", [2, 16, 32, 33, 64, 65, 300, *NESTED])
 def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
     # small chunks must draw the same sums as all trials in one chunk; one
     # trial per chunk splits a compare draw (m <= 64) into single slabs
     n, coords, trials = 7, 5, 6
     probs = np.random.default_rng(3).uniform(0.25, 0.75, size=(n, coords))
     whole = sample_sums(probs, m, np.random.default_rng(m), trials)
-    assert whole.shape == (trials, coords) and whole.dtype == np.int64
-    assert np.all((whole >= 0) & (whole <= n * m))
+    assert whole.shape == np.shape(m) + (trials, coords) and whole.dtype == np.int64
+    assert np.all((whole >= 0) & (whole <= n * np.reshape(m, (-1, 1, 1))))
     for per_chunk in (1, 4):  # 4 trials per chunk leaves a short last chunk
         monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
         chunked = sample_sums(probs, m, np.random.default_rng(m), trials)
@@ -291,11 +301,12 @@ def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
 
 
 @pytest.mark.parametrize("per_chunk", [None, 4])
-@pytest.mark.parametrize("m", [1, 16, 32, 64])
+@pytest.mark.parametrize("m", [1, 16, 32, 64, *NESTED[:3]])
 def test_whole_draw_compare_matches_the_slab_loop(m, per_chunk, monkeypatch):
     # a draw of small slabs is compared whole, a draw of large ones slab by
     # slab; both read the same words and count the same trials. 4 slabs per
-    # draw splits a trial of m > 4 into several draws
+    # draw splits a trial of m > 4 into several draws, and a segment
+    # boundary can fall inside a draw
     n, coords, trials = 7, 5, 6
     probs = np.random.default_rng(5).uniform(0.0, 1.0, size=(n, coords))
     if per_chunk is not None:
@@ -316,7 +327,8 @@ def test_sample_sums_rejects_bad_input(m):
         probs[1, 0] = bad
         with pytest.raises(ValueError):
             sample_sums(probs, m, rng, 3)
-    for bad_m in (-1, m + 0.5, float(m)):
+    # a count that is not a nonnegative integer, or counts not increasing
+    for bad_m in (-1, m + 0.5, float(m), (), (m, m), (m + 1, m), (1.0, m), (-1, m)):
         with pytest.raises(ValueError):
             sample_sums(good, bad_m, rng, 3)
     np.testing.assert_array_equal(sample_sums(good, 0, rng, 3), np.zeros((3, 2)))
@@ -345,24 +357,57 @@ def test_sample_sums_rejects_probs_that_are_not_2d(shape):
         sample_sums(np.full(shape, 0.5), 4, np.random.default_rng(0), 3)
 
 
+_DIST_PROBS = np.array([[0.1, 0.35, 0.5], [0.25, 0.6, 0.75], [0.45, 0.8, 0.95]])
+
+
+def _chisquare_pvalue(sums, probs, m):
+    """p-value of the histogram of sums (a column's sums over the clients
+    of probs) against the exact Poisson-binomial pmf of m trials, pooling
+    cells expected below 5."""
+    pmf = poisson_binomial_pmf(probs, m)
+    expected = sums.size * pmf / pmf.sum()
+    observed = np.bincount(sums, minlength=len(pmf))
+    assert len(observed) == len(pmf)
+    small = expected < 5.0
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if not small.any():
+        obs, exp = obs[:-1], exp[:-1]
+    return chisquare(obs, exp).pvalue
+
+
 @pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64, 65])
 def test_sample_sums_distribution(m):
     # each column's sum over clients is Poisson-binomial; chi-square its
-    # histogram against the exact pmf, pooling cells expected below 5
+    # histogram against the exact pmf
     trials = 40_000
-    probs = np.array([[0.1, 0.35, 0.5], [0.25, 0.6, 0.75], [0.45, 0.8, 0.95]])
-    sums = sample_sums(probs, m, np.random.default_rng(900 + m), trials)
+    sums = sample_sums(_DIST_PROBS, m, np.random.default_rng(900 + m), trials)
     for j in range(3):
-        pmf = poisson_binomial_pmf(probs[:, j], m)
-        expected = trials * pmf / pmf.sum()
-        observed = np.bincount(sums[:, j], minlength=len(pmf))
-        assert len(observed) == len(pmf)
-        small = expected < 5.0
-        obs = np.append(observed[~small], observed[small].sum())
-        exp = np.append(expected[~small], expected[small].sum())
-        if not small.any():
-            obs, exp = obs[:-1], exp[:-1]
-        assert chisquare(obs, exp).pvalue >= 1e-4, (m, j)
+        assert _chisquare_pvalue(sums[:, j], _DIST_PROBS[:, j], m) >= 1e-4, (m, j)
+
+
+@pytest.mark.parametrize(
+    "ms", [(1, 3), (2, 5, 16), (16, 33, 64), (30, 65)], ids=str
+)
+def test_nested_sample_sums_distribution(ms):
+    # every row is the sum of its own m trials, and each increment, the
+    # trials between two rows, is the sum of its own trials and does not
+    # depend on the row before it
+    n, trials = len(_DIST_PROBS), 40_000
+    sums = sample_sums(_DIST_PROBS, ms, np.random.default_rng(sum(ms)), trials)
+    assert sums.shape == (len(ms), trials, 3)
+    for s, m in enumerate(ms):
+        for j in range(3):
+            assert _chisquare_pvalue(sums[s, :, j], _DIST_PROBS[:, j], m) >= 1e-4, (m, j)
+    for s in range(1, len(ms)):
+        step = ms[s] - ms[s - 1]
+        inc = sums[s] - sums[s - 1]
+        assert np.all((inc >= 0) & (inc <= n * step))
+        for j in range(3):
+            assert _chisquare_pvalue(inc[:, j], _DIST_PROBS[:, j], step) >= 1e-4, (ms, s, j)
+            # a sample correlation of independent variables has sd 1/sqrt(trials)
+            corr = np.corrcoef(sums[s - 1, :, j], inc[:, j])[0, 1]
+            assert abs(corr) <= 4.0 / sqrt(trials), (ms, s, j, corr)
 
 
 def test_trial_rule_is_the_float_compare():
@@ -412,33 +457,42 @@ def _tied_prefix_words(probs, m, trials):
     return np.tile(lanes.astype("<u1"), trials * m).view("<u8")
 
 
-@pytest.mark.parametrize("per_chunk", [None, 1, 2])
+@pytest.mark.parametrize("per_chunk", [None, 1, 2, 32])
 def test_sample_sums_tie_path(per_chunk, monkeypatch):
     # ties are too rare (2**-8 per trial) to pin each one in the
-    # distribution test; tie every prefix and pick the words that settle them
-    n, coords, m, trials = 3, 3, 3, 4  # 9 entries, padded to 16 per slab
+    # distribution test; tie every prefix and pick the words that settle
+    # them. 32 slabs per chunk draws two trials of 16 at once
+    n, coords, trials = 3, 3, 4  # 9 entries, padded to 16 per slab
     probs = np.random.default_rng(8).uniform(0.0, 1.0, size=(n, coords))
     # T = ceil(p * 2**53) = hi * 2**45 + lo, so a tie wins when its word's
     # top 45 bits are below lo
     t = np.array([ceil(Fraction(p) * 2**53) for p in probs.ravel()], dtype=np.uint64)
     lo = t - (((t - 1) >> 45) << 45)
-    # one word per tie, by trial, then entry, then the entry's m ties
-    tie_words = np.random.default_rng(9).integers(
-        0, 2**64, size=(trials, n * coords, m), dtype=np.uint64
-    )
-    # the remainders just below and at each threshold
-    tie_words[0, :, 0] = (lo - 1) << 19
-    tie_words[0, :, 1] = lo << 19
     if per_chunk is not None:
         monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
-    prefix = _tied_prefix_words(probs, m, trials)
-    stream = _WordStream(np.concatenate([prefix, tie_words.ravel()]))
-    sums = sample_sums(probs, m, stream, trials)
-    assert stream.used == stream.words.size
-    hits = (tie_words >> 19) < lo[:, None]
-    assert hits[0, :, 0].all() and not hits[0, :, 1].any()
-    expected = hits.reshape(trials, n, coords, m).sum(axis=(1, 3))
-    np.testing.assert_array_equal(sums, expected)
+    for ms in (3, (1, 3), (2, 5, 16)):
+        rows = np.atleast_1d(ms)
+        # the word of each (trial, entry, slab)'s tie
+        tie_words = np.random.default_rng(9).integers(
+            0, 2**64, size=(trials, n * coords, rows[-1]), dtype=np.uint64
+        )
+        # the remainders just below and at each threshold
+        tie_words[0, :, 0] = (lo - 1) << 19
+        tie_words[0, :, 1] = lo << 19
+        # served by segment (the slabs between two rows), then trial, then
+        # entry, then the entry's ties
+        cuts = zip(np.append(0, rows[:-1]), rows)
+        segments = [tie_words[..., a:b].ravel() for a, b in cuts]
+        prefix = _tied_prefix_words(probs, rows[-1], trials)
+        stream = _WordStream(np.concatenate([prefix, *segments]))
+        sums = sample_sums(probs, ms, stream, trials)
+        assert stream.used == stream.words.size
+        hits = (tie_words >> 19) < lo[:, None]
+        assert hits[0, :, 0].all() and not hits[0, :, 1].any()
+        # (trials, coords, slabs): each slab's wins, summed over clients
+        per_slab = hits.reshape(trials, n, coords, rows[-1]).sum(axis=1)
+        expected = np.stack([per_slab[..., :row].sum(axis=-1) for row in rows])
+        np.testing.assert_array_equal(sums, expected.reshape(sums.shape), str(ms))
 
 
 @pytest.mark.parametrize("m", [1, 2, 32, 64])
@@ -456,9 +510,10 @@ def test_sample_sums_certain_outcomes_with_every_prefix_tied(p, m):
     np.testing.assert_array_equal(sums, np.full((trials, coords), int(p) * n * m))
 
 
-@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("m", [16, 64, pytest.param((2, 4, 6, 16), id="2,4,6,16")])
 def test_sample_sums_memory(m):
-    # the dme sweep's geometry: 1000 clients x 500 coordinates, 15 trials
+    # the dme sweep's geometry: 1000 clients x 500 coordinates, 15 trials,
+    # and its m_list drawn at once
     probs = np.random.default_rng(4).uniform(0.25, 0.75, size=(1000, 500))
     tracemalloc.start()
     try:
