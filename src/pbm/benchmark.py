@@ -7,10 +7,12 @@ each point (the exact accountant) plus a matched Gaussian baseline at
 equal MSE. Records land in a versioned CSV and an optional
 plotting-friendly JSON series file.
 
-Trials are vectorized per theta and seeded per theta: the points at one
-theta read the first m trials of one draw of the largest m's trials, so
-their rows are correlated, but each keeps its own law. Results are
-byte-reproducible for a fixed seed regardless of the parallelism degree.
+Trials are vectorized per theta and seeded per theta. At one theta the
+sweep draws the increments between consecutive m in turn from one
+generator, and the point at m sums the increments up to it: it reads the
+first m of the largest m's trials. So the rows at one theta are
+correlated, but each keeps its own law. Results are byte-reproducible
+for a fixed seed regardless of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("n", "d", "trials", "seed"):
+        for name in ("n", "d", "trials", "seed", "threads"):
             if not isinstance(getattr(self, name), Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n < 1 or self.d < 1 or self.trials < 1:
-            raise ValueError("n, d, trials must all be positive")
+        if self.n < 1 or self.d < 1 or self.trials < 1 or self.threads < 1:
+            raise ValueError("n, d, trials, threads must all be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if (self.theta_list is None) == (self.eps_list is None):
@@ -198,11 +200,15 @@ def _theta_records(
     """The records of the points (m, params.theta) for m in ms, increasing.
 
     y holds the spread client coefficients (n, coords). Every trial draws
-    all n clients' shares at once, and one draw of ms[-1] trials per client
-    and coordinate serves every m: the point at m reads its first m trials.
+    all n clients' shares at once. The increments ms[s] - ms[s - 1] are
+    drawn in turn from one generator, and the point at ms[s] sums the
+    first s + 1 of them, so it reads the first ms[s] of ms[-1] trials per
+    client and coordinate.
     """
     probs = coordinate_probs(y, params)
-    sums = sample_sums(probs, ms, np.random.default_rng(seed), config.trials)
+    rng = np.random.default_rng(seed)
+    steps = [sample_sums(probs, m - below, rng, config.trials) for below, m in zip((0, *ms), ms)]
+    sums = np.cumsum(steps, axis=0)
     return [
         _point_records(config, mu_true, replace(params, m=m), row)
         for m, row in zip(ms, sums)

@@ -24,9 +24,11 @@ multiple of 2**-53). The rule is settled on k's top byte against
 hi = (max(T, 1) - 1) >> 45 (below succeeds, above fails) unless the two
 tie, and only then is the whole k compared with T. So one 64-bit random
 word serves eight trials, and only a tie (probability 2**-8) needs the
-other 45 bits, drawn as one word per tie after all prefixes. One draw can
-be read at several m: the Binom(m, p) count at a smaller m is the first
-m trials of the largest m's. Successes and
+other 45 bits, drawn as one word per tie after all prefixes, by trial
+and then entry. A draw takes one m: Binom(m2, p) is Binom(m1, p) plus an
+independent Binom(m2 - m1, p), so sums at several m that share their
+first trials are the running totals of increments drawn in turn (as the
+dme sweep does at each theta). Successes and
 ties are counted per (trial, entry) in uint8 while a draw of at most 1 MB
 of words is hot in cache, so ties are located once per count, not once
 per prefix: a draw of small slabs (an sgd round's) in one compare per
@@ -174,44 +176,23 @@ def _prefix_thresholds(probs: np.ndarray) -> np.ndarray:
 
 
 def sample_sums(
-    probs: np.ndarray,
-    ms: int | tuple[int, ...] | list[int],
-    rng: np.random.Generator,
-    trials: int,
+    probs: np.ndarray, m: int, rng: np.random.Generator, trials: int
 ) -> np.ndarray:
-    """Per-trial sums over the rows of Binom(m, probs), for each m in ms.
+    """Per-trial sums (trials, coords) over the rows of Binom(m, probs).
 
-    probs has shape (clients, coords). ms is one trial count, for sums of
-    shape (trials, coords), or an increasing tuple or list of them, for
-    sums of shape (len(ms), trials, coords): row s holds the sums after
-    the first ms[s] trials of one draw of ms[-1] trials per entry. So each
-    entry's count in row s is exactly Binom(ms[s], p), and the rows of one
-    call share their first trials.
-
-    For ms[-1] <= 64 each trial is the rule k < T of the module docstring.
-    The trials read one trial-major stream of 8-bit prefixes, eight to a
-    64-bit word, in (clients, coords) slabs each padded to whole words;
-    row s counts a trial's first ms[s] slabs, and a segment is the run of
-    slabs between two consecutive ms. After the last prefix, one word per
-    tied prefix supplies k's low 45 bits from its own top 45, by segment,
-    then trial, then entry; a tie won in a segment counts toward that
-    segment's row and every later one. Larger ms[-1] uses rng.binomial,
-    which draws every trial's first segment, then every trial's second,
-    and so on. Either way a draw holds at most _CHUNK_ENTRIES entries (or
-    one slab), and chunking does not change the stream.
+    probs has shape (clients, coords). For m <= 64 each Binom(m, p) is m
+    Bernoulli trials, each the rule k < T of the module docstring. The
+    trials read one trial-major stream of 8-bit prefixes, eight to a 64-bit
+    word, in (clients, coords) slabs each padded to whole words; after the
+    last prefix, one word per tied prefix, by trial, then entry, supplies
+    k's low 45 bits from its own top 45. Larger m uses rng.binomial. Either
+    way a draw holds at most _CHUNK_ENTRIES entries (or one slab), and
+    chunking does not change the stream, so the words a call takes from
+    rng do not depend on it either. A caller that needs sums at several m
+    from shared trials draws the increments between them in turn.
     """
-    single = not isinstance(ms, (tuple, list))
-    ms = (ms,) if single else tuple(ms)
-    if not ms:
-        raise ValueError("m must not be an empty sequence")
-    below = -1
-    for m in ms:
-        if not isinstance(m, Integral) or m <= below:
-            raise ValueError(
-                f"m must be a nonnegative integer or an increasing tuple of them, "
-                f"got {ms!r}"
-            )
-        below = m
+    if not isinstance(m, Integral) or m < 0:
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
     if not isinstance(trials, Integral) or trials < 0:
         raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
     if np.ndim(probs) != 2:
@@ -219,71 +200,52 @@ def sample_sums(
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1] and not be NaN")
     n, coords = probs.shape
-    m = ms[-1]
-    sums = np.zeros((len(ms), trials, coords), dtype=np.int64)
+    sums = np.empty((trials, coords), dtype=np.int64)
     # with no clients or no coords every sum is over nothing, and so 0
     slabs = max(1, _CHUNK_ENTRIES // max(n * coords, 1))
     if m > _COMPARE_MAX_M:
-        for s, top in enumerate(ms):
-            step = top - (ms[s - 1] if s else 0)
-            for lo in range(0, trials, slabs):
-                t = min(slabs, trials - lo)
-                draw = rng.binomial(step, probs, size=(t, n, coords)).sum(axis=1)
-                sums[s, lo : lo + t] = draw + (sums[s - 1, lo : lo + t] if s else 0)
-        return sums[0] if single else sums
+        for lo in range(0, trials, slabs):
+            t = min(slabs, trials - lo)
+            sums[lo : lo + t] = rng.binomial(m, probs, size=(t, n, coords)).sum(axis=1)
+        return sums
     flat = probs.ravel()
     hi = _prefix_thresholds(flat)
     entries = n * coords
     words = -(-entries // 8)  # eight 8-bit prefixes per word, slabs padded
     # a sum over clients is at most n * m; int32 sums uint8 counts faster
     total = np.int32 if n * m < 2**31 else np.int64
-    tied = []  # per chunk and segment: first trial, trials, row, each tie's index
+    tied = []  # per chunk: first trial, trials, each tie's (trial, entry) index
     # whole trials per draw while m slabs fit, else one trial in slab groups
     chunk = max(1, slabs // max(m, 1))
     for lo in range(0, trials, chunk):
         t = min(chunk, trials - lo)
-        # per (trial, entry): prefixes below hi, and this segment's prefixes
-        # equal to it
+        # per (trial, entry): prefixes below hi, and prefixes equal to it
         wins = np.zeros((t, entries), dtype=np.uint8)
         ties = np.zeros((t, entries), dtype=np.uint8)
         whole = t * entries <= _WHOLE_DRAW_SLAB
         hit = np.empty((t, entries), dtype=np.bool_)
-        # pending ties as uint32, half the bytes of intp, where they fit
-        kind = np.uint32 if t * entries <= 2**32 else np.intp
-        row = int(ms[0] == 0)  # a row of no trials stays 0
         for k in range(0, m, slabs):
             size = (t, min(slabs, m - k), words)
             # full 64-bit words with any bit generator (random_raw is not)
             raw = rng.integers(0, 2**64, size=size, dtype=np.uint64)
             # little-endian lanes, so the prefixes do not depend on the platform
             prefix = raw.astype("<u8", copy=False).view(np.uint8)[..., :entries]
-            # the draw's slabs [k, end), cut where a segment ends
-            start, end = k, k + size[1]
-            while start < end:
-                stop = min(ms[row], end)
-                if whole:
-                    part = prefix[:, start - k : stop - k]
-                    for count, op in ((wins, np.less), (ties, np.equal)):
-                        count += op(part, hi).view(np.uint8).sum(axis=1, dtype=np.uint8)
-                else:
-                    for j in range(start - k, stop - k):
-                        np.less(prefix[:, j], hi, out=hit)
-                        wins += hit.view(np.uint8)
-                        np.equal(prefix[:, j], hi, out=hit)
-                        ties += hit.view(np.uint8)
-                start = stop
-                if stop < ms[row]:
-                    continue
-                sums[row, lo : lo + t] = wins.reshape(t, n, coords).sum(axis=1, dtype=total)
-                index = np.flatnonzero(ties != 0).astype(kind)
-                tied.append((lo, t, row, np.repeat(index, ties.ravel()[index])))
-                row += 1
-                if row < len(ms):
-                    ties.fill(0)
-    # after the last prefix, one word per tie, by segment, then trial, then
-    # entry: a stable sort by segment keeps the chunks' trials in order
-    tied.sort(key=lambda chunk_ties: chunk_ties[2])
-    for lo, t, row, index in tied:
+            if whole:
+                for count, op in ((wins, np.less), (ties, np.equal)):
+                    count += op(prefix, hi).view(np.uint8).sum(axis=1, dtype=np.uint8)
+            else:
+                for j in range(size[1]):
+                    np.less(prefix[:, j], hi, out=hit)
+                    wins += hit.view(np.uint8)
+                    np.equal(prefix[:, j], hi, out=hit)
+                    ties += hit.view(np.uint8)
+        sums[lo : lo + t] = wins.reshape(t, n, coords).sum(axis=1, dtype=total)
+        # pending ties as uint32, half the bytes of intp, where they fit
+        kind = np.uint32 if t * entries <= 2**32 else np.intp
+        index = np.flatnonzero(ties != 0).astype(kind)
+        tied.append((lo, t, np.repeat(index, ties.ravel()[index])))
+    # after the last prefix, one word per tie, by trial, then entry
+    for lo, t, index in tied:
         if index.size:
             raw = rng.integers(0, 2**64, size=index.size, dtype=np.uint64)
             trial, entry = np.divmod(index, entries)
@@ -293,11 +255,8 @@ def sample_sums(
             big_t = np.multiply(flat[entry], 2.0**53)
             won = uniform < np.ceil(big_t, out=big_t).astype(np.uint64)
             cell = (trial * coords + entry % coords)[won]
-            won_at = np.bincount(cell, minlength=t * coords).reshape(t, coords)
-            # a tie won in a segment counts toward its row and every later one
-            for later in range(row, len(ms)):
-                sums[later, lo : lo + t] += won_at
-    return sums[0] if single else sums
+            sums[lo : lo + t] += np.bincount(cell, minlength=t * coords).reshape(t, coords)
+    return sums
 
 
 def server_decode(

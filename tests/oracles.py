@@ -17,7 +17,7 @@ from math import atanh, comb, expm1, log, sqrt
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import binom
+from scipy.stats import binom, chisquare
 
 from pbm.accounting import (
     _EXPM1_LIMIT, _HYPERGEOM_MAX_M, _logsumexp, _stirling_error, convolve_logpmf,
@@ -31,6 +31,22 @@ def poisson_binomial_pmf(ps, m: int) -> np.ndarray:
     for p in ps:
         out = np.convolve(out, binom.pmf(support, m, p))
     return out
+
+
+def poisson_binomial_chisquare(sums, ps, m: int) -> float:
+    """p-value of the histogram of sums (draws of one sum of independent
+    Binom(m, p) over p in ps) against poisson_binomial_pmf, pooling cells
+    expected below 5."""
+    pmf = poisson_binomial_pmf(ps, m)
+    expected = sums.size * pmf / pmf.sum()
+    observed = np.bincount(sums, minlength=len(pmf))
+    assert len(observed) == len(pmf)
+    small = expected < 5.0
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if not small.any():
+        obs, exp = obs[:-1], exp[:-1]
+    return chisquare(obs, exp).pvalue
 
 
 def renyi_from_probs(p: np.ndarray, q: np.ndarray, alpha: float) -> float:

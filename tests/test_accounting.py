@@ -230,8 +230,11 @@ def test_exact_curve_matches_mpmath_at_small_theta():
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: below theta = 1e-7 the divergence's rounding noise "
-    "outgrows its O(theta^2) value, and every order over-reports",
+    reason="ROADMAP item 2: the divergence's rounding noise outgrows its "
+    "O(theta^2 / n) value; against 40-digit mpmath at alpha = 1.25 and "
+    "(n, m) = (200, 4) it over-reports by 3.3e-7 relative at theta = 1e-7, "
+    "4.3e-5 at 1e-9 and 0.043 at 1e-12, and at n = 1e5 it is off by up to "
+    "5e-10 relative, either way, at theta = 0.004",
 )
 @pytest.mark.parametrize("theta", [1e-9, 1e-12])
 def test_exact_curve_matches_mpmath_at_tiny_theta(theta):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import decode_error_moments, realizable_pair_rdp
+from oracles import decode_error_moments, poisson_binomial_chisquare, realizable_pair_rdp
 
 from pbm import benchmark, mechanism
 from pbm.benchmark import (
@@ -55,6 +55,14 @@ def test_config_validation():
         with pytest.raises(ValueError):
             _small_config(safety_c=bad)
     assert _small_config(safety_c=0.0).safety_c == 0.0
+    # unchecked, 0 and -3 ran on one process, and 1.5 and "2" raised
+    # TypeError from the process pool or the comparison
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="must all be positive"):
+            _small_config(threads=bad)
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="^threads must be an integer"):
+            _small_config(threads=bad)
 
 
 @pytest.mark.parametrize("name, values", [
@@ -95,17 +103,23 @@ def test_run_deterministic_across_threads():
 
 
 def test_sweep_draws_once_per_theta(monkeypatch):
-    # the points at one theta read the first m trials of one draw
+    # the points at one theta read the first m trials of one draw of the
+    # largest m's trials, drawn as the increments between the sorted m
     calls = []
 
-    def draw(probs, ms, rng, trials):
-        calls.append(ms)
-        return mechanism.sample_sums(probs, ms, rng, trials)
+    def probs_at(y, params):
+        calls.append(params.theta)
+        return mechanism.coordinate_probs(y, params)
 
+    def draw(probs, m, rng, trials):
+        calls.append(m)
+        return mechanism.sample_sums(probs, m, rng, trials)
+
+    monkeypatch.setattr(benchmark, "coordinate_probs", probs_at)
     monkeypatch.setattr(benchmark, "sample_sums", draw)
     config = _small_config(m_list=(4, 2, 16), theta_list=(0.25, 0.1, 0.2))
     records = run_tradeoff(config)
-    assert calls == [(2, 4, 16)] * 3
+    assert calls == [0.25, 2, 2, 12, 0.1, 2, 2, 12, 0.2, 2, 2, 12]
     # the rows keep the sweep's point order, m-major as m_list gives it
     points = [(r.m, r.theta) for r in records if r.mechanism == "pbm"]
     assert points == [(m, t) for m in config.m_list for t in config.theta_list]
@@ -189,7 +203,10 @@ def _mse_z_scores(config: ExperimentConfig, records) -> dict:
 
 
 @pytest.mark.parametrize(
-    "path", ["configs/desk.ini", "configs/full.ini", "benchmarks/configs/dme_full.ini"]
+    "path", [
+        "configs/desk.ini", "configs/full.ini", "configs/desk_cross_cap.ini",
+        "benchmarks/configs/dme_full.ini",
+    ],
 )
 def test_pbm_mse_matches_its_exact_expectation(path):
     # every pbm plain row, from both sides: a kernel or decoder that adds
@@ -214,9 +231,14 @@ def test_pbm_mse_matches_its_exact_expectation(path):
 def test_mse_check_catches_planted_faults(plant, monkeypatch):
     config = load_dme_config(ROOT / "configs" / "desk.ini")
     if plant == "m - 1 trials":
-        def draw(probs, ms, rng, trials):
+        generators = []
+
+        def draw(probs, m, rng, trials):
+            # the first increment at each theta draws one trial too few, so
             # the row of every m reads one trial too few
-            return mechanism.sample_sums(probs, [m - 1 for m in ms], rng, trials)
+            first = all(g is not rng for g in generators)
+            generators.append(rng)
+            return mechanism.sample_sums(probs, m - first, rng, trials)
 
         monkeypatch.setattr(benchmark, "sample_sums", draw)
     else:
@@ -228,6 +250,46 @@ def test_mse_check_catches_planted_faults(plant, monkeypatch):
         monkeypatch.setattr(benchmark, "server_decode", decode)
     z = _mse_z_scores(config, run_tradeoff(config))
     assert max(abs(v) for v in z.values()) > MSE_Z, z
+
+
+@pytest.mark.parametrize(
+    "ms", [(1, 3), (2, 5, 16), (16, 33, 64), (30, 65), (16, 100)], ids=str
+)
+def test_sweep_rows_are_nested_binomials(ms, monkeypatch):
+    # the sums the sweep decodes at one theta: every row is the sum of its
+    # own m trials, and each increment, the trials between two rows, is
+    # the sum of its own trials and does not depend on the row before it.
+    # At (16, 100) the first increment is Bernoulli trials, the second
+    # rng.binomial
+    config = _small_config(n=3, d=3, m_list=ms, theta_list=(0.25,), trials=40_000)
+    drawn, rows = [], {}
+    point_records = benchmark._point_records
+
+    def draw(probs, m, rng, trials):
+        drawn.append(probs)
+        return mechanism.sample_sums(probs, m, rng, trials)
+
+    def point(config, mu_true, params, sums):
+        rows[params.m] = sums
+        return point_records(config, mu_true, params, sums)
+
+    monkeypatch.setattr(benchmark, "sample_sums", draw)
+    monkeypatch.setattr(benchmark, "_point_records", point)
+    run_tradeoff(config)
+    probs = drawn[0]
+    assert list(rows) == list(ms) and len(drawn) == len(ms)
+    for m in ms:
+        assert rows[m].shape == (config.trials, config.d)
+        for j in range(config.d):
+            assert poisson_binomial_chisquare(rows[m][:, j], probs[:, j], m) >= 1e-4, (m, j)
+    for below, m in zip(ms, ms[1:]):
+        step, inc = m - below, rows[m] - rows[below]
+        assert np.all((inc >= 0) & (inc <= config.n * step))
+        for j in range(config.d):
+            assert poisson_binomial_chisquare(inc[:, j], probs[:, j], step) >= 1e-4, (m, j)
+            # a sample correlation of independent variables has sd 1/sqrt(trials)
+            corr = np.corrcoef(rows[below][:, j], inc[:, j])[0, 1]
+            assert abs(corr) <= 4.0 / sqrt(config.trials), (m, j, corr)
 
 
 def test_clipped_rows_match_plain_without_wraps():

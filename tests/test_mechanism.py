@@ -5,8 +5,8 @@ from math import ceil, sqrt
 
 import numpy as np
 import pytest
-from oracles import poisson_binomial_pmf
-from scipy.stats import binom, chisquare
+from oracles import poisson_binomial_chisquare
+from scipy.stats import binom
 
 from pbm import mechanism
 from pbm.accounting import DEFAULT_ALPHAS, pbm_exact_curve, scale
@@ -275,8 +275,19 @@ def test_mse_bound_is_attained_at_the_centre(framed, frame8):
     assert emp_mse == pytest.approx(mse_bound(params), rel=5.0 * sqrt(2.0 / (d * trials)))
 
 
-# nested trial counts, each row the sums after the first m trials of one
-# draw: the compare kernel, a row of no trials, and the binomial kernel
+def _increment_sums(probs, m, rng, trials):
+    """sample_sums of each step up to the counts m (one count, or an
+    increasing tuple as the dme sweep's m at one theta), drawn in turn from
+    rng: shape (steps, trials, coords)."""
+    steps = np.diff(np.atleast_1d(m), prepend=0).tolist()
+    return np.stack([sample_sums(probs, step, rng, trials) for step in steps])
+
+
+# trial counts drawn as increments in turn from one generator, as the dme
+# sweep draws its m at one theta; a later increment keeps its sums only if
+# each call takes the same words from the generator at any chunk size and
+# either compare. The compare kernel, a step of no trials, and the
+# binomial kernel
 NESTED = [
     pytest.param((1, 3), id="1,3"),
     pytest.param((2, 5, 16), id="2,5,16"),
@@ -291,12 +302,13 @@ def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
     # trial per chunk splits a compare draw (m <= 64) into single slabs
     n, coords, trials = 7, 5, 6
     probs = np.random.default_rng(3).uniform(0.25, 0.75, size=(n, coords))
-    whole = sample_sums(probs, m, np.random.default_rng(m), trials)
-    assert whole.shape == np.shape(m) + (trials, coords) and whole.dtype == np.int64
-    assert np.all((whole >= 0) & (whole <= n * np.reshape(m, (-1, 1, 1))))
+    whole = _increment_sums(probs, m, np.random.default_rng(m), trials)
+    assert whole.shape == (np.size(m), trials, coords) and whole.dtype == np.int64
+    steps = np.diff(np.atleast_1d(m), prepend=0)
+    assert np.all((whole >= 0) & (whole <= n * steps.reshape(-1, 1, 1)))
     for per_chunk in (1, 4):  # 4 trials per chunk leaves a short last chunk
         monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
-        chunked = sample_sums(probs, m, np.random.default_rng(m), trials)
+        chunked = _increment_sums(probs, m, np.random.default_rng(m), trials)
         np.testing.assert_array_equal(chunked, whole)
 
 
@@ -305,8 +317,7 @@ def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
 def test_whole_draw_compare_matches_the_slab_loop(m, per_chunk, monkeypatch):
     # a draw of small slabs is compared whole, a draw of large ones slab by
     # slab; both read the same words and count the same trials. 4 slabs per
-    # draw splits a trial of m > 4 into several draws, and a segment
-    # boundary can fall inside a draw
+    # draw splits a trial of m > 4 into several draws
     n, coords, trials = 7, 5, 6
     probs = np.random.default_rng(5).uniform(0.0, 1.0, size=(n, coords))
     if per_chunk is not None:
@@ -314,7 +325,7 @@ def test_whole_draw_compare_matches_the_slab_loop(m, per_chunk, monkeypatch):
     sums = []
     for limit in (0, 2**20):  # every draw slab by slab, every draw whole
         monkeypatch.setattr(mechanism, "_WHOLE_DRAW_SLAB", limit)
-        sums.append(sample_sums(probs, m, np.random.default_rng(m), trials))
+        sums.append(_increment_sums(probs, m, np.random.default_rng(m), trials))
     np.testing.assert_array_equal(sums[0], sums[1])
 
 
@@ -327,8 +338,9 @@ def test_sample_sums_rejects_bad_input(m):
         probs[1, 0] = bad
         with pytest.raises(ValueError):
             sample_sums(probs, m, rng, 3)
-    # a count that is not a nonnegative integer, or counts not increasing
-    for bad_m in (-1, m + 0.5, float(m), (), (m, m), (m + 1, m), (1.0, m), (-1, m)):
+    # a count that is not a nonnegative integer; a sequence of counts is
+    # drawn by the caller, one increment at a time
+    for bad_m in (-1, m + 0.5, float(m), (m,), [m], (1, m), [1, m], ()):
         with pytest.raises(ValueError):
             sample_sums(good, bad_m, rng, 3)
     np.testing.assert_array_equal(sample_sums(good, 0, rng, 3), np.zeros((3, 2)))
@@ -360,22 +372,6 @@ def test_sample_sums_rejects_probs_that_are_not_2d(shape):
 _DIST_PROBS = np.array([[0.1, 0.35, 0.5], [0.25, 0.6, 0.75], [0.45, 0.8, 0.95]])
 
 
-def _chisquare_pvalue(sums, probs, m):
-    """p-value of the histogram of sums (a column's sums over the clients
-    of probs) against the exact Poisson-binomial pmf of m trials, pooling
-    cells expected below 5."""
-    pmf = poisson_binomial_pmf(probs, m)
-    expected = sums.size * pmf / pmf.sum()
-    observed = np.bincount(sums, minlength=len(pmf))
-    assert len(observed) == len(pmf)
-    small = expected < 5.0
-    obs = np.append(observed[~small], observed[small].sum())
-    exp = np.append(expected[~small], expected[small].sum())
-    if not small.any():
-        obs, exp = obs[:-1], exp[:-1]
-    return chisquare(obs, exp).pvalue
-
-
 @pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64, 65])
 def test_sample_sums_distribution(m):
     # each column's sum over clients is Poisson-binomial; chi-square its
@@ -383,31 +379,7 @@ def test_sample_sums_distribution(m):
     trials = 40_000
     sums = sample_sums(_DIST_PROBS, m, np.random.default_rng(900 + m), trials)
     for j in range(3):
-        assert _chisquare_pvalue(sums[:, j], _DIST_PROBS[:, j], m) >= 1e-4, (m, j)
-
-
-@pytest.mark.parametrize(
-    "ms", [(1, 3), (2, 5, 16), (16, 33, 64), (30, 65)], ids=str
-)
-def test_nested_sample_sums_distribution(ms):
-    # every row is the sum of its own m trials, and each increment, the
-    # trials between two rows, is the sum of its own trials and does not
-    # depend on the row before it
-    n, trials = len(_DIST_PROBS), 40_000
-    sums = sample_sums(_DIST_PROBS, ms, np.random.default_rng(sum(ms)), trials)
-    assert sums.shape == (len(ms), trials, 3)
-    for s, m in enumerate(ms):
-        for j in range(3):
-            assert _chisquare_pvalue(sums[s, :, j], _DIST_PROBS[:, j], m) >= 1e-4, (m, j)
-    for s in range(1, len(ms)):
-        step = ms[s] - ms[s - 1]
-        inc = sums[s] - sums[s - 1]
-        assert np.all((inc >= 0) & (inc <= n * step))
-        for j in range(3):
-            assert _chisquare_pvalue(inc[:, j], _DIST_PROBS[:, j], step) >= 1e-4, (ms, s, j)
-            # a sample correlation of independent variables has sd 1/sqrt(trials)
-            corr = np.corrcoef(sums[s - 1, :, j], inc[:, j])[0, 1]
-            assert abs(corr) <= 4.0 / sqrt(trials), (ms, s, j, corr)
+        assert poisson_binomial_chisquare(sums[:, j], _DIST_PROBS[:, j], m) >= 1e-4, (m, j)
 
 
 def test_trial_rule_is_the_float_compare():
@@ -470,29 +442,22 @@ def test_sample_sums_tie_path(per_chunk, monkeypatch):
     lo = t - (((t - 1) >> 45) << 45)
     if per_chunk is not None:
         monkeypatch.setattr(mechanism, "_CHUNK_ENTRIES", per_chunk * n * coords)
-    for ms in (3, (1, 3), (2, 5, 16)):
-        rows = np.atleast_1d(ms)
-        # the word of each (trial, entry, slab)'s tie
+    for m in (3, 16):
+        # one word per tie, by trial, then entry, then the entry's m ties
         tie_words = np.random.default_rng(9).integers(
-            0, 2**64, size=(trials, n * coords, rows[-1]), dtype=np.uint64
+            0, 2**64, size=(trials, n * coords, m), dtype=np.uint64
         )
         # the remainders just below and at each threshold
         tie_words[0, :, 0] = (lo - 1) << 19
         tie_words[0, :, 1] = lo << 19
-        # served by segment (the slabs between two rows), then trial, then
-        # entry, then the entry's ties
-        cuts = zip(np.append(0, rows[:-1]), rows)
-        segments = [tie_words[..., a:b].ravel() for a, b in cuts]
-        prefix = _tied_prefix_words(probs, rows[-1], trials)
-        stream = _WordStream(np.concatenate([prefix, *segments]))
-        sums = sample_sums(probs, ms, stream, trials)
+        prefix = _tied_prefix_words(probs, m, trials)
+        stream = _WordStream(np.concatenate([prefix, tie_words.ravel()]))
+        sums = sample_sums(probs, m, stream, trials)
         assert stream.used == stream.words.size
         hits = (tie_words >> 19) < lo[:, None]
         assert hits[0, :, 0].all() and not hits[0, :, 1].any()
-        # (trials, coords, slabs): each slab's wins, summed over clients
-        per_slab = hits.reshape(trials, n, coords, rows[-1]).sum(axis=1)
-        expected = np.stack([per_slab[..., :row].sum(axis=-1) for row in rows])
-        np.testing.assert_array_equal(sums, expected.reshape(sums.shape), str(ms))
+        expected = hits.reshape(trials, n, coords, m).sum(axis=(1, 3))
+        np.testing.assert_array_equal(sums, expected, str(m))
 
 
 @pytest.mark.parametrize("m", [1, 2, 32, 64])
@@ -510,10 +475,9 @@ def test_sample_sums_certain_outcomes_with_every_prefix_tied(p, m):
     np.testing.assert_array_equal(sums, np.full((trials, coords), int(p) * n * m))
 
 
-@pytest.mark.parametrize("m", [16, 64, pytest.param((2, 4, 6, 16), id="2,4,6,16")])
+@pytest.mark.parametrize("m", [16, 64])
 def test_sample_sums_memory(m):
-    # the dme sweep's geometry: 1000 clients x 500 coordinates, 15 trials,
-    # and its m_list drawn at once
+    # the dme sweep's geometry: 1000 clients x 500 coordinates, 15 trials
     probs = np.random.default_rng(4).uniform(0.25, 0.75, size=(1000, 500))
     tracemalloc.start()
     try:
