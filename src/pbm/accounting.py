@@ -11,17 +11,20 @@ endpoint k = 0 is the worst of them is checked by computation only, by a
 test's search over every k, in log space, at orders up to 16: n in
 {5, 12, 40} with m in {1, 2, 8}, and (n, m) in {(100, 1), (100, 4),
 (100, 8), (300, 1), (300, 3)}, each at theta in {0.01, 0.1, 1/4}, and
-(100, 16, 1/4). At the endpoint the likelihood
-ratio is a hypergeometric mean, O(m) per outcome. A curve runs only on
+(100, 16, 1/4), (50, 64, 1/4) and (12, 400, 1/4). At the endpoint the
+likelihood ratio is a hypergeometric mean, O(m) per outcome, whose terms
+float64 holds up to m = 400. A curve runs only on
 the outcomes of Q's Hoeffding window, O(sqrt(n*m * (100 + m*alpha*log(rho))))
 of the n*m + 1, and adds a bound on the part of each sum outside it, so
 epsilon stays an upper bound; it costs O(window * m) time and O(window)
 memory, and a cost guard refuses, before it starts, a curve over its
 budget of cells or bytes. Within the window, log P is convolved only on the
-far tail where P/Q <= 1/2 (every column past m = 400; none at small
-theta), and each order's divergence is a pairwise sum over the columns
-where Q does not underflow. No sum goes through BLAS, so a curve's bytes
-do not depend on its thread count.
+far tail where P/Q <= 1/2 (none at small theta), and each order's
+divergence is a pairwise sum over the columns where Q does not underflow.
+No sum goes through BLAS, so a curve's bytes do not depend on its thread
+count. Past m = 400 trials the curve is not computed exactly but bounded:
+m trials are composed as blocks of 400 and one of the rest, each an
+exact curve, and labelled as such; the cost guard prices the block.
 
 log-pmfs are plain float arrays indexed by outcome; a valid log-pmf has
 logsumexp == 0. convolve_logpmf takes any log-pmf, -inf for zero mass
@@ -171,8 +174,8 @@ def _orders(alphas: Iterable[float]) -> np.ndarray:
 
 
 # largest m for the hypergeometric sums of _endpoint_delta: their terms stay
-# below about 5.4^m, which float64 holds up to m = 400; past it the
-# log-space ratio is used throughout
+# below about 5.4^m, which float64 holds up to m = 400; a curve past it
+# composes blocks of this many trials
 _HYPERGEOM_MAX_M = 400
 
 # expm1 overflows past 709; where the tilt |b * log(p/q)| reaches this,
@@ -184,7 +187,8 @@ _EXPM1_LIMIT = 700.0
 _WINDOW_LOG_TAIL = 100.0
 
 # the cost guard: window columns * (m + 1) recurrence or convolution cells
-# (about 9 s at (200, 2000, 1/4), 5.4e8 cells, on a 2-core x86_64 host),
+# (about 6.7 s at (10^5, 400, 1/4), 6.0e8 cells, on a 2-core x86_64 host;
+# past m = 400, the cells of one block of 400 trials),
 # and the bytes of the float64 work arrays, twelve per column (58-73 bytes
 # a column measured)
 _MAX_CELLS = 10**9
@@ -214,13 +218,14 @@ def _window(n: int, m: int, theta: float, b_max: float) -> tuple[int, int, float
     return first, last, log_out
 
 
-def _check_cost(n: int, m: int, columns: int) -> None:
-    """Raise ValueError if a curve on `columns` window columns is over budget."""
+def _check_cost(where: str, m: int, columns: int) -> None:
+    """Raise ValueError if a curve of m trials on `columns` window columns
+    is over budget; `where` names the curve asked for."""
     cells, size = columns * (m + 1), columns * _COLUMN_BYTES
     if cells > _MAX_CELLS or size > _MAX_BYTES:
         raise ValueError(
-            f"the exact curve at n={n}, m={m} needs {columns:,} outcomes x "
-            f"(m + 1) = {cells:.3g} cells and about {size / 1e9:.3g} GB; "
+            f"the exact curve at {where} needs {columns:,} outcomes x "
+            f"({m} + 1) = {cells:.3g} cells and about {size / 1e9:.3g} GB; "
             f"the budget is {_MAX_CELLS:.0e} cells and {_MAX_BYTES / 1e9:g} GB"
         )
 
@@ -265,7 +270,7 @@ def _endpoint_delta(n: int, m: int, log_rho: float, first: int, last: int) -> np
 
 
 def _log_p(n: int, m: int, theta: float, start: int, stop: int) -> np.ndarray:
-    """log P on columns [start, stop), convolved in log space.
+    """log P on columns [start, stop) of the far tail, convolved in log space.
 
     P is Binom(m, 1/2 - theta) * Binom(m*(n-1), 1/2 + theta); the columns
     read the second log-pmf on [start - m, stop) only, and convolve_logpmf
@@ -289,13 +294,11 @@ def _endpoint_llr(
     instead, so log P is convolved (_log_p) for those columns alone, on
     the window that spans them. P/Q is at least rho^-m, so where
     rho^m < 2 (small theta or small m) no column qualifies and nothing is
-    convolved. Past _HYPERGEOM_MAX_M, log P is convolved on every column.
+    convolved. m is at most _HYPERGEOM_MAX_M.
     """
     log_rho = 2.0 * atanh(2.0 * theta)
     if n == 1:
         return (m - 2.0 * np.arange(first, last + 1)) * log_rho
-    if m > _HYPERGEOM_MAX_M:
-        return _log_p(n, m, theta, first, last + 1) - logq
     delta = _endpoint_delta(n, m, log_rho, first, last)
     far = np.flatnonzero(~(delta > -0.5))
     llr = np.log1p(np.maximum(delta, -0.5, out=delta), out=delta)
@@ -342,21 +345,10 @@ def _logsumexp(a: np.ndarray, extra: float = -inf) -> float:
     return float(np.log1p(rest) + log(count) + a_max)
 
 
-def pbm_exact_curve(
-    n: int,
-    m: int,
-    theta: float,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> "RdpCurve":
-    """Exact per-coordinate Renyi curve of the endpoint pair, both orders.
-
-    Q = Binom(n*m, 1/2 + theta): every client at the top of the range.
-    P = Binom(m, 1/2 - theta) * Binom(m*(n-1), 1/2 + theta): the differing
-    client at the bottom. Mirror symmetry (j -> n*m - j) covers the pair
-    with every client at the bottom. The curve is the larger of
-    D_alpha(P || Q) and D_alpha(Q || P), each computed as
-    log1p(sum q * expm1(b * log(p/q))) / (alpha - 1) with b = alpha and
-    b = 1 - alpha.
+def _endpoint_epsilons(
+    n: int, m: int, theta: float, alphas: np.ndarray, asked: int
+) -> np.ndarray:
+    """The exact endpoint curve at m <= _HYPERGEOM_MAX_M trials, 0 < theta.
 
     Every stage runs on the columns [first, last] of _window, where Q
     keeps all but Q_out <= exp(-100 - m*b_max*log(rho)) of its mass, with
@@ -367,14 +359,68 @@ def pbm_exact_curve(
     support nothing is added, and the curve is the untruncated one bit
     for bit. Time O(window * m): the hypergeometric mean of
     _endpoint_delta on the window's columns; its log-space convolution
-    runs only on the far tail where P/Q <= 1/2 (on every column past
-    m = 400), and each order's expm1 sum, numpy's pairwise sum, only
-    where q > 0 (the logsumexp near overflow on every column, where an
-    underflowed q can still carry weight). Memory O(window). Raises
-    ValueError, before any of it runs, if window * (m + 1) or the work
-    arrays' bytes exceed the budget of _check_cost, and FloatingPointError
-    if at theta > 0 an order's divergence rounds to 0 or below, which
-    bounds nothing.
+    runs only on the far tail where P/Q <= 1/2, and each order's expm1
+    sum, numpy's pairwise sum, only where q > 0 (the logsumexp near
+    overflow on every column, where an underflowed q can still carry
+    weight). Memory O(window). `asked` is the m of the curve this one is
+    a block of, which the errors name.
+    """
+    where = f"n={n}, m={asked}" + ("" if m == asked else f" (its {m}-trial block)")
+    first, last, log_out = _window(n, m, theta, alphas[-1])
+    _check_cost(where, m, last - first + 1)
+    logq = binomial_logpmf(n * m, 0.5 + theta, first, last)
+    llr = _endpoint_llr(n, m, theta, first, last, logq)
+    q = np.exp(logq)
+    support = np.flatnonzero(q)
+    live = slice(support[0], support[-1] + 1)
+    q_live, llr_live = q[live], llr[live]
+    llr_max = np.max(np.abs(llr))
+    rho_m = m * 2.0 * atanh(2.0 * theta)
+    eps = np.empty(len(alphas))
+    # rounding is monotone, so |b| * llr_max is max|b * llr|
+    for i, alpha in enumerate(alphas):
+        d = max(
+            _log_mean_exp(q_live, llr_live, b, log_out, abs(b) * rho_m)
+            if abs(b) * llr_max < _EXPM1_LIMIT
+            else _logsumexp(logq + b * llr, log_out + abs(b) * rho_m)
+            for b in (alpha, 1.0 - alpha)
+        )
+        if not d > 0.0:
+            raise FloatingPointError(
+                f"the exact curve at {where}, theta={theta!r} rounds to "
+                f"{d!r} at order {alpha:g}, which bounds nothing"
+            )
+        eps[i] = d / (alpha - 1.0)
+    return eps
+
+
+def pbm_exact_curve(
+    n: int,
+    m: int,
+    theta: float,
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
+) -> "RdpCurve":
+    """Per-coordinate Renyi curve of the endpoint pair, both orders: exact
+    up to m = _HYPERGEOM_MAX_M trials, a certified block bound past it.
+
+    Q = Binom(n*m, 1/2 + theta): every client at the top of the range.
+    P = Binom(m, 1/2 - theta) * Binom(m*(n-1), 1/2 + theta): the differing
+    client at the bottom. Mirror symmetry (j -> n*m - j) covers the pair
+    with every client at the bottom. The curve is the larger of
+    D_alpha(P || Q) and D_alpha(Q || P), each computed as
+    log1p(sum q * expm1(b * log(p/q))) / (alpha - 1) with b = alpha and
+    b = 1 - alpha, on Q's Hoeffding window (_endpoint_epsilons).
+
+    Past _HYPERGEOM_MAX_M = 400, split m = 400*k + r. Each block's sum
+    over clients is a release of the mechanism with 400 (or r) trials,
+    the blocks are independent given the inputs and the aggregate is
+    their sum, so RDP composition (Mironov, CSF 2017) gives
+    eps(n, m) <= k * eps(n, 400) + eps(n, r) at every order, for the same
+    worst case over inputs. That curve is `kind` "blocks", with the block
+    size in `meta`. Raises ValueError, before any of it runs, if the
+    window of a block (of m itself, up to 400) is over the budget of
+    _check_cost, and FloatingPointError if at theta > 0 an order's
+    divergence rounds to 0 or below, which bounds nothing.
     """
     if not (isinstance(n, Integral) and isinstance(m, Integral) and n >= 1 and m >= 1):
         raise ValueError(f"n and m must be positive integers, got n={n!r}, m={m!r}")
@@ -382,34 +428,18 @@ def pbm_exact_curve(
         raise ValueError(f"theta must lie in [0, 1/4], got {theta}")
     n, m = int(n), int(m)  # so that n*m never wraps and meta serialises
     alphas = _orders(alphas)
+    block = min(m, _HYPERGEOM_MAX_M)
     eps = np.zeros(len(alphas))
     if theta > 0.0:
-        first, last, log_out = _window(n, m, theta, alphas[-1])
-        _check_cost(n, m, last - first + 1)
-        logq = binomial_logpmf(n * m, 0.5 + theta, first, last)
-        llr = _endpoint_llr(n, m, theta, first, last, logq)
-        q = np.exp(logq)
-        support = np.flatnonzero(q)
-        live = slice(support[0], support[-1] + 1)
-        q_live, llr_live = q[live], llr[live]
-        llr_max = np.max(np.abs(llr))
-        rho_m = m * 2.0 * atanh(2.0 * theta)
-        # rounding is monotone, so |b| * llr_max is max|b * llr|
-        for i, alpha in enumerate(alphas):
-            d = max(
-                _log_mean_exp(q_live, llr_live, b, log_out, abs(b) * rho_m)
-                if abs(b) * llr_max < _EXPM1_LIMIT
-                else _logsumexp(logq + b * llr, log_out + abs(b) * rho_m)
-                for b in (alpha, 1.0 - alpha)
-            )
-            if not d > 0.0:
-                raise FloatingPointError(
-                    f"the exact curve at n={n}, m={m}, theta={theta!r} rounds to "
-                    f"{d!r} at order {alpha:g}, which bounds nothing"
-                )
-            eps[i] = d / (alpha - 1.0)
+        copies, rest = divmod(m, block)
+        eps = copies * _endpoint_epsilons(n, block, theta, alphas, m)
+        if rest:
+            eps += _endpoint_epsilons(n, rest, theta, alphas, m)
     meta = {"mechanism": "pbm-exact", "n": n, "m": m, "theta": theta}
-    return RdpCurve(alphas=alphas, epsilons=eps, kind="exact", meta=meta)
+    if block == m:
+        return RdpCurve(alphas=alphas, epsilons=eps, kind="exact", meta=meta)
+    meta["block"] = block
+    return RdpCurve(alphas=alphas, epsilons=eps, kind="blocks", meta=meta)
 
 
 # ---------------------------------------------------------------------------

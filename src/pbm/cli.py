@@ -31,7 +31,7 @@ from .benchmark import run_tradeoff, write_records_csv, write_series_json
 from .config import load_dme_config, load_sgd_config
 from .kashin import ConvergenceError
 from .sgd import run as run_sgd
-from .sgd import LEDGER_NOTE, write_trajectory_csv
+from .sgd import ledger_note, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,7 +81,7 @@ def _cmd_sgd(args) -> int:
     print(
         f"wrote {len(result.rounds)} rounds to {args.out}; final loss "
         f"{result.losses[-1]:.6g}, ledger eps({result.alphas[idx]:g}) = "
-        f"{final_eps[idx]:.6g} ({LEDGER_NOTE})"
+        f"{final_eps[idx]:.6g} ({ledger_note(result.per_round)})"
     )
     return EXIT_OK
 

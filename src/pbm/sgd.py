@@ -4,7 +4,8 @@ Each round samples n of N clients; every sampled client clips its gradient
 to L2 norm c, encodes it with the vector mechanism (tight-frame spreading
 plus per-coordinate binomial counts), and the server takes one descent
 step from the decoded mean. The privacy ledger is a certified bound:
-rounds copies of the exact per-round curve, composed by scale like the
+rounds copies of the per-round curve (exact up to m = 400 trials, the
+block bound of the accountant past it), composed by scale like the
 coordinates of a round, with no subsampling credit. The cohort draw does
 not depend on the data and E_Q[(P/Q)^alpha] is jointly convex, so a
 round's mixture over cohorts is no worse than the unsampled curve, and
@@ -41,7 +42,12 @@ from .mechanism import (
     spread,
 )
 
-LEDGER_NOTE = "certified bound: rounds x exact per-round curve, no subsampling credit"
+
+def ledger_note(per_round: RdpCurve) -> str:
+    """The ledger's rule, printed and written beside it; a per-round curve
+    past the accountant's block of trials (meta "block") is a block bound."""
+    curve = "block-bound" if "block" in per_round.meta else "exact"
+    return f"certified bound: rounds x {curve} per-round curve, no subsampling credit"
 
 
 @dataclass(frozen=True)
@@ -257,7 +263,7 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
 def write_trajectory_csv(result: SgdResult, path) -> None:
     """Versioned CSV: round, loss, grad_norm_sq, cumulative eps per order."""
     eps_cols = ",".join(f"eps_at_{a:g}" for a in result.alphas)
-    lines = ["# pbm-csv v1 sgd", f"# eps_at_* columns: {LEDGER_NOTE}",
+    lines = ["# pbm-csv v1 sgd", f"# eps_at_* columns: {ledger_note(result.per_round)}",
              f"round,loss,grad_norm_sq,{eps_cols}"]
     for i in range(len(result.rounds)):
         eps = ",".join(repr(float(v)) for v in result.eps_matrix[i])

@@ -4,8 +4,9 @@ test_accounting.py::test_exact_curve_bytes_match_the_golden_table compares
 the accountant with this table string for string, so a change that only
 reorders floating-point sums still shows. The table was written by the
 accountant that runs on Q's Hoeffding window and adds each order's terms
-in numpy's pairwise sum; rewrite it only when a change means to move curve
-bytes.
+in numpy's pairwise sum; its m = 401 rows are block bounds, an exact
+block of 400 trials plus one of a single trial. Rewrite it only when a
+change means to move curve bytes.
 
     PYTHONPATH=src python tests/make_curve_golden.py
 """

@@ -7,7 +7,7 @@ accountant. The last section, full_support_curve and its
 helpers, is the accountant's own float operations on every outcome,
 without the window, which pins the window's bytes and error; it imports
 the accountant's Stirling error, convolve_logpmf, _logsumexp and the
-constants _EXPM1_LIMIT and _HYPERGEOM_MAX_M.
+constant _EXPM1_LIMIT.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 from scipy.stats import binom, chisquare
 
 from pbm.accounting import (
-    _EXPM1_LIMIT, _HYPERGEOM_MAX_M, _logsumexp, _stirling_error, convolve_logpmf,
+    _EXPM1_LIMIT, _logsumexp, _stirling_error, convolve_logpmf,
 )
 
 
@@ -380,13 +380,13 @@ def _full_endpoint_delta(n: int, m: int, log_rho: float) -> np.ndarray:
 
 def _full_endpoint_llr(n: int, m: int, theta: float, logq: np.ndarray) -> np.ndarray:
     """log(P/Q) on {0, ..., n*m}: log1p of the recurrence's P/Q - 1, and
-    log P convolved on the far window where P/Q <= 1/2 (on every column
-    past m = 400)."""
+    log P convolved on the far window where P/Q <= 1/2, and on every column
+    past m = 400, where the recurrence's terms overflow float64."""
     lo, hi = 0.5 - theta, 0.5 + theta
     log_rho = 2.0 * atanh(2.0 * theta)
     if n == 1:
         return (m - 2.0 * np.arange(m + 1)) * log_rho
-    if m > _HYPERGEOM_MAX_M:
+    if m > 400:
         logp = convolve_logpmf(
             _full_binomial_logpmf(m, lo), _full_binomial_logpmf(m * (n - 1), hi)
         )

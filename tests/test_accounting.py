@@ -171,8 +171,10 @@ def test_endpoint_matches_exhaustive_k_search():
         + [(100, 1), (100, 4), (100, 8), (300, 1), (300, 3)]
         for theta in (0.01, 0.1, 0.25)
     ]
-    # the widest point at the largest theta alone, to hold the test's time
-    points.append((100, 16, 0.25))
+    # the widest points at the largest theta alone, to hold the test's time:
+    # (50, 64) is the shipped sgd geometry, m = 400 the block size; they
+    # read 1.3e-15 and 5.0e-14 apart
+    points += [(100, 16, 0.25), (50, 64, 0.25), (12, 400, 0.25)]
     for n, m, theta in points:
         got = pbm_exact_curve(n, m, theta, alphas).epsilons
         want = exhaustive_k_curve(n, m, theta, alphas)
@@ -267,14 +269,44 @@ def test_logsumexp_is_scipys():
         assert accounting._logsumexp(a) == float(logsumexp(a))
 
 
-def test_exact_curve_beyond_hypergeometric_range(monkeypatch):
-    # past the largest m of the hypergeometric sums the log ratio comes
-    # from the log-space convolution of the same pair
-    alphas = (1.5, 2.0, 16.0, 64.0)
-    hypergeom = [pbm_exact_curve(n, 8, 0.25, alphas).epsilons for n in (2, 12)]
-    monkeypatch.setattr(accounting, "_HYPERGEOM_MAX_M", 0)
-    log_space = [pbm_exact_curve(n, 8, 0.25, alphas).epsilons for n in (2, 12)]
-    np.testing.assert_allclose(hypergeom, log_space, rtol=1e-12)
+@pytest.mark.parametrize("block", [1, 3, 5])
+def test_block_curve_bounds_the_exact_curve(block, monkeypatch):
+    # past the block size a curve composes blocks of trials, which can only
+    # lose: at or above the exact curve at every order, to 4 ulp, since at
+    # orders 16 and up (2, 16, 1/4) the gap is below the curves' rounding
+    # and the blocks read up to 2 ulp under; at n = 1 the divergence is
+    # additive in m, so they agree
+    grid = list(itertools.product((1, 2, 5, 40), (1, 2, 4, 7, 16), (0.01, 0.1, 0.25)))
+    exact = {point: pbm_exact_curve(*point).epsilons for point in grid}
+    monkeypatch.setattr(accounting, "_HYPERGEOM_MAX_M", block)
+    for n, m, theta in grid:
+        curve = pbm_exact_curve(n, m, theta)
+        assert curve.kind == ("exact" if m <= block else "blocks")
+        if n == 1:
+            np.testing.assert_allclose(curve.epsilons, exact[n, m, theta], rtol=1e-13)
+        else:
+            want = exact[n, m, theta]
+            assert np.all(curve.epsilons >= want - 4 * np.spacing(want)), (n, m, theta)
+        if block == 1:
+            one = scale(pbm_exact_curve(n, 1, theta), m).epsilons
+            assert curve.epsilons.tobytes() == one.tobytes(), (n, m, theta)
+
+
+def test_block_curve_past_m_400_matches_mpmath():
+    # 400 + 1 trials: one block and one trial, at most 2e-4 above 40-digit
+    # mpmath and never below; at theta = 1e-5 the divergence's own rounding
+    # noise (-2.6e-12 relative) can sit below it, so the small-theta rtol
+    pytest.importorskip("mpmath")
+    alphas = (1.25, 2.0, 8.0, 64.0)
+    for n, theta in [(2, 0.25), (3, 0.17), (2, 1e-5)]:
+        curve = pbm_exact_curve(n, 401, theta, alphas)
+        assert curve.kind == "blocks" and curve.meta["block"] == 400
+        want = np.array(mpmath_endpoint_curve(n, 401, theta, alphas))
+        if theta < 0.01:
+            np.testing.assert_allclose(curve.epsilons, want, rtol=1e-6)
+        else:
+            assert np.all(curve.epsilons >= want), (n, theta)
+            assert np.all(curve.epsilons <= want * (1 + 2e-4)), (n, theta)
 
 
 def test_exact_curve_bytes_match_the_golden_table():
@@ -334,15 +366,15 @@ def test_binomial_logpmf_range_is_a_slice_of_the_support():
             binomial_logpmf(3, 0.5, first, last)
 
 
-# (n, m) x theta for the window against the untruncated curve. m = 401 at
-# n >= 1000 convolves 4e5 columns or more in the oracle, seconds a curve,
-# so n = 50 stands in for it; (10^4, 64) runs at the two ends of theta
+# (n, m) x theta for the window against the untruncated curve. m = 400,
+# the block size of every curve past it, runs at n <= 50 to hold the
+# test's time; (10^4, 64) runs at the two ends of theta
 THETAS = (1e-5, 1e-3, 0.01, 0.1, 0.25)
 WINDOW_GRID = [
     (n, m, theta)
     for n, m in itertools.product((1, 2, 1000, 10_000), (1, 2, 16, 64))
     for theta in (THETAS[::4] if (n, m) == (10_000, 64) else THETAS)
-] + [(n, 401, theta) for n in (1, 2, 50) for theta in THETAS]
+] + [(n, 400, theta) for n in (1, 2, 50) for theta in THETAS]
 
 
 def _cancellation(n, m, theta, alphas):
@@ -409,7 +441,7 @@ def test_endpoint_delta_is_a_slice_of_the_full_support(m):
 
 
 @pytest.mark.parametrize("n, m, theta", [
-    (1000, 16, 0.17), (10_000, 2, 0.12), (1000, 1, 0.25), (2000, 4, 1e-5), (50, 401, 0.01),
+    (1000, 16, 0.17), (10_000, 2, 0.12), (1000, 1, 0.25), (2000, 4, 1e-5), (50, 400, 0.01),
 ])
 @pytest.mark.parametrize("tail", [accounting._WINDOW_LOG_TAIL, 3.0])
 def test_window_bound_covers_the_dropped_part(n, m, theta, tail, monkeypatch):
@@ -494,9 +526,14 @@ def test_cost_guard_refuses_before_it_runs(monkeypatch):
         with pytest.raises(ValueError, match="budget") as exc:
             pbm_exact_curve(n, m, 0.25)
         assert not isinstance(exc.value, InfeasibleBudget)
-    # the largest curve measured: 267,765 columns x (m + 1) = 5.4e8 cells, 9 s
-    first, last, _ = accounting._window(200, 2000, 0.25, DEFAULT_ALPHAS[-1])
-    accounting._check_cost(200, 2000, last - first + 1)
+    # past m = 400 the guard prices one block of 400 trials, and names the m
+    # asked for
+    with pytest.raises(ValueError, match=r"m=10000 \(its 400-trial block\)"):
+        pbm_exact_curve(10**7, 10**4, 0.25)
+    # the largest curve measured: 1,502,671 columns x (m + 1) = 6.0e8 cells,
+    # 6.7 s
+    first, last, _ = accounting._window(10**5, 400, 0.25, DEFAULT_ALPHAS[-1])
+    accounting._check_cost("n=100000, m=400", 400, last - first + 1)
     assert pbm_exact_curve(10**7, 10**4, 0.0).epsilons.tolist() == [0.0] * 12
 
 

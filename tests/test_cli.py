@@ -628,10 +628,10 @@ def test_rdp_curve_rejects_non_finite_orders(tmp_path, alphas):
 
 @pytest.mark.parametrize("alphas", ["64,64", "4,2,4", ","])
 def test_rdp_curve_rejects_a_repeated_or_missing_order_at_once(tmp_path, alphas):
-    # checked before the curve runs: (200, 2000, 1/4) takes seconds
+    # checked before the curve runs: (10^5, 400, 1/4) takes seconds
     out = tmp_path / "curve.csv"
     start = time.perf_counter()
-    assert main(["rdp-curve", "--n", "200", "--m", "2000", "--theta", "0.25",
+    assert main(["rdp-curve", "--n", "100000", "--m", "400", "--theta", "0.25",
                  "--alphas", alphas, "--out", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
     assert not out.exists()
@@ -682,8 +682,8 @@ def test_unwritable_output_fails_before_the_run(
         "dme-json": [*dme, "--out", str(kept), "--json", missing],
         "dme-dir": [*dme, "--out", str(tmp_path)],
         "sgd": ["sgd", "--config", str(sgd_config), "--out", missing],
-        # a curve of about 5 s, were it run first
-        "rdp-curve": ["rdp-curve", "--n", "200", "--m", "2000", "--theta", "0.25",
+        # a curve of about 7 s, were it run first
+        "rdp-curve": ["rdp-curve", "--n", "100000", "--m", "400", "--theta", "0.25",
                       "--out", missing],
         "rdp-curve-gaussian": ["rdp-curve", "--n", "200", "--mode", "gaussian",
                                "--sigma", "0.1", "--out", missing],
@@ -700,6 +700,8 @@ def test_rdp_curve_over_the_cost_budget_exits_at_once(tmp_path, capsys):
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert "cells" in err and "GB" in err and "budget" in err
+    # priced as a block of 400 trials, and named by the m asked for
+    assert "m=10000 (its 400-trial block)" in err
     # select-params reaches the same guard through its one-trial curves
     assert main(["select-params", "--n", str(10**13), "--d", "1",
                  "--eps-budget", "1.0"]) == 2

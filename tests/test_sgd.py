@@ -346,3 +346,11 @@ def test_trajectory_csv(tmp_path):
         assert float(vals[2]) == result.grad_norms_sq[i]
         assert float(vals[3]) == result.eps_matrix[i, 0]
         assert len(vals) == 3 + len(result.alphas)
+    # past 400 trials the per-round curve is the accountant's block bound
+    wide = run(replace(config, m=401), disable_mechanism=True)
+    assert wide.per_round.meta["block"] == 400
+    write_trajectory_csv(wide, path)
+    assert path.read_text().splitlines()[1] == (
+        "# eps_at_* columns: certified bound: rounds x block-bound per-round curve, "
+        "no subsampling credit"
+    )
