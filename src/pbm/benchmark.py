@@ -53,7 +53,6 @@ class ExperimentConfig:
     seed: int = 1234
     use_kashin: bool = False
     clipping: bool = False
-    safety_c: float = secagg.DEFAULT_SAFETY
     threads: int = 1
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class ExperimentConfig:
             raise ValueError(f"alpha must be a finite order above 1, got {self.alpha}")
         if not 0.0 < self.c < inf:
             raise ValueError(f"c must be finite and positive, got {self.c}")
-        if not 0.0 <= self.safety_c < inf:
-            raise ValueError(f"safety_c must be finite and nonnegative, got {self.safety_c}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ def _point_records(
     eps_total = float(rdp_curve(params, [config.alpha]).epsilons[0])
     groups = [("plain", secagg.default_modulus(n, m), 0)]
     if config.clipping:
-        groups.append(("clipped", *secagg.clipped_spec(n, m, theta, config.safety_c)))
+        groups.append(("clipped", *secagg.clipped_spec(n, m, theta)))
     records = []
     for mode, modulus, offset in groups:
         lifted = secagg.lift_sum(sums, modulus, offset)

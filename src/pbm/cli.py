@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: dme (mean-estimation benchmark), sgd (federated training
-simulation), rdp-curve (privacy curves to CSV), kashin-check (frame
-certification), select-params (budget to (theta, m)).
+simulation), rdp-curve (privacy curves to CSV), select-params (budget to
+(theta, m)).
 
 Exit codes: 0 success, 2 bad usage, config or output path, 3 infeasible
 parameters, 4 numerical failure (a frame that is not tight, U U^T != I,
@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import accounting, kashin
+from . import accounting
 from .accounting import InfeasibleBudget
 from .benchmark import run_tradeoff, write_records_csv, write_series_json
 from .config import load_dme_config, load_sgd_config
@@ -78,10 +78,13 @@ def _cmd_sgd(args) -> int:
     write_trajectory_csv(result, args.out)
     final_eps = result.ledger.epsilons
     idx = int(np.argmin(np.abs(result.alphas - 2.0)))
+    bound = "" if result.grad_bound is None else (
+        f"; mean grad_norm_sq bound {result.grad_bound:.6g}"
+    )
     print(
         f"wrote {len(result.rounds)} rounds to {args.out}; final loss "
         f"{result.losses[-1]:.6g}, ledger eps({result.alphas[idx]:g}) = "
-        f"{final_eps[idx]:.6g} ({ledger_note(result.per_round)})"
+        f"{final_eps[idx]:.6g} ({ledger_note(result.per_round)}){bound}"
     )
     return EXIT_OK
 
@@ -103,19 +106,6 @@ def _cmd_rdp_curve(args) -> int:
         curve = accounting.gaussian_curve(args.c, args.n, args.sigma, alphas)
     accounting.write_curve_csv(curve, args.out)
     print(f"wrote {len(curve.alphas)} orders ({curve.kind}) to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_kashin_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    frame = kashin.build_frame(args.d, rng)
-    gram = frame.u @ frame.u.T
-    parseval = float(np.abs(gram - np.eye(frame.d)).max())
-    probe = rng.standard_normal((frame.d, 100))
-    y = kashin.represent_batch(probe, frame)
-    err = np.linalg.norm(frame.u @ y - probe, axis=0) / np.linalg.norm(probe, axis=0)
-    print(f"d={frame.d} D={frame.big_d} level_k={frame.level_k:.6g}")
-    print(f"parseval_residual={parseval:.3e} max_roundtrip_rel={err.max():.3e}")
     return EXIT_OK
 
 
@@ -194,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, help="gaussian noise scale")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rdp_curve)
-
-    p = sub.add_parser("kashin-check", help="build and certify a spreading frame")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.set_defaults(func=_cmd_kashin_check)
 
     p = sub.add_parser("select-params", help="pick (theta, m) for a privacy budget")
     p.add_argument("--n", type=int, required=True)

@@ -80,7 +80,7 @@ _DME_KEYS = {
     "theta_list": _num_list(float), "eps_list": _num_list(float), "alpha": float,
     "trials": int, "seed": int, "use_kashin": bool,
 }
-_CLIP_KEYS = {"enabled": bool, "safety_c": float}
+_CLIP_KEYS = {"enabled": bool}
 
 
 def load_dme_config(path) -> ExperimentConfig:
@@ -92,9 +92,9 @@ def load_dme_config(path) -> ExperimentConfig:
     # a file names its sweep; the dataclass's default theta grid is not used
     kwargs.setdefault("theta_list", None)
     if "enabled" in clipping:
-        kwargs["clipping"] = clipping.pop("enabled")
+        kwargs["clipping"] = clipping["enabled"]
     try:
-        return ExperimentConfig(**kwargs, **clipping)
+        return ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -14,9 +14,9 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-# default headroom multiplier for the clipped field, sqrt(30) standard
-# deviations on each side of the sum's expected range
-DEFAULT_SAFETY = sqrt(30.0)
+# headroom multiplier of the clipped field: sqrt(30) standard deviations
+# on each side of the sum's expected range
+SAFETY_C = sqrt(30.0)
 
 
 def bits_per_coord(modulus: int) -> int:
@@ -33,30 +33,25 @@ def default_modulus(n: int, m: int) -> int:
     return 1 << (n * m).bit_length()
 
 
-def clipped_spec(
-    n: int, m: int, theta: float, safety_c: float = DEFAULT_SAFETY
-) -> tuple[int, int]:
+def clipped_spec(n: int, m: int, theta: float) -> tuple[int, int]:
     """Reduced modulus sized to the sum's likely range, plus its offset.
 
-    Honest sums concentrate in n*m*(1 +- theta)/2 +- safety_c*sqrt(n*m/4),
-    a window of width n*m*theta + safety_c*sqrt(n*m). The modulus covers
+    Honest sums concentrate in n*m*(1 +- theta)/2 +- SAFETY_C*sqrt(n*m/4),
+    a window of width n*m*theta + SAFETY_C*sqrt(n*m). The modulus covers
     that window and the server lifts each aggregate residue into
     [offset, offset + modulus); sums landing outside the window wrap and
-    decode incorrectly. Larger safety_c trades bits for wrap probability.
-    Where that window is at least default_modulus(n, m) wide (at the
-    default safety_c, only for n*m <= 31), the default group
-    (default_modulus(n, m), 0) is returned instead: it holds every sum.
+    decode incorrectly. Where that window is at least default_modulus(n, m)
+    wide (only for n*m <= 31), the default group (default_modulus(n, m), 0)
+    is returned instead: it holds every sum.
     """
     if theta <= 0 or theta > 0.25:
         raise ValueError(f"theta must lie in (0, 1/4], got {theta}")
-    if safety_c < 0:
-        raise ValueError(f"safety_c must be nonnegative, got {safety_c}")
     nm = n * m
-    modulus = ceil(nm * theta + safety_c * sqrt(nm)) + 1
+    modulus = ceil(nm * theta + SAFETY_C * sqrt(nm)) + 1
     full = default_modulus(n, m)
     if modulus >= full:
         return full, 0
-    offset = floor(nm * (1.0 - theta) / 2.0 - safety_c * sqrt(nm / 4.0))
+    offset = floor(nm * (1.0 - theta) / 2.0 - SAFETY_C * sqrt(nm / 4.0))
     return modulus, offset
 
 

@@ -164,6 +164,7 @@ class SgdResult:
     per_round: RdpCurve               # one round, all coordinates
     params: MechanismParams           # the round's mechanism, frame included
     learning_rate: float
+    grad_bound: float | None          # convergence_bound at the automatic rate
     final_w: np.ndarray
     selection_counts: np.ndarray      # shape (N,): rounds each client was sampled
 
@@ -223,10 +224,12 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
         n=config.sampled, d=d, c=config.clip, theta=config.theta, m=config.m, frame=frame
     )
     if config.learning_rate == "auto":
-        sigma2 = mechanism_sigma2(params)
-        gamma = auto_learning_rate(loss.smoothness, loss.gap(), sigma2, config.rounds)
+        rate_args = (loss.smoothness, loss.gap(), mechanism_sigma2(params), config.rounds)
+        gamma = auto_learning_rate(*rate_args)
+        grad_bound = convergence_bound(*rate_args)
     else:
-        gamma = float(config.learning_rate)
+        # the bound holds at the automatic rate only
+        gamma, grad_bound = float(config.learning_rate), None
 
     per_round = rdp_curve(params)
     ledger = accounting.scale(per_round, config.rounds)
@@ -256,7 +259,8 @@ def run(config: SgdConfig, disable_mechanism: bool = False) -> SgdResult:
         rounds=t_axis, losses=losses, grad_norms_sq=grad_norms,
         eps_matrix=eps_matrix, alphas=per_round.alphas,
         ledger=ledger, per_round=per_round, params=params,
-        learning_rate=gamma, final_w=w, selection_counts=selection_counts,
+        learning_rate=gamma, grad_bound=grad_bound, final_w=w,
+        selection_counts=selection_counts,
     )
 
 

@@ -192,7 +192,7 @@ def test_criterion_07_reduced_modulus_is_nearly_free(acceptance):
     x = rng.uniform(-c, c, size=(n, d))
     probs = coordinate_probs(spread(x, params), params)
     sums = sample_sums(probs, m, rng, trials)
-    modulus, offset = clipped_spec(n, m, theta, sqrt(30.0))
+    modulus, offset = clipped_spec(n, m, theta)
     wraps = count_wraps(sums, modulus, offset)
     wrap_rate = wraps / sums.size
     lifted = lift_sum(sums % modulus, modulus, offset)
@@ -272,11 +272,11 @@ def test_criterion_10_training_loop_sanity(acceptance):
         np.array_equal(noisy.eps_matrix, rows)
     )
     elapsed = time.perf_counter() - t0
-    ok = loss_gap <= 0.10 and mean_grad_sq <= bound and ledger_ok
+    ok = loss_gap <= 0.10 and mean_grad_sq <= bound == noisy.grad_bound and ledger_ok
     acceptance(
         10, ok,
         f"final loss within {loss_gap:.1%} of paired noiseless run (cap 10%); "
-        f"mean grad^2 {mean_grad_sq:.3f} <= bound {bound:.3f}; ledger equals "
+        f"mean grad^2 {mean_grad_sq:.3f} <= bound {bound:.3f}, the run's own; ledger equals "
         f"rounds x per-round curve, no subsampling credit; {elapsed:.1f}s",
     )
     assert ok

@@ -567,6 +567,68 @@ def test_exact_subadditive_in_m():
     assert e4 <= 2.0 * e2 + 1e-12
 
 
+# relative tolerance of the curve invariants; rounding alone stays far below it
+INVARIANT_REL = 1e-12
+
+
+def _invariant_violations(n: int, m: int, theta: float, theta_hi: float, a: int) -> list:
+    """Names of the worst-case curve's invariants that fail at (n, m, theta)
+    on the default orders: eps nondecreasing in alpha, (alpha - 1) * eps
+    convex in alpha, eps nondecreasing in theta (up to theta_hi), eps
+    nonincreasing from n to n + 1 clients, and the block bound
+    eps(n, m) <= eps(n, a) + eps(n, m - a) for 0 < a < m."""
+    alphas = np.array(DEFAULT_ALPHAS)
+    eps = pbm_exact_curve(n, m, theta).epsilons
+    low, high = 1.0 - INVARIANT_REL, 1.0 + INVARIANT_REL
+    g = (alphas - 1.0) * eps
+    # weight of the left neighbour in the chord through each inner order
+    w = (alphas[2:] - alphas[1:-1]) / (alphas[2:] - alphas[:-2])
+    checks = {
+        "nondecreasing in alpha": eps[1:] >= eps[:-1] * low,
+        "(alpha - 1) eps convex": g[1:-1] <= (w * g[:-2] + (1.0 - w) * g[2:]) * high,
+        "nondecreasing in theta": pbm_exact_curve(n, m, theta_hi).epsilons >= eps * low,
+        "nonincreasing in n": pbm_exact_curve(n + 1, m, theta).epsilons <= eps * high,
+    }
+    if 0 < a < m:
+        blocks = pbm_exact_curve(n, a, theta).epsilons
+        blocks = blocks + pbm_exact_curve(n, m - a, theta).epsilons
+        checks["block bound"] = eps <= blocks * high
+    return [name for name, ok in checks.items() if not np.all(ok)]
+
+
+def test_exact_curve_invariants_on_random_curves():
+    # theorem-backed properties of a correct worst-case curve, which need no
+    # oracle: Renyi divergence is nondecreasing in alpha and (alpha - 1) D_alpha
+    # is a log-moment generating function; a wider theta range only adds
+    # inputs; one more client at 1/2 + theta on both sides is
+    # post-processing; and m trials are two independent releases of a and
+    # m - a trials, composed
+    rng = np.random.default_rng(17)
+    failed = []
+    for _ in range(60):
+        n = int(np.exp(rng.uniform(log(2), log(1e4))))
+        m = int(rng.integers(1, 65))
+        theta = float(np.exp(rng.uniform(log(0.005), log(0.25))))
+        theta_hi = min(0.25, theta * float(np.exp(rng.uniform(0.0, 1.0))))
+        a = int(rng.integers(1, m)) if m > 1 else 0
+        bad = _invariant_violations(n, m, theta, theta_hi, a)
+        if bad:
+            failed.append(((n, m, a, theta), bad))
+    assert failed == []
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: at small theta the divergence's rounding noise "
+    "outgrows the block bound's slack; eps(n, m) exceeds eps(n, a) + "
+    "eps(n, m - a) by 4.1e-10 relative at (1000, 8, 3, 1e-6) and 3.2e-9 "
+    "at (1000, 2, 1, 1e-5)",
+)
+@pytest.mark.parametrize("n, m, a, theta", [(1000, 8, 3, 1e-6), (1000, 2, 1, 1e-5)])
+def test_exact_curve_invariants_at_small_theta(n, m, a, theta):
+    assert _invariant_violations(n, m, theta, theta, a) == []
+
+
 def test_exact_theta_zero_is_private():
     curve = pbm_exact_curve(4, 3, 0.0, DEFAULT_ALPHAS)
     np.testing.assert_array_equal(curve.epsilons, np.zeros(len(DEFAULT_ALPHAS)))

@@ -16,6 +16,7 @@ from pbm.benchmark import ExperimentConfig
 from pbm.cli import main
 from pbm.config import load_dme_config, load_sgd_config
 from pbm.sgd import LossSpec, SgdConfig
+from pbm.sgd import run as run_sgd
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -147,6 +148,17 @@ def test_dme_rejects_cinf_key(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_dme_rejects_safety_c_key(tmp_path, capsys):
+    # the reduced modulus's margin is the fixed secagg.SAFETY_C
+    cfg = tmp_path / "safety.ini"
+    cfg.write_text(DME_INI + "\n[clipping]\nenabled = true\nsafety_c = 1\n")
+    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                 "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "unknown keys in [clipping]: safety_c" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sgd_happy_path(tmp_path, sgd_config, capsys):
     out = tmp_path / "traj.csv"
     code = main(["sgd", "--config", str(sgd_config), "--out", str(out)])
@@ -155,9 +167,23 @@ def test_sgd_happy_path(tmp_path, sgd_config, capsys):
     assert "final loss" in stdout
     assert "ledger eps(2) = " in stdout and "certified bound" in stdout
     assert "estimate" not in stdout
+    # a fixed learning rate has no convergence bound to print
+    assert "grad_norm_sq bound" not in stdout
     lines = out.read_text().splitlines()
     assert lines[0] == "# pbm-csv v1 sgd"
     assert len(lines) == 3 + 5
+
+
+def test_sgd_prints_the_convergence_bound_of_the_automatic_rate(tmp_path, capsys):
+    cfg = tmp_path / "auto.ini"
+    cfg.write_text(SGD_INI.replace("learning_rate = 0.3", "learning_rate = auto"))
+    out = tmp_path / "traj.csv"
+    assert main(["sgd", "--config", str(cfg), "--out", str(out)]) == 0
+    result = run_sgd(load_sgd_config(cfg))
+    line = capsys.readouterr().out.strip()
+    assert line.endswith(f"; mean grad_norm_sq bound {result.grad_bound:.6g}")
+    # stdout only: the trajectory has no bound column
+    assert "bound" not in out.read_text().splitlines()[2]
 
 
 def test_sgd_seed_override_changes_output(tmp_path, sgd_config):
@@ -202,13 +228,6 @@ def test_rdp_curve_gaussian_rejects_bad_scale(flag, value, tmp_path, capsys):
     assert code == 2
     assert f"{flag[2:]} must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_kashin_check(capsys):
-    code = main(["kashin-check", "--d", "16", "--seed", "1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "level_k=" in out and "parseval_residual=" in out
 
 
 @pytest.mark.parametrize("tool", ["dme", "sgd"])
@@ -312,9 +331,10 @@ def test_select_params_rejects_non_finite_budget(flag, value, capsys):
 @pytest.mark.parametrize("argv", [
     ["rdp-curve", "--n", "10", "--mode", "bound", "--out", "x.csv"],
     ["select-params", "--n", "10", "--d", "1", "--eps-dp", "1.0", "--verify"],
-    ["kashin-check", "--d", "8", "--save", "f.npz"],
-    ["kashin-check", "--d", "8", "--redundancy", "2"],
-    ["kashin-check", "--d", "8", "--redundancy", "inf"],
+    # the deleted frame subcommand, as it was run by hand and in CI
+    ["kashin-check", "--d", "8"],
+    ["kashin-check", "--d", "64"],
+    ["kashin-check", "--d", "250", "--seed", "1"],
 ])
 def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -485,16 +505,15 @@ def test_sgd_rejects_bad_learning_rate(tmp_path, rate, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("c", "inf"), ("c", "nan"), ("safety_c", "inf"),
+    ("c", "inf"), ("c", "nan"),
 ])
 def test_dme_rejects_non_finite_values(tmp_path, key, value, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the run started with a non-finite value")
 
     monkeypatch.setattr(cli, "run_tradeoff", never)
-    section = "\n[clipping]\n" if key == "safety_c" else ""
     cfg = tmp_path / "dme.ini"
-    cfg.write_text(DME_INI.replace("c = 1.0\n", "") + f"{section}{key} = {value}\n")
+    cfg.write_text(DME_INI.replace("c = 1.0\n", "") + f"{key} = {value}\n")
     assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
 
@@ -545,15 +564,14 @@ def test_config_file_defaults_are_the_dataclass_defaults(tmp_path, text, load, w
     assert load(path) == want
 
 
-@pytest.mark.parametrize("tool", ["dme", "sgd", "kashin-check"])
+@pytest.mark.parametrize("tool", ["dme", "sgd"])
 def test_negative_seed_flag_is_a_usage_error(
     tool, dme_config, sgd_config, tmp_path, capsys
 ):
     # argparse names the flag; numpy's own message names nothing
     out = tmp_path / "x.csv"
     args = {"dme": ["--config", str(dme_config), "--out", str(out)],
-            "sgd": ["--config", str(sgd_config), "--out", str(out)],
-            "kashin-check": ["--d", "8"]}[tool]
+            "sgd": ["--config", str(sgd_config), "--out", str(out)]}[tool]
     with pytest.raises(SystemExit) as exc:
         main([tool, *args, "--seed", "-1"])
     assert exc.value.code == 2
@@ -771,7 +789,6 @@ commands = [
     ["dme", "--config", root + "/configs/desk.ini", "--threads", "1",
      "--out", "dme.csv", "--json", "dme.json"],
     ["sgd", "--config", root + "/configs/sgd_desk.ini", "--out", "trajectory.csv"],
-    ["kashin-check", "--d", "64"],
 ]
 codes = [pbm.cli.main(argv) for argv in commands]
 assert codes == [0] * len(commands), codes
@@ -822,9 +839,7 @@ def test_one_layer_imports_alone(tmp_path):
 
 
 # public code that only tests call, each with why it stays
-TESTS_ONLY = {
-    "sgd.convergence_bound": "the paper's SGD rate, checked by acceptance criterion 10",
-}
+TESTS_ONLY: dict[str, str] = {}
 
 
 def _uncalled_public_code(package: Path) -> list[str]:

@@ -97,6 +97,18 @@ def test_convergence_bound():
             convergence_bound(1.0, 1.0, bad, 100)
 
 
+def test_run_carries_the_convergence_bound_of_its_automatic_rate():
+    config = _quad_config(learning_rate="auto")
+    result = run(config)
+    loss = QuadraticLoss(config.loss, config.total_clients)
+    args = (loss.smoothness, loss.gap(), mechanism_sigma2(result.params), config.rounds)
+    assert result.learning_rate == auto_learning_rate(*args)
+    assert result.grad_bound == convergence_bound(*args)
+    assert float(result.grad_norms_sq.mean()) <= result.grad_bound
+    # the bound covers the automatic rate only
+    assert run(_quad_config(learning_rate=1.0)).grad_bound is None
+
+
 NAN, INF = float("nan"), float("inf")
 
 
