@@ -15,33 +15,33 @@ geometries, selected by whether MechanismParams carries a frame:
 
 Every function works on whole batches: clients are rows. sample_sums is
 the one binomial draw; counts lie in [0, m], so under the default modulus
-M > n*m its integer sums are the secure-aggregation sums. It has two exact
-kernels, picked by m at a cap of 64 (see _COMPARE_MAX_M): above it,
-numpy's binomial sampler; up to it, m Bernoulli trials. A trial succeeds
-when its 53-bit uniform k is below T = ceil(p * 2**53), with probability
-exactly T / 2**53, as for the compare u < p of a float64 uniform (a
-multiple of 2**-53). The rule is settled on k's top byte against
-hi = (max(T, 1) - 1) >> 45 (below succeeds, above fails) unless the two
-tie, and only then is the whole k compared with T. So one 64-bit random
-word serves eight trials, and only a tie (probability 2**-8) needs the
-other 45 bits, drawn as one word per tie after all prefixes, by trial
-and then entry. A draw takes one m: Binom(m2, p) is Binom(m1, p) plus an
-independent Binom(m2 - m1, p), so sums at several m that share their
-first trials are the running totals of increments drawn in turn (as the
-dme sweep does at each theta). Successes and
-ties are counted per (trial, entry) in uint8 while a draw of at most 1 MB
-of words is hot in cache, so ties are located once per count, not once
-per prefix: a draw of small slabs (an sgd round's) in one compare per
-count over the whole draw, one of large slabs (the dme sweep's) slab by
-slab, with the same counts either way. Each (clients, coords) slab of
-prefixes is padded to whole words, so chunk boundaries fall on words and
-chunking leaves the stream unchanged.
+M > n*m its integer sums are the secure-aggregation sums. At every m a
+count is m Bernoulli trials. A trial succeeds when its 53-bit uniform k
+is below T = ceil(p * 2**53), with probability exactly T / 2**53 (the
+compare u < p of a float64 uniform, a multiple of 2**-53), which
+coordinate_probs keeps inside the charged [1/2 - theta, 1/2 + theta].
+The rule is settled on k's top byte against hi = (max(T, 1) - 1) >> 45
+(below succeeds, above fails) unless the two tie, and only then is the
+whole k compared with T. So one 64-bit random word serves eight trials,
+and only a tie (probability 2**-8) needs the other 45 bits, drawn as one
+word per tie after all prefixes, by trial and then entry. A draw takes
+one m: Binom(m2, p) is Binom(m1, p) plus an independent Binom(m2 - m1, p),
+so sums at several m that share their first trials are the running
+totals of increments drawn in turn (as the dme sweep does at each theta).
+Successes and ties are counted per (trial, entry), in uint8 up to
+m = 255 and uint16 past it, while a draw of at most 1 MB of words is hot
+in cache, so ties are located once per count, not once per prefix: a
+draw of small slabs (an sgd round's) in one compare per count over the
+whole draw, one of large slabs (the dme sweep's) slab by slab, with the
+same counts either way. Each (clients, coords) slab of prefixes is padded
+to whole words, so chunk boundaries fall on words and chunking leaves the
+stream unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import floor, inf, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -49,16 +49,9 @@ import numpy as np
 from . import accounting
 from .kashin import ConvergenceError, KashinFrame, represent_batch
 
-# cap on the entries of one draw (8-bit prefixes or binomials): its 1 MB of
-# random words stays in L2 while the compares read it
+# cap on the 8-bit prefixes of one draw: its 1 MB of random words stays in
+# L2 while the compares read it
 _CHUNK_ENTRIES = 1_048_576
-# largest m drawn as Bernoulli trials, so per-(trial, entry) counts fit in
-# uint8; raising it moves sgd bytes. On a 2-core Xeon (numpy 2.4), with
-# slab-by-slab compares, the compare kernel took 0.94x rng.binomial's time
-# at m = 128 and 1.39x at m = 192 for (1000, 500) probabilities and 15
-# trials (the dme sweep), and 0.73x at m = 64 and 1.03x at m = 96 for
-# (50, 16) and one trial (an sgd round); the cap is the lower crossover
-_COMPARE_MAX_M = 64
 # a draw whose slabs hold at most this many (trial, entry) prefixes is
 # compared whole, since one call per slab is bound by call overhead there;
 # larger slabs are compared one at a time, without a draw-sized bool. On
@@ -153,12 +146,15 @@ def spread(x: np.ndarray, params: MechanismParams) -> np.ndarray:
 def coordinate_probs(y: np.ndarray, params: MechanismParams) -> np.ndarray:
     """Success probabilities for spread coefficients y (..., coords).
 
-    Re-scales y in [-c', c'] to (theta/c') * y + 1/2, clamped to
-    [1/2 - theta, 1/2 + theta] against float fuzz. Each client draws
-    Binom(m, p) per coordinate from these.
+    Re-scales y in [-c', c'] to (theta/c') * y + 1/2, clamped against float
+    fuzz to the 2**-53 grid's ends inside [1/2 - theta, 1/2 + theta]: the
+    exact (2**52 - k) / 2**53 and (2**52 + k) / 2**53, k = floor(theta *
+    2**53) <= 2**51. So T / 2**53, the probability sample_sums draws, lies
+    in the range the accountant charges. Clients draw Binom(m, p) from these.
     """
+    k = floor(params.theta * 2.0**53)
     p = (params.theta / params.c_prime) * y + 0.5
-    return np.clip(p, 0.5 - params.theta, 0.5 + params.theta)
+    return np.clip(p, (2**52 - k) / 2.0**53, (2**52 + k) / 2.0**53)
 
 
 def _prefix_thresholds(probs: np.ndarray) -> np.ndarray:
@@ -180,16 +176,22 @@ def sample_sums(
 ) -> np.ndarray:
     """Per-trial sums (trials, coords) over the rows of Binom(m, probs).
 
-    probs has shape (clients, coords). For m <= 64 each Binom(m, p) is m
-    Bernoulli trials, each the rule k < T of the module docstring. The
-    trials read one trial-major stream of 8-bit prefixes, eight to a 64-bit
-    word, in (clients, coords) slabs each padded to whole words; after the
-    last prefix, one word per tied prefix, by trial, then entry, supplies
-    k's low 45 bits from its own top 45. Larger m uses rng.binomial. Either
-    way a draw holds at most _CHUNK_ENTRIES entries (or one slab), and
-    chunking does not change the stream, so the words a call takes from
-    rng do not depend on it either. A caller that needs sums at several m
-    from shared trials draws the increments between them in turn.
+    probs has shape (clients, coords). Each Binom(m, p) is m Bernoulli
+    trials, each the rule k < T of the module docstring. The trials read
+    one trial-major stream of 8-bit prefixes, eight to a 64-bit word, in
+    (clients, coords) slabs each padded to whole words; after the last
+    prefix, one word per tied prefix, by trial, then entry, supplies k's
+    low 45 bits from its own top 45. A draw holds at most _CHUNK_ENTRIES
+    prefixes (or one slab), and chunking does not change the stream, so the
+    words a call takes from rng do not depend on it either. A caller that
+    needs sums at several m from shared trials draws the increments between
+    them in turn.
+
+    The cost is linear in m. On a 2-core Xeon (numpy 2.4), at the dme
+    sweep's (1000, 500) probabilities and 15 trials, a unit of m took
+    3.7-3.8 ms up to m = 255 and 4.8 ms past it (uint16 counts); rng.binomial,
+    whose law from a float p has no exact statement, was faster only from
+    m = 160 there, and from m = 110 at an sgd round's (50, 16) and 1 trial.
     """
     if not isinstance(m, Integral) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
@@ -203,16 +205,13 @@ def sample_sums(
     sums = np.empty((trials, coords), dtype=np.int64)
     # with no clients or no coords every sum is over nothing, and so 0
     slabs = max(1, _CHUNK_ENTRIES // max(n * coords, 1))
-    if m > _COMPARE_MAX_M:
-        for lo in range(0, trials, slabs):
-            t = min(slabs, trials - lo)
-            sums[lo : lo + t] = rng.binomial(m, probs, size=(t, n, coords)).sum(axis=1)
-        return sums
     flat = probs.ravel()
     hi = _prefix_thresholds(flat)
     entries = n * coords
     words = -(-entries // 8)  # eight 8-bit prefixes per word, slabs padded
-    # a sum over clients is at most n * m; int32 sums uint8 counts faster
+    # a (trial, entry) count is at most m, a sum over clients at most n * m;
+    # int32 sums the counts faster
+    tally = np.min_scalar_type(m)
     total = np.int32 if n * m < 2**31 else np.int64
     tied = []  # per chunk: first trial, trials, each tie's (trial, entry) index
     # whole trials per draw while m slabs fit, else one trial in slab groups
@@ -220,8 +219,8 @@ def sample_sums(
     for lo in range(0, trials, chunk):
         t = min(chunk, trials - lo)
         # per (trial, entry): prefixes below hi, and prefixes equal to it
-        wins = np.zeros((t, entries), dtype=np.uint8)
-        ties = np.zeros((t, entries), dtype=np.uint8)
+        wins = np.zeros((t, entries), dtype=tally)
+        ties = np.zeros((t, entries), dtype=tally)
         whole = t * entries <= _WHOLE_DRAW_SLAB
         hit = np.empty((t, entries), dtype=np.bool_)
         for k in range(0, m, slabs):
@@ -232,7 +231,7 @@ def sample_sums(
             prefix = raw.astype("<u8", copy=False).view(np.uint8)[..., :entries]
             if whole:
                 for count, op in ((wins, np.less), (ties, np.equal)):
-                    count += op(prefix, hi).view(np.uint8).sum(axis=1, dtype=np.uint8)
+                    count += op(prefix, hi).view(np.uint8).sum(axis=1, dtype=tally)
             else:
                 for j in range(size[1]):
                     np.less(prefix[:, j], hi, out=hit)

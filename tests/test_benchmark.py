@@ -90,12 +90,15 @@ def test_generate_clients_bounds():
 
 
 def test_run_deterministic_across_threads():
-    config = _small_config()
-    once = run_tradeoff(config)
-    again = run_tradeoff(config)
-    assert once == again
-    threaded = run_tradeoff(replace(config, threads=2))
-    assert once == threaded
+    # (16, 100, 300) draws its increments at one theta in uint8 counts up
+    # to m = 100 and in uint16 counts past it
+    for m_list in ((2, 4), (16, 100, 300)):
+        config = _small_config(m_list=m_list)
+        once = run_tradeoff(config)
+        again = run_tradeoff(config)
+        assert once == again, m_list
+        threaded = run_tradeoff(replace(config, threads=2))
+        assert once == threaded, m_list
 
 
 def test_sweep_draws_once_per_theta(monkeypatch):
@@ -198,17 +201,26 @@ def _mse_z_scores(config: ExperimentConfig, records) -> dict:
     return z
 
 
+# the desk geometry with clipping, swept at m whose increments at each
+# theta count in uint8 (to 16 and on to 100) and in uint16 (on to 300)
+DESK_WIDE_M = ExperimentConfig(
+    n=50, d=16, c=1.0, m_list=(16, 100, 300),
+    theta_list=(0.05, 0.1, 0.15, 0.2, 0.25), trials=200, clipping=True,
+)
+
+
 @pytest.mark.parametrize(
-    "path", [
-        "configs/desk.ini", "configs/full.ini", "configs/desk_cross_cap.ini",
+    "source", [
+        "configs/desk.ini", "configs/full.ini",
+        pytest.param(DESK_WIDE_M, id="desk m=16,100,300"),
         "benchmarks/configs/dme_full.ini",
     ],
 )
-def test_pbm_mse_matches_its_exact_expectation(path):
+def test_pbm_mse_matches_its_exact_expectation(source):
     # every pbm plain row, from both sides: a kernel or decoder that adds
     # too little noise fails here, where mse <= bound passes it. The
     # benchmark sweep's error passes back through its frame
-    config = load_dme_config(ROOT / path)
+    config = load_dme_config(ROOT / source) if isinstance(source, str) else source
     records = run_tradeoff(config)
     z = _mse_z_scores(config, records)
     assert len(z) == len(config.m_list) * len(config.theta_list)
@@ -249,14 +261,13 @@ def test_mse_check_catches_planted_faults(plant, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ms", [(1, 3), (2, 5, 16), (16, 33, 64), (30, 65), (16, 100)], ids=str
+    "ms", [(1, 3), (2, 5, 16), (16, 33, 64), (30, 65), (16, 100), (16, 300)], ids=str
 )
 def test_sweep_rows_are_nested_binomials(ms, monkeypatch):
     # the sums the sweep decodes at one theta: every row is the sum of its
     # own m trials, and each increment, the trials between two rows, is
     # the sum of its own trials and does not depend on the row before it.
-    # At (16, 100) the first increment is Bernoulli trials, the second
-    # rng.binomial
+    # At (16, 300) the second increment, of 284 trials, counts in uint16
     config = _small_config(n=3, d=3, m_list=ms, theta_list=(0.25,), trials=40_000)
     drawn, rows = [], {}
     point_records = benchmark._point_records

@@ -1,7 +1,9 @@
+import configparser
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.stats import binom
 
 from pbm import mechanism
 from pbm.accounting import DEFAULT_ALPHAS, pbm_exact_curve, scale
+from pbm.config import load_dme_config, load_sgd_config
 from pbm.kashin import ConvergenceError, build_frame
 from pbm.mechanism import (
     MechanismParams,
@@ -22,6 +25,8 @@ from pbm.mechanism import (
     spread,
 )
 from pbm.secagg import clipped_spec, lift_sum
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +81,38 @@ def test_coordinate_probs_endpoints():
     # values past the bound (numerical fuzz) are clamped, not propagated
     fuzz = coordinate_probs(np.array([2.0 + 1e-12]), params)
     assert fuzz[0] == pytest.approx(0.7)
+
+
+def _shipped_thetas() -> list[float]:
+    """Every theta a shipped config sets: dme theta_list entries, sgd theta."""
+    thetas = set()
+    for path in [*ROOT.glob("configs/*.ini"), *ROOT.glob("benchmarks/configs/*.ini")]:
+        parser = configparser.ConfigParser()
+        parser.read(path)
+        if parser.has_section("sgd"):
+            thetas.add(load_sgd_config(path).theta)
+        else:
+            thetas.update(load_dme_config(path).theta_list or ())
+    return sorted(thetas)
+
+
+@pytest.mark.parametrize("theta", [*_shipped_thetas(), 1e-5, 1e-12, 1e-17])
+def test_sampled_probability_lies_inside_the_charged_range(theta):
+    # sample_sums succeeds with probability T / 2**53, T = ceil(p * 2**53),
+    # and the accountant charges [1/2 - theta, 1/2 + theta]. Past +-c' the
+    # clamp gives the grid ends inside that range, so T / 2**53 = p there,
+    # and one more grid step would leave it. At 1e-17, k = 0: both ends are 1/2
+    assert len(_shipped_thetas()) >= 5
+    params = _plain(d=7, c=1.0, theta=theta)
+    y = np.array([-2.0, -1.0, -1.0 + 1e-16, 0.0, 1.0 - 1e-16, 1.0, 2.0])
+    probs = coordinate_probs(y, params)
+    low, high = Fraction(1, 2) - Fraction(theta), Fraction(1, 2) + Fraction(theta)
+    for p in probs.tolist():
+        assert low <= Fraction(ceil(Fraction(p) * 2**53), 2**53) <= high, p
+    ulp = Fraction(1, 2**53)
+    for end, outward in ((probs[0], -ulp), (probs[-1], ulp)):
+        assert (Fraction(end) / ulp).denominator == 1
+        assert not low <= Fraction(end) + outward <= high
 
 
 def test_decode_matches_scalar_decoder():
@@ -286,20 +323,21 @@ def _increment_sums(probs, m, rng, trials):
 # trial counts drawn as increments in turn from one generator, as the dme
 # sweep draws its m at one theta; a later increment keeps its sums only if
 # each call takes the same words from the generator at any chunk size and
-# either compare. The compare kernel, a step of no trials, and the
-# binomial kernel
+# either compare. Steps counted in uint8, a step of no trials, and a step
+# of 284 trials counted in uint16
 NESTED = [
     pytest.param((1, 3), id="1,3"),
     pytest.param((2, 5, 16), id="2,5,16"),
     pytest.param((0, 7, 64), id="0,7,64"),
     pytest.param((3, 65, 300), id="3,65,300"),
+    pytest.param((16, 300), id="16,300"),
 ]
 
 
 @pytest.mark.parametrize("m", [2, 16, 32, 33, 64, 65, 300, *NESTED])
 def test_sample_sums_chunking_keeps_the_stream(m, monkeypatch):
     # small chunks must draw the same sums as all trials in one chunk; one
-    # trial per chunk splits a compare draw (m <= 64) into single slabs
+    # trial per chunk splits a draw into single slabs
     n, coords, trials = 7, 5, 6
     probs = np.random.default_rng(3).uniform(0.25, 0.75, size=(n, coords))
     whole = _increment_sums(probs, m, np.random.default_rng(m), trials)
@@ -329,7 +367,7 @@ def test_whole_draw_compare_matches_the_slab_loop(m, per_chunk, monkeypatch):
     np.testing.assert_array_equal(sums[0], sums[1])
 
 
-@pytest.mark.parametrize("m", [4, 65])  # the compare and the binomial kernel
+@pytest.mark.parametrize("m", [4, 65, 300])  # uint8 counts, and uint16 past m = 255
 def test_sample_sums_rejects_bad_input(m):
     rng = np.random.default_rng(0)
     good = np.full((2, 2), 0.5)
@@ -347,7 +385,7 @@ def test_sample_sums_rejects_bad_input(m):
     assert sample_sums(good, np.int64(m), rng, 3).shape == (3, 2)
 
 
-@pytest.mark.parametrize("m", [0, 4, 100])  # the compare and the binomial kernel
+@pytest.mark.parametrize("m", [0, 4, 100, 300])  # no trials, uint8 and uint16 counts
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_sample_sums_over_no_entries_is_zero(shape, m):
     # a sum over no clients is 0; unchecked, the chunk size divides by zero
@@ -372,7 +410,8 @@ def test_sample_sums_rejects_probs_that_are_not_2d(shape):
 _DIST_PROBS = np.array([[0.1, 0.35, 0.5], [0.25, 0.6, 0.75], [0.45, 0.8, 0.95]])
 
 
-@pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64, 65])
+# 255 and 256 straddle the per-(trial, entry) counts' uint8/uint16 boundary
+@pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64, 65, 255, 256, 300])
 def test_sample_sums_distribution(m):
     # each column's sum over clients is Poisson-binomial; chi-square its
     # histogram against the exact pmf
@@ -380,6 +419,36 @@ def test_sample_sums_distribution(m):
     sums = sample_sums(_DIST_PROBS, m, np.random.default_rng(900 + m), trials)
     for j in range(3):
         assert poisson_binomial_chisquare(sums[:, j], _DIST_PROBS[:, j], m) >= 1e-4, (m, j)
+
+
+@pytest.mark.parametrize("m", [4, 300])
+@pytest.mark.parametrize("end", [-1.0, 1.0])
+def test_sample_sums_at_a_clamped_end(end, m):
+    # every probability at one end of theta = 0.15's range, where the float
+    # 1/2 +- theta sits outside the range the accountant charges
+    n, coords = 3, 3
+    params = _plain(n=n, d=coords, theta=0.15, m=m)
+    probs = coordinate_probs(np.full((n, coords), 2.0 * end), params)
+    assert len(set(probs.ravel().tolist())) == 1
+    sums = sample_sums(probs, m, np.random.default_rng(700 + m), 40_000)
+    for j in range(coords):
+        assert poisson_binomial_chisquare(sums[:, j], probs[:, j], m) >= 1e-4, (end, m, j)
+
+
+class _IntegersOnly:
+    """A real generator's integers method, and no other way to draw."""
+
+    def __init__(self, seed):
+        self.integers = np.random.default_rng(seed).integers
+
+
+@pytest.mark.parametrize("m", [4, 65, 300])
+def test_sample_sums_draws_through_integers_alone(m):
+    # every m takes the exact Bernoulli kernel's 64-bit words; a call to
+    # any other draw method (binomial, random) raises AttributeError here
+    probs = np.random.default_rng(6).uniform(0.0, 1.0, size=(7, 5))
+    sums = sample_sums(probs, m, _IntegersOnly(m), 6)
+    np.testing.assert_array_equal(sums, sample_sums(probs, m, np.random.default_rng(m), 6))
 
 
 def test_trial_rule_is_the_float_compare():
