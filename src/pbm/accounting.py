@@ -80,7 +80,8 @@ _STIRLING_TABLE = np.array([
 
 
 def _stirling_error(k: np.ndarray) -> np.ndarray:
-    """s(k) on consecutive integers k = k0, k0 + 1, ..., k0 >= 1, as floats."""
+    """s(k) at an array of integers k >= 1, in any order, as floats: the
+    series everywhere, then the table wherever k is 15 or less."""
     inv = np.square(k)
     np.divide(1.0, inv, out=inv)
     s = inv * (1 / 1188)
@@ -89,8 +90,8 @@ def _stirling_error(k: np.ndarray) -> np.ndarray:
         s *= inv
     np.subtract(1 / 12, s, out=s)
     s /= k
-    table = _STIRLING_TABLE[int(k[0]) - 1 :][: len(k)]
-    s[: len(table)] = table
+    small = k <= len(_STIRLING_TABLE)
+    s[small] = _STIRLING_TABLE[k[small].astype(np.intp) - 1]
     return s
 
 
@@ -120,10 +121,10 @@ def binomial_logpmf(
         out[-1] = trials * log(p)
     k0, k1 = max(first, 1), min(last, trials - 1)
     if k0 <= k1:
-        # k = k0..k1, where D(k) is summed in place, and N - k reversed
+        # k = k0..k1, where D(k) is summed in place
         n_p, n_q = trials * p, trials * (1.0 - p)
         k = np.arange(k0, k1 + 1, dtype=float)
-        rev = np.arange(trials - k1, trials - k0 + 1, dtype=float)
+        nk = trials - k
         dev = out[k0 - first : k1 - first + 1]
         np.subtract(k, n_p, out=dev)
         buf = dev / n_p
@@ -131,16 +132,14 @@ def binomial_logpmf(
         buf *= k
         dev /= -n_q
         np.log1p(dev, out=dev)
-        dev *= rev[::-1]
+        dev *= nk
         dev += buf
         # g(k) = s(k) + log(k)/2, once for k and once for N - k
-        np.log(k, out=buf)
-        buf *= 0.5
-        buf += _stirling_error(k)
-        dev += buf
-        g = _stirling_error(rev)
-        g += 0.5 * np.log(rev)
-        dev += g[::-1]
+        for x in (k, nk):
+            np.log(x, out=buf)
+            buf *= 0.5
+            buf += _stirling_error(x)
+            dev += buf
         s_n = _stirling_error(np.array([float(trials)]))[0]
         np.subtract(s_n + 0.5 * log(trials / (2.0 * pi)), dev, out=dev)
     return out
@@ -189,8 +188,9 @@ _WINDOW_LOG_TAIL = 100.0
 # the cost guard: window columns * (m + 1) recurrence or convolution cells
 # (about 6.7 s at (10^5, 400, 1/4), 6.0e8 cells, on a 2-core x86_64 host;
 # past m = 400, the cells of one block of 400 trials),
-# and the bytes of the float64 work arrays, twelve per column (58-73 bytes
-# a column measured)
+# and the bytes of the float64 work arrays, priced at twelve a column
+# (a curve's tracemalloc peak reads 56 bytes a column on every window of
+# 10^4 columns or more)
 _MAX_CELLS = 10**9
 _MAX_BYTES = 2 * 10**9
 _COLUMN_BYTES = 96
@@ -318,17 +318,16 @@ def _log_mean_exp(
     adds the k products in one order whatever the BLAS thread count, with
     an error of O(log k) roundings of sum |q * expm1(b * llr)| (Higham,
     Accuracy and Stability of Numerical Algorithms, section 4.2).
-    Outside the window, Q's mass is at most exp(log_out) (-inf: none) and
-    |b * llr| at most tilt, so their part of the sum is at most
-    exp(log_out) * expm1(tilt), added before the log.
+    Outside the window, Q's mass is at most exp(log_out) and |b * llr| at
+    most tilt, so their part of the sum is at most
+    exp(log_out) * expm1(tilt), added before the log; at log_out = -inf
+    (no columns outside) that is 0.0.
     """
     e = b * llr
     np.expm1(e, out=e)
     e *= q
-    s = e.sum()
-    if log_out > -inf:
-        # expm1(tilt) * exp(log_out), without overflow or underflow first
-        s += -expm1(-tilt) * exp(log_out + tilt)
+    # expm1(tilt) * exp(log_out), without overflow or underflow first
+    s = e.sum() - expm1(-tilt) * exp(log_out + tilt)
     return float(np.log1p(s))
 
 

@@ -379,18 +379,12 @@ def _full_endpoint_delta(n: int, m: int, log_rho: float) -> np.ndarray:
 
 
 def _full_endpoint_llr(n: int, m: int, theta: float, logq: np.ndarray) -> np.ndarray:
-    """log(P/Q) on {0, ..., n*m}: log1p of the recurrence's P/Q - 1, and
-    log P convolved on the far window where P/Q <= 1/2, and on every column
-    past m = 400, where the recurrence's terms overflow float64."""
+    """log(P/Q) on {0, ..., n*m}, m <= 400: log1p of the recurrence's
+    P/Q - 1, and log P convolved on the far window where P/Q <= 1/2."""
     lo, hi = 0.5 - theta, 0.5 + theta
     log_rho = 2.0 * atanh(2.0 * theta)
     if n == 1:
         return (m - 2.0 * np.arange(m + 1)) * log_rho
-    if m > 400:
-        logp = convolve_logpmf(
-            _full_binomial_logpmf(m, lo), _full_binomial_logpmf(m * (n - 1), hi)
-        )
-        return logp - logq
     delta = _full_endpoint_delta(n, m, log_rho)
     far = np.flatnonzero(~(delta > -0.5))
     llr = np.log1p(np.maximum(delta, -0.5, out=delta), out=delta)

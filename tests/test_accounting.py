@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import exp, log, sqrt
 from pathlib import Path
 
@@ -92,6 +93,19 @@ def test_stirling_error_matches_mpmath():
     got = accounting._stirling_error(np.arange(1.0, 10**6 + 1))[k - 1]
     want = np.array([stirling(int(x)) for x in k])
     np.testing.assert_allclose(got, want, rtol=0, atol=1.2e-16)
+
+
+def test_stirling_error_reads_the_table_by_value():
+    # gapped, descending and shuffled k: each entry has its singleton
+    # call's bits, the table's wherever k <= 15
+    stirling = accounting._stirling_error
+    for k in (
+        np.array([2.0, 40.0, 3.0]),
+        np.arange(400.0, 0.0, -1.0),
+        np.random.default_rng(0).permutation(np.arange(1.0, 51.0)),
+    ):
+        want = np.concatenate([stirling(k[i : i + 1]) for i in range(len(k))])
+        assert stirling(k).tobytes() == want.tobytes(), k
 
 
 def test_binomial_logpmf_normalization():
@@ -535,6 +549,20 @@ def test_cost_guard_refuses_before_it_runs(monkeypatch):
     first, last, _ = accounting._window(10**5, 400, 0.25, DEFAULT_ALPHAS[-1])
     accounting._check_cost("n=100000, m=400", 400, last - first + 1)
     assert pbm_exact_curve(10**7, 10**4, 0.0).epsilons.tolist() == [0.0] * 12
+
+
+@pytest.mark.parametrize("n, m, theta", [(10**5, 16, 0.1), (10**4, 64, 0.25), (50, 400, 0.25)])
+def test_exact_curve_memory_is_within_the_cost_guard(n, m, theta):
+    # the guard prices a curve at _COLUMN_BYTES a window column; its traced
+    # peak reads 56 bytes a column at each of these
+    first, last, _ = accounting._window(n, m, theta, max(DEFAULT_ALPHAS))
+    tracemalloc.start()
+    try:
+        pbm_exact_curve(n, m, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (last - first + 1) * accounting._COLUMN_BYTES + 2**16
 
 
 def test_exact_curve_monotone_in_alpha():
