@@ -205,12 +205,19 @@ def _window(n: int, m: int, theta: float, b_max: float) -> tuple[int, int, float
     By Hoeffding (1963) Q's mass outside is at most 2*exp(-2*t^2/N), which
     is exp(-E - m*b_max*log(rho)); P/Q <= rho^m, so the outside part of
     E_Q[(P/Q)^b] is at most exp(-E) at |b| <= b_max. The log mass is -inf
-    where the window is the whole support.
+    where the window is the whole support. Raises ValueError if t, or
+    twice the largest tilt m*b_max*log(rho), is past the float range.
     """
     big_n = n * m
     log_rho = 2.0 * atanh(2.0 * theta)
-    log_out = -(_WINDOW_LOG_TAIL + m * b_max * log_rho)
+    tilt = m * float(b_max) * log_rho
+    log_out = -(_WINDOW_LOG_TAIL + tilt)
     t = sqrt(big_n / 2.0 * (log(2.0) - log_out))
+    if not (isfinite(t) and isfinite(2.0 * tilt)):
+        raise ValueError(
+            f"the order {b_max:g} is too large to window the exact curve "
+            f"at n={n}, m={m}, theta={theta!r}"
+        )
     centre = big_n * (0.5 + theta)
     first, last = max(floor(centre - t), 0), min(ceil(centre + t), big_n)
     if first == 0 and last == big_n:

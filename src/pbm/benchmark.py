@@ -46,8 +46,7 @@ class ExperimentConfig:
     d: int = 16
     c: float = 1.0                    # L2 bound on client vectors
     m_list: tuple[int, ...] = (2, 4, 6, 16)
-    theta_list: tuple[float, ...] | None = (0.05, 0.1, 0.15, 0.2, 0.25)
-    eps_list: tuple[float, ...] | None = None
+    theta_list: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2, 0.25)
     alpha: float = 2.0
     trials: int = 50
     seed: int = 1234
@@ -63,20 +62,15 @@ class ExperimentConfig:
             raise ValueError("n, d, trials, threads must all be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if (self.theta_list is None) == (self.eps_list is None):
-            raise ValueError("exactly one of theta_list / eps_list must be set")
         for m in self.m_list:
             if not isinstance(m, Integral) or m < 1:
                 raise ValueError(f"m_list entries must be positive integers, got {m!r}")
-        for theta in self.theta_list or ():
+        for theta in self.theta_list:
             if not 0.0 < theta <= 0.25:
                 raise ValueError(f"theta_list entries must lie in (0, 1/4], got {theta}")
-        for eps in self.eps_list or ():
-            if not 0.0 < eps < inf:
-                raise ValueError(f"eps_list entries must be finite and positive, got {eps}")
         # a repeated value repeats rows under one (m, theta) key
-        for name in ("m_list", "theta_list", "eps_list"):
-            values = getattr(self, name) or ()
+        for name in ("m_list", "theta_list"):
+            values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} entries must be distinct, got {list(values)}")
         if not 1.0 < self.alpha < inf:
@@ -113,31 +107,6 @@ def generate_clients(config: ExperimentConfig, rng: np.random.Generator) -> np.n
     which lies inside the L2 ball of radius c that the frame needs."""
     half = config.c / sqrt(config.d)
     return rng.uniform(-half, half, size=(config.n, config.d))
-
-
-def _resolve_points(
-    config: ExperimentConfig, base: MechanismParams
-) -> list[tuple[int, float]]:
-    """The (m, theta) sweep; eps_list entries are inverted per m by bisection."""
-    if config.theta_list is not None:
-        return [(m, th) for m in config.m_list for th in config.theta_list]
-    points = []
-    for m in config.m_list:
-        for eps_target in config.eps_list:
-            points.append((m, _invert_eps(config, base, m, eps_target)))
-    return points
-
-
-def _invert_eps(
-    config: ExperimentConfig, base: MechanismParams, m: int, eps_target: float
-) -> float:
-    """Largest theta <= 1/4 whose total epsilon stays within eps_target."""
-
-    def fits(theta):
-        curve = rdp_curve(replace(base, m=m, theta=theta), [config.alpha])
-        return curve.epsilons[0] <= eps_target
-
-    return accounting.largest_theta(fits, f"the epsilon target {eps_target} at m = {m}")
 
 
 def _point_records(
@@ -229,16 +198,10 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
         theta=0.25, m=1, frame=frame,
     )
     y = spread(clients, base)
-    points = _resolve_points(config, base)
-    # the m of each theta, thetas in order of first appearance; eps_list
-    # targets can meet at one point, which is then drawn once
-    ms_at: dict[float, set[int]] = {}
-    for m, theta in points:
-        ms_at.setdefault(theta, set()).add(m)
-    groups = [(theta, tuple(sorted(ms))) for theta, ms in ms_at.items()]
+    ms = tuple(sorted(config.m_list))
     tasks = [
         (config, y, mu_true, replace(base, theta=theta), ms, seed)
-        for (theta, ms), seed in zip(groups, theta_root.spawn(len(groups)))
+        for theta, seed in zip(config.theta_list, theta_root.spawn(len(config.theta_list)))
     ]
     if config.threads > 1 and len(tasks) > 1:
         # imported here: the process pool costs start-up to runs that never use it
@@ -248,12 +211,9 @@ def run_tradeoff(config: ExperimentConfig) -> list[TrialRecord]:
             per_theta = list(pool.map(_theta_records, *zip(*tasks)))
     else:
         per_theta = [_theta_records(*t) for t in tasks]
-    by_point = {
-        (m, theta): recs
-        for (theta, ms), per_m in zip(groups, per_theta)
-        for m, recs in zip(ms, per_m)
-    }
-    return [rec for point in points for rec in by_point[point]]
+    # rows m-major in m_list order; each theta's points come at sorted m
+    slot = {m: s for s, m in enumerate(ms)}
+    return [rec for m in config.m_list for per_m in per_theta for rec in per_m[slot[m]]]
 
 
 def write_records_csv(records: Sequence[TrialRecord], path) -> None:

@@ -77,7 +77,7 @@ def _num_list(cast):
 
 _DME_KEYS = {
     "n": int, "d": int, "c": float, "m_list": _num_list(int),
-    "theta_list": _num_list(float), "eps_list": _num_list(float), "alpha": float,
+    "theta_list": _num_list(float), "alpha": float,
     "trials": int, "seed": int, "use_kashin": bool,
 }
 _CLIP_KEYS = {"enabled": bool}
@@ -87,10 +87,10 @@ def load_dme_config(path) -> ExperimentConfig:
     parser = _read(path, ("experiment", "clipping"))
     if not parser.has_section("experiment"):
         raise ValueError(f"{path}: missing [experiment] section")
-    kwargs = _section(parser, "experiment", _DME_KEYS, path, ("n", "d", "m_list"))
-    clipping = _section(parser, "clipping", _CLIP_KEYS, path)
     # a file names its sweep; the dataclass's default theta grid is not used
-    kwargs.setdefault("theta_list", None)
+    required = ("n", "d", "m_list", "theta_list")
+    kwargs = _section(parser, "experiment", _DME_KEYS, path, required)
+    clipping = _section(parser, "clipping", _CLIP_KEYS, path)
     if "enabled" in clipping:
         kwargs["clipping"] = clipping["enabled"]
     try:

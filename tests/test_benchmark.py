@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from make_dme_golden import golden_config
 from oracles import decode_error_moments, poisson_binomial_chisquare, realizable_pair_rdp
 
 from pbm import benchmark, mechanism, secagg
@@ -36,10 +37,6 @@ def _small_config(**overrides) -> ExperimentConfig:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _small_config(theta_list=None)
-    with pytest.raises(ValueError):
-        _small_config(eps_list=(1.0,))
     for alpha in (1.0, 0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             _small_config(alpha=alpha)
@@ -62,23 +59,23 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name, values", [
-    ("m_list", (2, 4, 2)), ("theta_list", (0.25, 0.25)), ("eps_list", (1.0, 2.0, 1.0)),
-], ids=["m_list", "theta_list", "eps_list"])
+    ("m_list", (2, 4, 2)), ("theta_list", (0.25, 0.25)),
+], ids=["m_list", "theta_list"])
 def test_config_rejects_repeated_sweep_values(name, values):
     # a repeated value repeats rows under one (m, theta) key, and a repeated
     # m leaves a theta's trial counts ambiguous
-    sweep = {name: values, "theta_list": None} if name == "eps_list" else {name: values}
     with pytest.raises(ValueError, match=f"^{name} entries must be distinct"):
-        _small_config(**sweep)
+        _small_config(**{name: values})
 
 
-def test_eps_targets_that_meet_at_one_point_share_its_rows():
-    # targets far above any epsilon both invert to theta = 1/4; the point
-    # is drawn once and each target gets its rows
-    config = _small_config(theta_list=None, eps_list=(1e3, 2e3), m_list=(2, 4))
-    records = run_tradeoff(config)
-    assert [(r.m, r.theta) for r in records[::2]] == [(2, 0.25)] * 2 + [(4, 0.25)] * 2
-    assert records[:2] == records[2:4] and records[4:6] == records[6:]
+def test_dme_bytes_match_the_golden_csv(tmp_path):
+    # rows written by tests/make_dme_golden.py: desk.ini with clipping on
+    # one worker, direct encoding, so no BLAS call moves a byte
+    want = (Path(__file__).parent / "dme_golden.csv").read_text().splitlines()
+    assert len(want) == 2 + 45
+    out = tmp_path / "dme.csv"
+    write_records_csv(run_tradeoff(golden_config()), out)
+    assert out.read_text().splitlines() == want
 
 
 def test_generate_clients_bounds():
@@ -321,18 +318,6 @@ def test_tight_safety_margin_wraps(monkeypatch):
     records = run_tradeoff(_small_config(clipping=True))
     wrapped = [r for r in records if r.mode == "clipped"]
     assert sum(r.wraps for r in wrapped) > 0
-
-
-def test_eps_list_inversion():
-    targets = (0.5, 2.0)
-    config = _small_config(theta_list=None, eps_list=targets, m_list=(2,))
-    records = [r for r in run_tradeoff(config) if r.mechanism == "pbm"]
-    assert len(records) == len(targets)
-    for r, target in zip(records, targets):
-        assert 0.0 < r.theta <= 0.25
-        assert r.epsilon <= target * (1.0 + 1e-6)
-        # either the budget binds or theta hit its cap
-        assert r.theta == 0.25 or r.epsilon >= target * 0.999
 
 
 @pytest.mark.parametrize("load", [

@@ -104,15 +104,6 @@ def test_dme_clipping_flag(tmp_path, dme_config):
     assert sum(",clipped" in ln for ln in lines) == 4
 
 
-def test_dme_unreachable_epsilon_target_is_infeasible(tmp_path):
-    cfg = tmp_path / "tiny_eps.ini"
-    cfg.write_text(
-        "[experiment]\nn = 20\nd = 4\nm_list = 2\neps_list = 1e-30\ntrials = 5\n"
-    )
-    assert main(["dme", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
-                 "--threads", "1"]) == 3
-
-
 def test_dme_ignores_pbm_threads_variable(tmp_path, dme_config, monkeypatch):
     monkeypatch.setenv("PBM_THREADS", "abc")
     assert main(["dme", "--config", str(dme_config), "--out", str(tmp_path / "x.csv"),
@@ -426,20 +417,24 @@ def test_bad_config_value(tmp_path, capsys):
     assert str(bad) in err and "m_list" in err
 
 
-def test_conflicting_sweep_lists(tmp_path):
+def test_conflicting_sweep_lists(tmp_path, capsys, monkeypatch):
+    # theta_list is the one sweep list; epsilon targets go to select-params
+    def never(*args, **kwargs):
+        raise AssertionError("the run started with an eps_list key")
+
+    monkeypatch.setattr(cli, "run_tradeoff", never)
     bad = tmp_path / "bad.ini"
-    bad.write_text(
-        "[experiment]\nn = 10\nd = 2\nm_list = 2\n"
-        "theta_list = 0.1\neps_list = 1.0\n"
-    )
+    bad.write_text(DME_INI + "eps_list = 1.0\n")
     assert main(["dme", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "unknown keys in [experiment]: eps_list" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("name, sweep", [
     ("m_list", "m_list = 2 2 4\ntheta_list = 0.25 0.25"),
     ("theta_list", "m_list = 2 4\ntheta_list = 0.1 0.25 0.1"),
-    ("eps_list", "m_list = 2\neps_list = 1.0 1 2.0"),
-], ids=["m_list", "theta_list", "eps_list"])
+], ids=["m_list", "theta_list"])
 def test_dme_rejects_a_repeated_sweep_value(tmp_path, name, sweep, capsys, monkeypatch):
     # a repeated value repeats rows under one (m, theta) key, which a reader
     # keyed by the point silently overwrites
@@ -468,17 +463,16 @@ def test_sgd_rejects_theta_outside_range(tmp_path, theta, capsys):
     ("dme", DME_INI.replace("theta_list = 0.1 0.25", "theta_list = 0.3"), "theta_list"),
     ("dme", DME_INI.replace("theta_list = 0.1 0.25", "theta_list = 0.0 0.1"),
      "theta_list"),
-    ("dme", DME_INI.replace("theta_list = 0.1 0.25", "eps_list = 1 nan"), "eps_list"),
-    ("dme", DME_INI.replace("theta_list = 0.1 0.25", "eps_list = -1"), "eps_list"),
-    ("dme", DME_INI.replace("theta_list = 0.1 0.25", "eps_list = inf"), "eps_list"),
+    ("dme", DME_INI.replace("theta_list = 0.1 0.25\n", ""),
+     "missing required key 'theta_list'"),
     ("sgd", SGD_INI.replace("m = 4", "m = 0"), "m must be a positive integer"),
-], ids=["dme-m-zero", "dme-theta-above-quarter", "dme-theta-zero", "dme-eps-nan",
-        "dme-eps-negative", "dme-eps-inf", "sgd-m-zero"])
+], ids=["dme-m-zero", "dme-theta-above-quarter", "dme-theta-zero", "dme-no-theta-list",
+        "sgd-m-zero"])
 def test_sweep_point_out_of_range_fails_at_load(
     tool, text, key, tmp_path, capsys, monkeypatch
 ):
-    # a bad m, theta or epsilon target is named with its file before any
-    # frame, accounting or draw runs
+    # a bad or missing m or theta is named with its file before any frame,
+    # accounting or draw runs
     def never(*args, **kwargs):
         raise AssertionError("the run started with a bad sweep value")
 
@@ -653,6 +647,20 @@ def test_rdp_curve_rejects_a_repeated_or_missing_order_at_once(tmp_path, alphas)
                  "--alphas", alphas, "--out", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e300", "1e306", "1e308"])
+@pytest.mark.parametrize("n, m", [(2, 1), (1000, 4)])
+def test_rdp_curve_at_a_huge_order_answers_or_exits_2(tmp_path, capsys, n, m, alpha):
+    # past the float range the window's tilt or half-width is not finite;
+    # that is a config error naming the order, not a traceback or a warning
+    out = tmp_path / "curve.csv"
+    code = main(["rdp-curve", "--n", str(n), "--m", str(m), "--theta", "0.25",
+                 "--alphas", f"2,{alpha}", "--out", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        assert f"the order {float(alpha):g} is too large" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_dme_rejects_nan_order(tmp_path):
